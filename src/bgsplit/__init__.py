@@ -25,6 +25,7 @@ from .bundles import (
     h1_dim,
     is_isomorphic,
     riemann_roch_check,
+    section_profile,
     splitting_type,
     twist,
     verify_factorization,

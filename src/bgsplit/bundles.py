@@ -31,11 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalSearchExhausted, InvalidBundle
 from .laurent import LaurentPoly
-from .linalg import sparse_kernel
+from .linalg import echelon_insert, sparse_int_rows, sparse_kernel
 from .lmatrix import LaurentMatrix
 from .orderbasis import factor_to_diagonal
 
@@ -156,39 +157,72 @@ def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
 
 def _section_rows(
     a: LaurentMatrix, k: int, bound: int
-) -> Tuple[List[Dict[int, Fraction]], int]:
+) -> Tuple[List[List[Dict[int, int]]], int]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
     0 <= b <= bound, laid out so the system is banded: column index
     (bound - b) * n + j.  Rows are indexed by (target exponent e < 0,
-    component i) in ascending e.
+    component i) and grouped by e in ascending order, so the last group
+    holds e = -1.  Row i is scaled by the lcm of the denominators in row
+    i of A, so every row is an integer row.
     """
     n = a.n
     lo, _ = a.exponent_range()
-    rows: List[Dict[int, Fraction]] = []
+    int_rows = []
+    for i in range(n):
+        terms = [a[i, j].terms for j in range(n)]
+        mult = lcm(*(c.denominator for t in terms for c in t.values()))
+        int_rows.append(
+            [[(exp, int(c * mult)) for exp, c in t.items()] for t in terms]
+        )
+    groups: List[List[Dict[int, int]]] = []
     for e in range(k + lo - bound, 0):
-        for i in range(n):
-            row: Dict[int, Fraction] = {}
-            for j in range(n):
-                entry = a[i, j]
-                if entry.is_zero:
-                    continue
-                for exp, coeff in entry.terms.items():
+        group = []
+        for int_row in int_rows:
+            row: Dict[int, int] = {}
+            for j, terms in enumerate(int_row):
+                for exp, coeff in terms:
                     b = exp + k - e
                     if 0 <= b <= bound:
-                        col = (bound - b) * n + j
-                        prev = row.get(col)
-                        row[col] = coeff if prev is None else prev + coeff
+                        row[(bound - b) * n + j] = coeff
             if row:
-                rows.append(row)
-    return rows, n * (bound + 1)
+                group.append(row)
+        groups.append(group)
+    return groups, n * (bound + 1)
 
 
 def _h0_dimension(e: BundleOnP1, k: int, extra: int = 0) -> int:
-    rows, ncols = _section_rows(e.transition, k, _degree_bound(e, k, extra))
+    groups, ncols = _section_rows(e.transition, k, _degree_bound(e, k, extra))
+    rows = [row for group in groups for row in group]
     nullity, _ = sparse_kernel(rows, ncols, need_basis=False)
     return nullity
+
+
+def section_profile(
+    e: BundleOnP1, kmin: int, kmax: int, extra: int = 0
+) -> Dict[int, int]:
+    """{k: dim H^0(E(k))} for kmin <= k <= kmax, from one elimination.
+
+    With one degree bound valid for every twist in the range, the twist-k
+    system is the prefix of the twist-kmin system whose target exponents
+    are below kmin - k (the rows where A*s1 has exponent below -k).  The
+    rows are inserted into one echelon form in ascending target exponent,
+    and the nullity is read off each time the prefix reaches a cutoff.
+    """
+    bound = max(_degree_bound(e, kmin, extra), _degree_bound(e, kmax, extra))
+    groups, ncols = _section_rows(e.transition, kmin, bound)
+    pivots: Dict[int, Dict[int, int]] = {}
+    done = 0
+    profile = {}
+    for k in range(kmax, kmin - 1, -1):
+        cutoff = max(done, len(groups) + kmin - k)
+        for group in groups[done:cutoff]:
+            for row in sparse_int_rows(group):
+                echelon_insert(pivots, row)
+        done = cutoff
+        profile[k] = ncols - len(pivots)
+    return dict(sorted(profile.items()))
 
 
 def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
@@ -202,7 +236,8 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     a = e.transition
     n = e.rank
     bound = _degree_bound(e, k, 0)
-    rows, ncols = _section_rows(a, k, bound)
+    groups, ncols = _section_rows(a, k, bound)
+    rows = [row for group in groups for row in group]
     _, kernel = sparse_kernel(rows, ncols, need_basis=True)
     assert kernel is not None
     basis = []
@@ -230,10 +265,16 @@ def splitting_type(e: BundleOnP1) -> SplittingType:
     With h(k) = dim H^0(E(k)), the increment h(k) - h(k-1) counts the
     indices d_i >= -k, so consecutive increments recover every
     multiplicity.  All indices lie within the entry exponent range of
-    the transition matrix, which bounds the scan; the result must
-    account for all n indices and sum to the determinant exponent, and
-    on any inconsistency the scan widens, the section degree bound
-    doubles, and the profile is recomputed.
+    the transition matrix, which bounds the scan.  The whole profile
+    comes from one elimination (section_profile): each twist's section
+    system is a prefix of the lowest twist's, so ranks of the nested
+    prefixes give every h(k) -- the partial indices from ranks of nested
+    block-Toeplitz sections (Gohberg-Feldman, Convolution Equations and
+    Projection Methods, 1974; Adukov, Wiener-Hopf factorization of
+    meromorphic matrix functions, 1992).  The result must account for
+    all n indices and sum to the determinant exponent, and on any
+    inconsistency the scan widens, the section degree bound doubles, and
+    the profile is recomputed.
     """
     lo, hi = e.transition.exponent_range()
     n = e.rank
@@ -243,7 +284,7 @@ def splitting_type(e: BundleOnP1) -> SplittingType:
     for _ in range(4):
         kmin = -hi - pad
         kmax = -lo + pad
-        h = {k: _h0_dimension(e, k, extra) for k in range(kmin - 1, kmax + 1)}
+        h = section_profile(e, kmin - 1, kmax, extra)
         delta = {k: h[k] - h[k - 1] for k in range(kmin, kmax + 1)}
         indices: List[int] = []
         ok = h[kmin - 1] == 0

@@ -37,6 +37,7 @@ from .io import (
     render_text,
     result_document,
 )
+from .laurent import LaurentPoly
 from .lmatrix import LaurentMatrix
 
 EXIT_OK = 0
@@ -95,12 +96,10 @@ def _cmd_split(args) -> dict:
     e, text = _load_bundle(args.file)
     st = bundles.splitting_type(e)
     lo, hi = e.transition.exponent_range()
-    profile = {
-        str(k): bundles._h0_dimension(e, k) for k in range(-hi - 2, -lo + 2)
-    }
+    profile = bundles.section_profile(e, -hi - 2, -lo + 1)
     certificate = {
-        "determinant": e.transition.det(),
-        "section_counts": profile,
+        "determinant": LaurentPoly({e.det_exponent: e.det_coeff}),
+        "section_counts": {str(k): h for k, h in profile.items()},
     }
     return result_document(
         "split", {"file": text}, {"indices": list(st.indices)}, certificate

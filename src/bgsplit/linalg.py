@@ -106,10 +106,16 @@ def _normalize_sign(row: SparseRow) -> SparseRow:
 
 
 def sparse_int_rows(rows: Sequence[Dict[int, Fraction]]) -> List[SparseRow]:
-    """Clear denominators per row, returning integer sparse rows."""
+    """Clear denominators per row, returning integer sparse rows.
+
+    A row whose entries are all nonzero ``int`` is only gcd-reduced.
+    """
     out = []
     for row in rows:
         if not row:
+            continue
+        if all(type(v) is int and v for v in row.values()):
+            out.append(_gcd_reduce(row))
             continue
         mult = 1
         for v in row.values():
@@ -125,31 +131,40 @@ def sparse_int_rows(rows: Sequence[Dict[int, Fraction]]) -> List[SparseRow]:
     return out
 
 
+def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> None:
+    """Reduce an integer row against the echelon rows and keep what is left.
+
+    ``pivots`` maps each pivot column to its row, whose minimal column is
+    that pivot; a nonzero remainder joins it under its own minimal column.
+    Rows are combined fraction-free (cross-multiplied then gcd-reduced),
+    which is exact and keeps entries as small minors.
+    """
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = _normalize_sign(_gcd_reduce(row))
+            return
+        a, b = row[c], p[c]
+        new: SparseRow = {col: b * v for col, v in row.items()}
+        for col, v in p.items():
+            s = new.get(col, 0) - a * v
+            if s:
+                new[col] = s
+            else:
+                new.pop(col, None)
+        row = _gcd_reduce(new)
+
+
 def echelon_sparse(rows: Sequence[Dict[int, Fraction]]) -> Dict[int, SparseRow]:
     """Reduce sparse rows to echelon form.
 
     Returns a map {pivot column: integer row} where each row's minimal
-    column is its pivot.  Rows are combined fraction-free (cross-multiplied
-    then gcd-reduced), which is exact and keeps entries as small minors.
+    column is its pivot (see ``echelon_insert``).
     """
     pivots: Dict[int, SparseRow] = {}
-    for raw in sparse_int_rows(rows):
-        row = raw
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = _normalize_sign(_gcd_reduce(row))
-                break
-            a, b = row[c], p[c]
-            new: SparseRow = {col: b * v for col, v in row.items()}
-            for col, v in p.items():
-                s = new.get(col, 0) - a * v
-                if s:
-                    new[col] = s
-                else:
-                    new.pop(col, None)
-            row = _gcd_reduce(new)
+    for row in sparse_int_rows(rows):
+        echelon_insert(pivots, row)
     return pivots
 
 

@@ -223,8 +223,10 @@ def test_splitting_backstop_recovers_from_small_degree_bound(monkeypatch):
     import bgsplit.bundles as bundles_module
 
     original = bundles_module._degree_bound
+    extras = []
 
     def starved(e, k, extra):
+        extras.append(extra)
         if extra == 0:
             return 0
         return original(e, k, extra)
@@ -232,6 +234,7 @@ def test_splitting_backstop_recovers_from_small_degree_bound(monkeypatch):
     monkeypatch.setattr(bundles_module, "_degree_bound", starved)
     assert splitting_type(EXT_UP).indices == (1, -1)
     assert splitting_type(bundle(LaurentMatrix.diagonal_powers([3, -1]))).indices == (3, -1)
+    assert 0 in extras and any(extra > 0 for extra in extras)
 
 
 def test_invalid_bundle_rejected():
