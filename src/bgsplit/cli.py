@@ -120,6 +120,8 @@ def _parse_factorization_json(text: str) -> bundles.Factorization:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"factorization document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("factorization document nested too deeply") from None
     cert = doc.get("certificate", doc)
     for key in ("b", "c", "diagonal"):
         if key not in cert:

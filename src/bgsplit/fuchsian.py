@@ -443,7 +443,7 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
             continue
         rad = poly_radical(a.den)
         # all poles of a_(n-k) must have order <= k
-        if not poly_divmod(_poly_pow(rad, k), a.den)[1].is_zero:
+        if not poly_divmod(rad**k, a.den)[1].is_zero:
             raise NotFuchsian(
                 f"coefficient of derivative order {n - k} has a pole of order > {k}"
             )
@@ -468,10 +468,6 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
         num_singularities=num_sing,
         infinity_singular=infinity_singular,
     )
-
-
-def _poly_pow(p: LaurentPoly, k: int) -> LaurentPoly:
-    return p**k
 
 
 # -- Frobenius series ----------------------------------------------------

@@ -35,6 +35,12 @@ KINDS = ("laurent_matrix", "rat_matrix_list", "fuchsian_system", "scalar_ode", "
 
 # -- expression parsing --------------------------------------------------
 
+# An entry evaluates in the Laurent ring Q[x, x^-1]; it is lifted to Q(x)
+# only on division by a non-monomial (or when combined with a value
+# already lifted).  Both representations are canonical, so the result is
+# the same as evaluating everything in Q(x).
+Value = Union[LaurentPoly, RatFunc]
+
 
 class _Tokenizer:
     def __init__(self, text: str, line: int, col_offset: int):
@@ -64,7 +70,36 @@ class _Tokenizer:
         return int(self.text[start:self.pos])
 
 
-def _parse_expression(tok: _Tokenizer) -> RatFunc:
+def _as_ratfunc(value: Value) -> RatFunc:
+    return value if isinstance(value, RatFunc) else RatFunc.from_laurent(value)
+
+
+def _divide(num: Value, den: Value) -> Value:
+    """num/den, staying in Q[x, x^-1] when den is a nonzero monomial."""
+    mono = den.as_monomial() if isinstance(den, LaurentPoly) else None
+    if mono is not None and isinstance(num, LaurentPoly):
+        c, t = mono
+        return num.scale(1 / c).shift(-t)
+    return _as_ratfunc(num) / _as_ratfunc(den)
+
+
+def _power(base: Value, exp: int) -> Value:
+    """base^exp: a monomial takes any integer exponent, another Laurent
+    polynomial any exponent >= 0; the rest is computed in Q(x)."""
+    if isinstance(base, LaurentPoly):
+        mono = base.as_monomial()
+        if mono is not None:
+            c, t = mono
+            return LaurentPoly.x_power(t * exp, c**exp)
+        if exp >= 0:
+            return base**exp
+    value = _as_ratfunc(base)
+    if exp < 0:
+        value, exp = RatFunc.one() / value, -exp
+    return RatFunc(value.num**exp, value.den**exp)
+
+
+def _parse_expression(tok: _Tokenizer) -> Value:
     value = _parse_term(tok)
     while True:
         c = tok.peek()
@@ -78,7 +113,7 @@ def _parse_expression(tok: _Tokenizer) -> RatFunc:
             return value
 
 
-def _parse_term(tok: _Tokenizer) -> RatFunc:
+def _parse_term(tok: _Tokenizer) -> Value:
     value = _parse_factor(tok)
     while True:
         c = tok.peek()
@@ -87,12 +122,12 @@ def _parse_term(tok: _Tokenizer) -> RatFunc:
             value = value * _parse_factor(tok)
         elif c == "/":
             tok.pos += 1
-            value = value / _parse_factor(tok)
+            value = _divide(value, _parse_factor(tok))
         else:
             return value
 
 
-def _parse_factor(tok: _Tokenizer) -> RatFunc:
+def _parse_factor(tok: _Tokenizer) -> Value:
     c = tok.peek()
     if c == "-":
         tok.pos += 1
@@ -103,7 +138,7 @@ def _parse_factor(tok: _Tokenizer) -> RatFunc:
     return _parse_power(tok)
 
 
-def _parse_power(tok: _Tokenizer) -> RatFunc:
+def _parse_power(tok: _Tokenizer) -> Value:
     base = _parse_atom(tok)
     if tok.peek() == "^":
         tok.pos += 1
@@ -111,22 +146,11 @@ def _parse_power(tok: _Tokenizer) -> RatFunc:
         if tok.peek() == "-":
             tok.pos += 1
             sign = -1
-        exp = sign * tok.take_int()
-        if base == RatFunc.from_laurent(LaurentPoly.x_power(1)):
-            return RatFunc.from_laurent(LaurentPoly.x_power(exp))
-        if exp >= 0:
-            out = RatFunc.one()
-            for _ in range(exp):
-                out = out * base
-            return out
-        out = RatFunc.one()
-        for _ in range(-exp):
-            out = out / base
-        return out
+        return _power(base, sign * tok.take_int())
     return base
 
 
-def _parse_atom(tok: _Tokenizer) -> RatFunc:
+def _parse_atom(tok: _Tokenizer) -> Value:
     c = tok.peek()
     if c is None:
         raise tok.error("unexpected end of expression")
@@ -139,36 +163,48 @@ def _parse_atom(tok: _Tokenizer) -> RatFunc:
         return value
     if c in ("x", "z"):
         tok.pos += 1
-        return RatFunc.from_laurent(LaurentPoly.x_power(1))
+        return LaurentPoly.x_power(1)
     if c.isdigit():
-        return RatFunc.constant(tok.take_int())
+        return LaurentPoly.constant(tok.take_int())
     raise tok.error(f"unexpected character {c!r}")
 
 
-def parse_ratfunc(text: str, line: int = 1, col_offset: int = 0) -> RatFunc:
+def _evaluate(text: str, line: int, col_offset: int) -> Value:
     tok = _Tokenizer(text, line, col_offset)
-    value = _parse_expression(tok)
+    try:
+        value = _parse_expression(tok)
+    except RecursionError:
+        raise ParseError(
+            "expression nested too deeply", line=line, column=col_offset + 1
+        ) from None
     if tok.peek() is not None:
         raise tok.error("trailing input after expression")
     return value
 
 
+def _as_laurent(value: Value) -> Optional[LaurentPoly]:
+    return value.as_laurent() if isinstance(value, RatFunc) else value
+
+
+def parse_ratfunc(text: str, line: int = 1, col_offset: int = 0) -> RatFunc:
+    return _as_ratfunc(_evaluate(text, line, col_offset))
+
+
 def parse_laurent(text: str, line: int = 1, col_offset: int = 0) -> LaurentPoly:
-    value = parse_ratfunc(text, line, col_offset)
-    as_laurent = value.as_laurent()
-    if as_laurent is None:
+    value = _as_laurent(_evaluate(text, line, col_offset))
+    if value is None:
         raise ParseError(
             "entry is a rational function, not a Laurent polynomial",
             line=line, column=col_offset + 1,
         )
-    return as_laurent
+    return value
 
 
 def parse_fraction(text: str, line: int = 1, col_offset: int = 0) -> Fraction:
-    value = parse_ratfunc(text, line, col_offset)
-    if not value.is_constant():
+    value = _as_laurent(_evaluate(text, line, col_offset))
+    if value is None or value != value.coeff(0):
         raise ParseError("constant rational expected", line=line, column=col_offset + 1)
-    return value.evaluate(Fraction(0)) if not value.is_zero else Fraction(0)
+    return value.coeff(0)
 
 
 def parse_point(text: str) -> Union[Fraction, Infinity]:

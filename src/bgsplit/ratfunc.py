@@ -183,9 +183,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_constant(self) -> bool:
-        return self.den == LaurentPoly.one() and (self.num.is_zero or self.num.deg() == 0)
-
     def as_laurent(self) -> Optional[LaurentPoly]:
         """The value as a Laurent polynomial when den is a power of x."""
         mono = self.den.as_monomial()

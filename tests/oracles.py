@@ -106,3 +106,54 @@ def invariant_coordinate_subspace_bruteforce(matrices, n):
             if good:
                 return subset
     return None
+
+
+def expression_oracle(tree):
+    """Cancelled fraction of an entry-expression tree, all sympy.
+
+    tree: nested tuples ``("x",)``, ``("z",)`` (the same variable),
+    ``("int", n)``, ``("neg", t)``, ``("pos", t)``, ``("paren", t)``,
+    ``(op, a, b)`` for op in ``+ - * /`` and ``("^", t, e)`` with an
+    integer e.  Every subtree is evaluated, so any zero divisor or zero
+    base under a negative exponent raises ZeroDivisionError.  Returns
+    (num, den) as {exponent: Fraction} maps with den monic.
+    """
+    x = sp.Symbol("x")
+
+    def value(node):
+        kind = node[0]
+        if kind in ("x", "z"):
+            return x
+        if kind == "int":
+            return sp.Integer(node[1])
+        if kind == "neg":
+            return -value(node[1])
+        if kind in ("pos", "paren"):
+            return value(node[1])
+        if kind == "^":
+            base = sp.cancel(value(node[1]))
+            if node[2] < 0 and base == 0:
+                raise ZeroDivisionError("zero base under a negative exponent")
+            return base ** node[2]
+        a, b = value(node[1]), value(node[2])
+        if kind == "+":
+            return a + b
+        if kind == "-":
+            return a - b
+        if kind == "*":
+            return a * b
+        if sp.cancel(b) == 0:
+            raise ZeroDivisionError("zero divisor")
+        return a / b
+
+    num, den = sp.fraction(sp.cancel(value(tree)))
+    lead = sp.Poly(den, x).LC()
+
+    def terms(p):
+        out = {}
+        for (e,), c in sp.Poly(p / lead, x).terms():
+            if c != 0:
+                out[e] = Fraction(int(c.p), int(c.q))
+        return out
+
+    return terms(num), terms(den)

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import bgsplit
 from bgsplit import bundles
 from bgsplit.cli import main
 from bgsplit.errors import InternalSearchExhausted
@@ -206,6 +212,41 @@ def test_usage_hardening(tmp_path, capsys):
     )
     code, _, err = run(capsys, "frobenius", badcount)
     assert code == 2 and "count must be an integer" in err
+
+
+DEEP_ENTRIES = {
+    "parentheses": "(" * 300 + "x" + ")" * 300,
+    "signs": "-" * 3000 + "x",
+}
+
+
+def _run_process(*argv):
+    """The CLI in a fresh interpreter, so an escaping exception shows as
+    a traceback on stderr rather than in the test runner."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bgsplit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgsplit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_ENTRIES))
+def test_deeply_nested_entry_is_a_parse_error(tmp_path, shape):
+    path = write(tmp_path, "deep.txt", "kind = laurent_matrix, n = 1\n" + DEEP_ENTRIES[shape] + "\n")
+    code, out, err = _run_process("split", path)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: expression nested too deeply (line 2, column 1)")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_factorization_document_is_a_parse_error(tmp_path):
+    path = write(tmp_path, "id.txt", ID2)
+    doc = write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+    code, out, err = _run_process("verify", path, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: factorization document nested too deeply")
+    assert "Traceback" not in err
 
 
 def test_internal_error_maps_to_exit_4(tmp_path, capsys, monkeypatch):

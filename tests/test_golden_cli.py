@@ -1,9 +1,12 @@
-"""Byte-identical CLI documents for the bundle commands.
+"""Byte-identical CLI documents.
 
 The files under ``tests/data/golden/`` are the exact stdout of
-``split``, ``h0 -k 1``, ``rr -k -1`` and ``iso`` (a file against itself)
-on the demo extension and on a planted rank-4 bundle.  Any change to the
-numbers, the certificates or the rendering shows up here.
+``split``, ``h0 -k 1``, ``rr -k -1``, ``iso`` (a file against itself),
+``factor`` and ``verify`` (against the pinned ``factor`` document) on the
+demo extension and on a planted rank-4 bundle, and of the commands that
+read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
+``fuchs-system``) on the demo inputs.  Any change to the numbers, the
+certificates, the parsers or the rendering shows up here.
 """
 
 import os
@@ -13,22 +16,46 @@ import pytest
 from bgsplit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+DEMOS = os.path.join(HERE, os.pardir, "demos", "data")
+GOLDEN = os.path.join(HERE, "data", "golden")
 INPUTS = {
-    "extension": os.path.join(HERE, os.pardir, "demos", "data", "extension.txt"),
+    "extension": os.path.join(DEMOS, "extension.txt"),
     "planted_rank4": os.path.join(HERE, "data", "planted_rank4.txt"),
 }
 COMMANDS = {
-    "split": lambda path: ["split", path],
-    "h0_k1": lambda path: ["h0", path, "-k", "1"],
-    "rr_km1": lambda path: ["rr", path, "-k", "-1"],
-    "iso": lambda path: ["iso", path, path],
+    "split": lambda stem: ["split", INPUTS[stem]],
+    "h0_k1": lambda stem: ["h0", INPUTS[stem], "-k", "1"],
+    "rr_km1": lambda stem: ["rr", INPUTS[stem], "-k", "-1"],
+    "iso": lambda stem: ["iso", INPUTS[stem], INPUTS[stem]],
+    "factor": lambda stem: ["factor", INPUTS[stem]],
+    "verify": lambda stem: [
+        "verify", INPUTS[stem], os.path.join(GOLDEN, f"{stem}.factor.json")
+    ],
 }
+FIELD_CASES = {
+    "monodromy.bolibrukh": ["bolibrukh", os.path.join(DEMOS, "monodromy.txt")],
+    "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
+    "hypergeometric.indicial_oo": [
+        "indicial", os.path.join(DEMOS, "hypergeometric.txt"), "-p", "oo"
+    ],
+    "residue_system.fuchs_system": [
+        "fuchs-system", os.path.join(DEMOS, "residue_system.txt")
+    ],
+}
+
+
+def _assert_golden(argv, name, capsys):
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 @pytest.mark.parametrize("stem", sorted(INPUTS))
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_document_is_byte_identical(stem, command, capsys):
-    assert main(COMMANDS[command](INPUTS[stem])) == 0
-    golden = os.path.join(HERE, "data", "golden", f"{stem}.{command}.json")
-    with open(golden, encoding="utf-8") as handle:
-        assert capsys.readouterr().out == handle.read()
+    _assert_golden(COMMANDS[command](stem), f"{stem}.{command}", capsys)
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_field_parser_document_is_byte_identical(case, capsys):
+    _assert_golden(FIELD_CASES[case], case, capsys)
