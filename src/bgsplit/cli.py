@@ -122,18 +122,30 @@ def _parse_factorization_json(text: str) -> bundles.Factorization:
         raise ParseError(f"factorization document is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("factorization document nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ParseError("factorization document must be a JSON object")
     cert = doc.get("certificate", doc)
+    if not isinstance(cert, dict):
+        raise ParseError("factorization certificate must be a JSON object")
     for key in ("b", "c", "diagonal"):
         if key not in cert:
             raise ParseError(f"factorization document lacks {key!r}")
 
-    def matrix_of(rows) -> LaurentMatrix:
+    def matrix_of(key) -> LaurentMatrix:
+        rows = cert[key]
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(isinstance(cell, str) for cell in row)
+                for row in rows)):
+            raise ParseError(f"factorization {key!r} must be a list of lists of strings")
         return LaurentMatrix([[parse_laurent(cell) for cell in row] for row in rows])
 
+    b, c = matrix_of("b"), matrix_of("c")
+    diagonal = cert["diagonal"]
+    # bool is a subclass of int, and JSON true/false are not exponents
+    if not (isinstance(diagonal, list) and all(type(d) is int for d in diagonal)):
+        raise ParseError("factorization 'diagonal' must be a list of integers")
     return bundles.Factorization(
-        b=matrix_of(cert["b"]),
-        c=matrix_of(cert["c"]),
-        exponents=bundles.SplittingType(tuple(int(d) for d in cert["diagonal"])),
+        b=b, c=c, exponents=bundles.SplittingType(tuple(diagonal))
     )
 
 

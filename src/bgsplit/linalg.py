@@ -11,7 +11,7 @@ echelon normal form parametrization, so results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
@@ -19,6 +19,7 @@ from .laurent import LaurentPoly
 
 Row = Sequence[Fraction]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
+IntMatrix = Tuple[Tuple[int, ...], ...]
 SparseRow = Dict[int, int]
 
 
@@ -40,17 +41,11 @@ def zeros_q(rows: int, cols: int) -> Matrix:
     return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise DimensionMismatch("matrix addition shape mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(a, mat_scale(b, Fraction(-1)))
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+def integer_scaled(a: Matrix) -> Tuple[int, IntMatrix]:
+    """(d, d*A) for a Fraction matrix A, with d the lcm of its denominators,
+    so that d*A is an integer matrix."""
+    d = lcm(*(v.denominator for row in a for v in row))
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -285,11 +280,8 @@ def det_q(a: Sequence[Sequence]) -> Fraction:
         raise DimensionMismatch("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    mult = 1
-    for row in a:
-        for v in row:
-            mult = mult * v.denominator // gcd(mult, v.denominator)
-    m = [[int(v * mult) for v in row] for row in a]
+    mult, scaled = integer_scaled(a)
+    m = [list(row) for row in scaled]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -338,21 +330,29 @@ def inverse_q(a: Sequence[Sequence]) -> Matrix:
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
     """Monic characteristic polynomial det(lambda*I - A), exact.
 
-    Computed by the Faddeev-LeVerrier recurrence; returned as a
-    polynomial in the variable (exponent = power of lambda).
+    Computed by the Faddeev-LeVerrier recurrence on the integer matrix
+    N = d*A (d the lcm of A's denominators), whose iterates and
+    coefficients c_k are integers; the coefficient of lambda^(n-k) in
+    p_A is c_k / d^k.  Returned as a polynomial in the variable
+    (exponent = power of lambda).
     """
     a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
+    d, scaled = integer_scaled(a)
     coeffs = {n: Fraction(1)}
-    m = identity_q(n)
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -trace(m) / k
+        m = mat_mul(scaled, m)
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible on an integer matrix")
         if c:
-            coeffs[n - k] = c
-        m = mat_add(m, mat_scale(identity_q(n), c))
+            coeffs[n - k] = Fraction(c, d**k)
+        m = tuple(
+            tuple(v + c if i == j else v for j, v in enumerate(row)) for i, row in enumerate(m)
+        )
     return LaurentPoly(coeffs)
 
 

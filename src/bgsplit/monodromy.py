@@ -16,18 +16,22 @@ computation decides the complex question.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
 from .linalg import (
     Matrix,
+    SparseRow,
+    _gcd_reduce,
     charpoly,
     det_q,
+    echelon_insert,
     identity_q,
+    integer_scaled,
     is_identity,
     mat_mul,
     qmat,
@@ -127,37 +131,28 @@ def _word_span_dimension(rep: MonodromyRep) -> int:
     """Dimension over Q of the unital algebra generated by the matrices.
 
     Breadth-first closure of {I} under right multiplication by the
-    generators, tracked by echelon reduction of the flattened matrices.
+    generators, tracked by integer echelon reduction of the flattened
+    matrices.  Each generator is scaled once to an integer matrix; a
+    nonzero scalar does not change whether a word lies in a span, so the
+    accepted words and the dimension are those of the rational tuple.
     """
     n = rep.size
-    pivots: dict = {}
+    gens = [integer_scaled(m)[1] for m in rep.matrices]
+    pivots: Dict[int, SparseRow] = {}
 
-    def reduce_and_insert(mat: Matrix) -> Optional[Matrix]:
-        vec = {k: Fraction(v) for k, v in enumerate(
-            [mat[i][j] for i in range(n) for j in range(n)]) if v}
-        while vec:
-            lead = min(vec)
-            if lead not in pivots:
-                pivots[lead] = vec
-                return mat
-            pvec = pivots[lead]
-            factor = vec[lead] / pvec[lead]
-            for k, v in pvec.items():
-                s = vec.get(k, Fraction(0)) - factor * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-        return None
+    def independent(word) -> bool:
+        before = len(pivots)
+        row = {k: v for k, v in enumerate(v for r in word for v in r) if v}
+        echelon_insert(pivots, _gcd_reduce(row))
+        return len(pivots) > before
 
-    frontier: List[Matrix] = []
-    if reduce_and_insert(identity_q(n)) is not None:
-        frontier.append(identity_q(n))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    frontier = deque([ident] if independent(ident) else [])
     while frontier and len(pivots) < n * n:
-        word = frontier.pop(0)
-        for gen in rep.matrices:
+        word = frontier.popleft()
+        for gen in gens:
             cand = mat_mul(word, gen)
-            if reduce_and_insert(cand) is not None:
+            if independent(cand):
                 frontier.append(cand)
     return len(pivots)
 
@@ -171,24 +166,25 @@ def coordinate_invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[int, ...]
     """Cheap reducibility witness: a proper nonzero coordinate subspace
     span{e_i : i in S} preserved by every matrix, if one exists.
 
-    Best effort only (smallest subsets first); absence of a witness
-    proves nothing.
+    Returns the first such S in (size, sorted tuple) order.  S is
+    invariant exactly when m[r][j] != 0 and j in S imply r in S, and a
+    smallest invariant S is the closure of each of its elements under
+    that rule, so the closures of the single coordinates contain it.
+    Absence of a witness proves nothing.
     """
     n = rep.size
-    for size in range(1, n):
-        for subset in combinations(range(n), size):
-            inside = set(subset)
-            ok = True
-            for m in rep.matrices:
-                for j in subset:
-                    if any(m[i][j] != 0 for i in range(n) if i not in inside):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return subset
-    return None
+    images = [{r for m in rep.matrices for r in range(n) if m[r][j]} for j in range(n)]
+    best: Optional[Tuple[int, ...]] = None
+    for i in range(n):
+        closure, stack = {i}, [i]
+        while stack:
+            for r in images[stack.pop()] - closure:
+                closure.add(r)
+                stack.append(r)
+        found = tuple(sorted(closure))
+        if len(found) < n and (best is None or (len(found), found) < (len(best), best)):
+            best = found
+    return best
 
 
 def jordan_profile(m: Sequence[Sequence]) -> JordanProfile:

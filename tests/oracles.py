@@ -108,6 +108,42 @@ def invariant_coordinate_subspace_bruteforce(matrices, n):
     return None
 
 
+def _sympy_matrix(rows):
+    return sp.Matrix([
+        [sp.Rational(Fraction(v).numerator, Fraction(v).denominator) for v in row]
+        for row in rows
+    ])
+
+
+def word_span_dimension_oracle(matrices):
+    """Dimension of the unital algebra the matrices generate, all sympy.
+
+    Breadth-first closure of {I} under right multiplication by the
+    generators: a word is kept, and extended, when it raises the rank of
+    the flattened words kept so far.  matrices: nested lists of
+    Fractions, at least one, all n x n.
+    """
+    from sympy.polys.matrices import DomainMatrix
+
+    gens = [DomainMatrix.from_Matrix(_sympy_matrix(m)).convert_to(sp.QQ) for m in matrices]
+    n = gens[0].shape[0]
+    kept = []
+    frontier = [DomainMatrix.eye(n, sp.QQ)]
+    while frontier:
+        word = frontier.pop(0)
+        flat = DomainMatrix([sum(word.to_list(), [])], (1, n * n), sp.QQ)
+        if DomainMatrix.vstack(*kept, flat).rank() > len(kept):
+            kept.append(flat)
+            frontier.extend(word * g for g in gens)
+    return len(kept)
+
+
+def charpoly_oracle(matrix):
+    """Coefficients of det(lambda*I - A), highest power first, as Fractions."""
+    poly = _sympy_matrix(matrix).charpoly(sp.Symbol("lam"))
+    return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
+
+
 def expression_oracle(tree):
     """Cancelled fraction of an entry-expression tree, all sympy.
 

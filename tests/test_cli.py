@@ -249,6 +249,24 @@ def test_deeply_nested_factorization_document_is_a_parse_error(tmp_path):
     assert "Traceback" not in err
 
 
+MALFORMED_FACTORIZATIONS = {
+    "array": "[]",
+    "int_cell": '{"b": [[1]], "c": [["1"]], "diagonal": [0]}',
+    "string_exponent": '{"b": [["1"]], "c": [["1"]], "diagonal": ["q"]}',
+    "string_matrix": '{"b": "1", "c": [["1"]], "diagonal": [0]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FACTORIZATIONS))
+def test_malformed_factorization_document_is_a_parse_error(tmp_path, case):
+    path = write(tmp_path, "id1.txt", "kind = laurent_matrix, n = 1\n1\n")
+    doc = write(tmp_path, "doc.json", MALFORMED_FACTORIZATIONS[case])
+    code, out, err = _run_process("verify", path, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: factorization")
+    assert "Traceback" not in err
+
+
 def test_internal_error_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ext.txt", EXT)
 

@@ -5,7 +5,9 @@ The files under ``tests/data/golden/`` are the exact stdout of
 ``factor`` and ``verify`` (against the pinned ``factor`` document) on the
 demo extension and on a planted rank-4 bundle, and of the commands that
 read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
-``fuchs-system``) on the demo inputs.  Any change to the numbers, the
+``fuchs-system``) on the demo inputs, and of ``bolibrukh`` on three
+tuples with non-integer entries under ``tests/data/`` (reducible n = 6,
+irreducible n = 5 pair, Jordan n = 6).  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
@@ -34,6 +36,10 @@ COMMANDS = {
 }
 FIELD_CASES = {
     "monodromy.bolibrukh": ["bolibrukh", os.path.join(DEMOS, "monodromy.txt")],
+    **{
+        f"{stem}.bolibrukh": ["bolibrukh", os.path.join(HERE, "data", f"{stem}.txt")]
+        for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6")
+    },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
     "hypergeometric.indicial_oo": [
         "indicial", os.path.join(DEMOS, "hypergeometric.txt"), "-p", "oo"

@@ -77,10 +77,10 @@ def test_irreducibility_vs_bruteforce_coordinate_subspaces():
         witness = invariant_coordinate_subspace_bruteforce(
             [qmat(m) for m in mats], n
         )
+        assert coordinate_invariant_subspace(rep) == witness
         if witness is not None:
             found_reducible += 1
             assert not is_irreducible(rep)  # one-sided check
-            assert coordinate_invariant_subspace(rep) is not None
     assert found_reducible > 0
 
 

@@ -1,0 +1,64 @@
+"""Property tests for the integer monodromy paths on rational input.
+
+Every benchmark tuple is integral, so only these tests reach the
+denominator scaling in the word-span closure and in ``charpoly``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bgsplit.linalg import charpoly, det_q
+from bgsplit.monodromy import _word_span_dimension, coordinate_invariant_subspace, monodromy_rep
+
+from oracles import (
+    charpoly_oracle,
+    invariant_coordinate_subspace_bruteforce,
+    word_span_dimension_oracle,
+)
+
+# Numerators drawn with 0 last, so shrinking does not pile up singular matrices.
+RATIONALS = st.builds(
+    Fraction, st.sampled_from((1, -2, 3, -1, 2, -3, 0)), st.sampled_from((1, 2, 3, 7))
+)
+
+
+def square(n, triangular=False):
+    """n x n rational matrices; triangular ones are upper triangular with
+    a nonzero diagonal, so a tuple of them fixes each span{e_0, ..., e_k}."""
+    rows = st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+    if not triangular:
+        return rows
+
+    def upper(m, diagonal):
+        return [[diagonal[i] if i == j else m[i][j] if i < j else Fraction(0)
+                 for j in range(n)] for i in range(n)]
+
+    return st.builds(upper, rows, st.lists(RATIONALS.filter(bool), min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("triangular", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_word_span_dimension_matches_sympy_closure(n, triangular, data):
+    mats = data.draw(st.lists(square(n, triangular), min_size=1, max_size=3))
+    assume(all(det_q(m) != 0 for m in mats))
+    # relabel the coordinates, so the invariant sets are not all prefixes
+    p = data.draw(st.permutations(range(n)))
+    mats = [[[m[p[i]][p[j]] for j in range(n)] for i in range(n)] for m in mats]
+    rep = monodromy_rep(mats)
+    assert _word_span_dimension(rep) == word_span_dimension_oracle(mats)
+    assert coordinate_invariant_subspace(rep) == invariant_coordinate_subspace_bruteforce(
+        rep.matrices, n
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(square))
+def test_charpoly_matches_sympy(matrix):
+    p = charpoly(matrix)
+    n = len(matrix)
+    assert [p.coeff(e) for e in range(n, -1, -1)] == charpoly_oracle(matrix)
