@@ -162,6 +162,38 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def __floordiv__(self, other) -> "LaurentPoly":
+        """Exact quotient in Q[x, x^-1], by long division from the top term.
+
+        Raises ArithmeticError when ``other`` does not divide ``self``:
+        the quotient would need a term below ord(self) - ord(other).
+        """
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other._terms:
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        if not self._terms:
+            return LaurentPoly()
+        top = max(other._terms)
+        lead = other._terms[top]
+        low = min(self._terms) - min(other._terms)
+        rem = dict(self._terms)
+        quot = {}
+        while rem:
+            q = max(rem) - top
+            if q < low:
+                raise ArithmeticError("inexact division of Laurent polynomials")
+            c = rem[q + top] / lead
+            quot[q] = c
+            for e, v in other._terms.items():
+                s = rem.get(q + e, Fraction(0)) - c * v
+                if s:
+                    rem[q + e] = s
+                else:
+                    rem.pop(q + e, None)
+        return LaurentPoly(quot)
+
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")

@@ -37,10 +37,6 @@ def identity_q(n: int) -> Matrix:
     )
 
 
-def zeros_q(rows: int, cols: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-
 def integer_scaled(a: Matrix) -> Tuple[int, IntMatrix]:
     """(d, d*A) for a Fraction matrix A, with d the lcm of its denominators,
     so that d*A is an integer matrix."""
@@ -272,59 +268,66 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Tuple[Fraction, ...]]:
 # -- square-matrix routines -------------------------------------------
 
 
+def eliminate(m: List[list], n: int, jordan: bool) -> Tuple[int, object]:
+    """Fraction-free elimination on the first n columns of the n rows m, in
+    place; returns (sign of the row swaps, last pivot).
+
+    The entries may be ints or elements of any other exact integral domain
+    with ``*``, ``-`` and an exact ``//`` (``LaurentPoly``).  Step k
+    replaces every entry v right of column k by (pivot*v - f*w) //
+    (previous pivot), an exact division (Sylvester's identity), so each
+    entry stays a minor of the input and the last pivot is sign * det.
+    Bareiss updates the rows below the pivot; Gauss-Jordan (``jordan``)
+    all other rows, so that [N | I] ends with R right of column n,
+    N^-1 = R/p for the last pivot p.  Columns up to k are cleared
+    implicitly: they are never read again.  A column without a pivot
+    (det = 0) stops the elimination and its zero diagonal entry is
+    returned as the pivot.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            r = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if r is None:
+                return sign, m[k][k]
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        tail = m[k][k + 1:]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * v - f * w) // prev for v, w in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign, prev
+
+
 def det_q(a: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
     mult, scaled = integer_scaled(a)
-    m = [list(row) for row in scaled]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], mult**n)
+    sign, pivot = eliminate([list(row) for row in scaled], n, jordan=False)
+    return Fraction(sign * pivot, mult**n)
 
 
 def inverse_q(a: Sequence[Sequence]) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises NotInvertible when singular."""
+    """Exact inverse by fraction-free Gauss-Jordan on [d*A | I]; raises
+    NotInvertible when singular."""
     a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible("singular rational matrix")
-        work[col], work[piv] = work[piv], work[col]
-        lead = work[col][col]
-        work[col] = [v / lead for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    mult, scaled = integer_scaled(a)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
+    _, pivot = eliminate(work, n, jordan=True)
+    if not pivot:
+        raise NotInvertible("singular rational matrix")
+    # (d*A)^-1 = R/p, so A^-1 = d*R/p
+    return tuple(tuple(Fraction(mult * v, pivot) for v in row[n:]) for row in work)
 
 
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:

@@ -1,19 +1,39 @@
 """Square matrices over the Laurent polynomial ring Q[x, x^-1].
 
 These are the transition-matrix data for vector bundles on the sphere
-and the B/C factors of their diagonal factorizations.  Determinants are
-computed exactly (subset dynamic programming over columns), and a matrix
-is invertible over the ring exactly when its determinant is a monomial
-c*x^t; the inverse is then adjugate / determinant, also exact.
+and the B/C factors of their diagonal factorizations.  A matrix is
+invertible over the ring exactly when its determinant is a monomial
+c*x^t.
+
+``det``, ``inverse``, ``__matmul__`` and ``apply`` share one exact
+kernel over Z[x].  An operand is converted once: shifted by x^-lo (lo
+its lowest exponent), written in y = x^g (g the gcd of the shifted
+exponents) and scaled per row, or per column for a right factor, by the
+lcm of the denominators.  Each integer polynomial entry P is packed into
+the integer P(2^w) (Kronecker substitution, a ring homomorphism
+Z[y] -> Z), so fraction-free Bareiss and Gauss-Jordan elimination
+(``linalg.eliminate``), and products, run on plain integers; their exact
+divisions by the previous pivot are the exact polynomial divisions over
+Z[y].  Every value read back is a minor of the (augmented) operand or an
+entry of a product, with coefficients bounded by a product of
+coefficient 1-norms; w exceeds that bound, so the balanced base-2^w
+digits of the value are the polynomial's coefficients, and the result
+is exact.  When rank times span in y is large (a few far-apart
+exponents), packing would cost the span rather than the terms, so the
+same elimination and sums run on the sparse LaurentPoly entries, with
+exact Laurent division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm, prod
+from operator import mul
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotInvertibleOverLaurentRing
 from .laurent import LaurentPoly, Scalar
+from .linalg import eliminate
 
 Entry = Union[LaurentPoly, int, Fraction]
 
@@ -139,17 +159,13 @@ class LaurentMatrix:
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_shape(other)
-        n = self.n
-        cols = tuple(zip(*other.entries))
-        return LaurentMatrix(
-            [[_dot(self.entries[i], cols[j]) for j in range(n)] for i in range(n)]
-        )
+        return LaurentMatrix(_product(self.entries, tuple(zip(*other.entries))))
 
     def apply(self, vector: Sequence[Entry]) -> Tuple[LaurentPoly, ...]:
         if len(vector) != self.n:
             raise DimensionMismatch("vector length mismatch")
         vec = tuple(_coerce_entry(v) for v in vector)
-        return tuple(_dot(row, vec) for row in self.entries)
+        return tuple(row[0] for row in _product(self.entries, (vec,)))
 
     def scale(self, c: Scalar) -> "LaurentMatrix":
         return self.map_entries(lambda p: p.scale(c))
@@ -161,34 +177,40 @@ class LaurentMatrix:
     # -- determinant, units, inverse ------------------------------------
 
     def det(self) -> LaurentPoly:
-        """Exact determinant (column-subset dynamic programming)."""
-        return _det_rows(self.entries)
+        """Exact determinant (fraction-free Bareiss elimination)."""
+        f = _form((self.entries,), _minor_bound)
+        sign, pivot = eliminate(f.rows[0], self.n, jordan=False)
+        return _laurent(f.decode(pivot), f.g, self.n * f.lows[0], sign, prod(f.scales[0]))
 
     def unit_det(self) -> Optional[Tuple[Fraction, int]]:
         """(c, t) with det = c*x^t when the determinant is a unit, else None."""
         return self.det().as_monomial()
 
     def inverse(self) -> "LaurentMatrix":
-        """Inverse over the Laurent ring: adjugate divided by the unit det.
+        """Inverse over the Laurent ring, by fraction-free Gauss-Jordan.
 
-        Raises NotInvertibleOverLaurentRing when det is not a monomial.
+        Elimination of [N | I], N the kernel form of A, ends at
+        [p*I | R] with p = +-det N, so N^-1 = R/p.  Raises
+        NotInvertibleOverLaurentRing unless p is a monomial c*y^t, which
+        is exactly when det A is a unit.
         """
-        unit = self.unit_det()
-        if unit is None:
+        n = self.n
+        f = _form((self.entries,), _minor_bound)
+        m, lo, scales = f.rows[0], f.lows[0], f.scales[0]
+        for i, row in enumerate(m):
+            row.extend(f.one * int(i == j) for j in range(n))
+        _, pivot = eliminate(m, n, jordan=True)
+        support = [(t, c) for t, c in f.decode(pivot) if c]
+        if len(support) != 1:
             raise NotInvertibleOverLaurentRing(
                 "determinant is not a unit c*x^t of Q[x, x^-1]"
             )
-        c, t = unit
-        n = self.n
-        inv_rows: List[List[LaurentPoly]] = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = _det_rows(_submatrix(self.entries, j, i))
-                sign = -1 if (i + j) % 2 else 1
-                row.append(minor.scale(Fraction(sign, 1) / c).shift(-t))
-            inv_rows.append(row)
-        return LaurentMatrix(inv_rows)
+        [(t, c)] = support
+        # A = x^lo * D^-1 * N(x^g), so A^-1 = x^-lo * N^-1 * D with N^-1 = R / (c*y^t).
+        return LaurentMatrix(
+            [[_laurent(f.decode(v), f.g, -lo - f.g * t, scales[j], c)
+              for j, v in enumerate(row[n:])] for row in m]
+        )
 
     # -- comparison and display ---------------------------------------
 
@@ -209,45 +231,139 @@ class LaurentMatrix:
         return f"LaurentMatrix({self.n}x{self.n})"
 
 
-def _dot(row: Sequence[LaurentPoly], col: Sequence[LaurentPoly]) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for a, b in zip(row, col):
-        if not (a.is_zero or b.is_zero):
-            total = total + a * b
-    return total
+# -- the Z[x] kernel ------------------------------------------------------
+
+# A packed minor has about rank * span digits however few terms it has,
+# so beyond this rank times span (in y = x^g) the kernel runs the same
+# loops on the sparse entries instead.
+_PACKED_SPAN = 1 << 12
 
 
-def _submatrix(entries, drop_row: int, drop_col: int):
+class _Form(NamedTuple):
+    """Operands converted once for the kernel.
+
+    ``rows[k]`` holds operand k's rows (or columns) as kernel elements:
+    entry v of row i stands for x^lows[k] * P(x^g) / scales[k][i], with
+    P read back by ``decode(v)`` as (exponent, coefficient) pairs.
+    ``one`` is the kernel's identity element.
+    """
+
+    lows: List[int]
+    g: int
+    scales: List[List[int]]
+    rows: List[List[list]]
+    one: object
+    decode: Callable[[object], Iterable[Tuple[int, Scalar]]]
+
+
+def _form(operands, width_bound: Callable[[list], int]) -> _Form:
+    """Convert operands (sequences of rows of LaurentPoly) for the kernel.
+
+    Each operand is shifted by x^-lo (lo its lowest exponent) and written
+    in y = x^g, g the gcd of the shifted exponents of all operands.  If
+    rank times the span in y is at most _PACKED_SPAN, every row is scaled
+    by its denominator lcm and each Z[y] entry is packed into one integer,
+    with digits wide enough for any coefficient of absolute value up to
+    ``width_bound`` of the integer operands; otherwise the entries stay
+    sparse LaurentPoly values.
+    """
+    exps = [{e for row in op for p in row for e in p.terms} for op in operands]
+    lows = [min(es, default=0) for es in exps]
+    g = gcd(*(e - lo for es, lo in zip(exps, lows) for e in es)) or 1
+    span = max((max(es, default=lo) - lo) // g for es, lo in zip(exps, lows))
+    if max(map(len, operands)) * span > _PACKED_SPAN:
+        return _Form([0] * len(operands), 1, [[1] * len(op) for op in operands],
+                     [[list(row) for row in op] for op in operands],
+                     LaurentPoly.one(), lambda v: v.terms.items())
+    converted = [_integer_rows(op, lo, g) for op, lo in zip(operands, lows)]
+    ints = [rows for _, rows in converted]
+    width = _digit_bytes(width_bound(ints))
+    return _Form(lows, g, [scales for scales, _ in converted],
+                 [[[_pack(p, width) for p in row] for row in rows] for rows in ints],
+                 1, lambda v: enumerate(_unpack(v, width)))
+
+
+def _integer_rows(rows, lo: int, g: int) -> Tuple[List[int], List[List[List[int]]]]:
+    """(scales, out) with out[i][j] the Z[y] coefficient list (index =
+    exponent in y = x^g) of scales[i] * x^-lo * rows[i][j]; scales[i] is
+    the lcm of row i's denominators."""
+    scales, out = [], []
+    for row in rows:
+        terms = [p.terms for p in row]
+        scale = lcm(*(c.denominator for t in terms for c in t.values()))
+        dense = []
+        for t in terms:
+            coeffs = [0] * ((max(t, default=lo - g) - lo) // g + 1)
+            for e, c in t.items():
+                coeffs[(e - lo) // g] = c.numerator * (scale // c.denominator)
+            dense.append(coeffs)
+        scales.append(scale)
+        out.append(dense)
+    return scales, out
+
+
+def _norm(row: Sequence[Sequence[int]]) -> int:
+    """Sum of the coefficient 1-norms of a row (or column) of Z[x] entries."""
+    return sum(abs(c) for p in row for c in p)
+
+
+def _minor_bound(ints) -> int:
+    """Every entry of N and every minor of [N | I] has coefficients of
+    absolute value at most prod_i (1 + |row i of N|_1)."""
+    return prod(1 + _norm(row) for row in ints[0])
+
+
+def _product_bound(ints) -> int:
+    """|coefficient of sum_k a_ik*b_kj| <= |row i|_1 * |column j|_1; the
+    1 + keeps every input coefficient a digit when a factor is zero."""
+    rows, cols = ints
+    return (1 + max(map(_norm, rows))) * (1 + max(map(_norm, cols)))
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per packed digit so that every coefficient of absolute value at
+    most ``bound`` is a balanced digit: |c| < 2^(8*bytes - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(count: int, width: int) -> int:
+    """The integer whose ``count`` base-2^(8*width) digits all equal
+    2^(8*width - 1); adding it makes balanced digits nonnegative."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """P(2^(8*width)) for the Z[x] coefficient list of P."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), width)
+
+
+def _unpack(value: int, width: int) -> List[int]:
+    """Inverse of ``_pack``: the balanced base-2^(8*width) digits of value,
+    lowest first (possibly with trailing zeros)."""
+    if not value:
+        return []
+    count = value.bit_length() // (8 * width) + 2
+    raw = (value + _bias(count, width)).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, len(raw), width)]
+
+
+def _laurent(pairs: Iterable[Tuple[int, Scalar]], g: int, shift: int,
+             num: Scalar, den: Scalar) -> LaurentPoly:
+    """x^shift * (num/den) * P(x^g) for the (exponent, coefficient) pairs of P."""
+    return LaurentPoly({g * k + shift: Fraction(c * num, den) for k, c in pairs if c})
+
+
+def _product(left, right_cols) -> List[List[LaurentPoly]]:
+    """left @ right as rows of LaurentPoly, from the rows of the left
+    factor and the columns of the right one."""
+    f = _form((left, right_cols), _product_bound)
+    (lo_a, lo_b), (da, db), (ra, cb) = f.lows, f.scales, f.rows
     return [
-        [v for j, v in enumerate(row) if j != drop_col]
-        for i, row in enumerate(entries) if i != drop_row
+        [_laurent(f.decode(sum(map(mul, row, col))), f.g, lo_a + lo_b, 1, di * dj)
+         for col, dj in zip(cb, db)]
+        for row, di in zip(ra, da)
     ]
-
-
-def _det_rows(entries) -> LaurentPoly:
-    n = len(entries)
-    if n == 0:
-        return LaurentPoly.one()
-    # state[mask] = determinant of the first popcount(mask) rows on columns mask
-    state = {0: LaurentPoly.one()}
-    for i in range(n):
-        new_state: dict = {}
-        for mask, sub in state.items():
-            if sub.is_zero:
-                continue
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = entries[i][j]
-                if entry.is_zero:
-                    continue
-                above = bin(mask >> (j + 1)).count("1")
-                term = sub * entry
-                if above % 2:
-                    term = -term
-                key = mask | bit
-                acc = new_state.get(key)
-                new_state[key] = term if acc is None else acc + term
-        state = new_state
-    return state.get((1 << n) - 1, LaurentPoly.zero())

@@ -193,3 +193,39 @@ def expression_oracle(tree):
         return out
 
     return terms(num), terms(den)
+
+
+def _qqx_matrix(entries, shift):
+    """DomainMatrix over QQ[x] of x^shift times a matrix of
+    {exponent: Fraction} maps (any rectangular shape)."""
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = sp.QQ[sp.Symbol("x")]
+    rows = [[dom.ring.from_dict({(e + shift,): sp.QQ(Fraction(c).numerator, Fraction(c).denominator)
+                            for e, c in t.items()}) for t in row] for row in entries]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), dom)
+
+
+def _lowest(entries):
+    return min((e for row in entries for t in row for e in t), default=0)
+
+
+def _laurent_terms(element, shift):
+    """{exponent + shift: Fraction} of a QQ[x] domain element."""
+    return {e + shift: Fraction(int(c.numerator), int(c.denominator))
+            for (e,), c in element.terms() if c}
+
+
+def laurent_det_oracle(entries):
+    """Determinant of a square matrix of {exponent: Fraction} maps, all
+    sympy: det over QQ[x] of the matrix shifted into Q[x], shifted back."""
+    shift = -_lowest(entries)
+    return _laurent_terms(_qqx_matrix(entries, shift).det(), -len(entries) * shift)
+
+
+def laurent_product_oracle(left, right):
+    """left @ right for matrices of {exponent: Fraction} maps, all sympy;
+    right may have any number of columns."""
+    sl, sr = -_lowest(left), -_lowest(right)
+    product = _qqx_matrix(left, sl) * _qqx_matrix(right, sr)
+    return [[_laurent_terms(v, -sl - sr) for v in row] for row in product.to_list()]

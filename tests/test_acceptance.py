@@ -234,3 +234,22 @@ def test_criterion_8_recorded_value_for_second_matrix():
     st = splitting_type(bundle(EXT_DOWN))
     print(f"ACCEPTANCE 8 (recorded value): FAIL - got {st.indices}, recorded (0, 0)")
     assert st.indices == (0, 0)
+
+
+# -- cross-route check at higher rank ---------------------------------------
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 8))
+def test_cross_route_planted_rank_5_to_8(n):
+    """The section-count scan and the order-basis factorization are
+    independent routes to the splitting type; on planted bundles with 3n
+    elementary factors a side both must give the planted indices."""
+    rng = random.Random(n)
+    for _ in range(3):
+        d = tuple(sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True))
+        a = _unimodular(rng, n, +1, ops=3 * n) @ LaurentMatrix.diagonal_powers(d) \
+            @ _unimodular(rng, n, -1, ops=3 * n)
+        e = bundle(a)
+        f = birkhoff_factor(e)
+        assert splitting_type(e).indices == f.exponents.indices == d
+        assert verify_factorization(e, f).valid

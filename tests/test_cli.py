@@ -249,6 +249,15 @@ def test_deeply_nested_factorization_document_is_a_parse_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ("x^99999999999 + 1", "x^99999999999 + x + 1"))
+def test_wide_exponent_non_unit_is_a_domain_error(tmp_path, entry):
+    path = write(tmp_path, "wide.txt", "kind = laurent_matrix, n = 1\n" + entry + "\n")
+    code, out, err = _run_process("split", path)
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: transition determinant is not a unit")
+    assert "Traceback" not in err
+
+
 MALFORMED_FACTORIZATIONS = {
     "array": "[]",
     "int_cell": '{"b": [[1]], "c": [["1"]], "diagonal": [0]}',

@@ -69,6 +69,22 @@ def test_pow_and_eval():
         lp({-1: 1}).evaluate(0)
 
 
+def test_exact_division_random():
+    rng = random.Random(31)
+    for _ in range(200):
+        a, b = rand_poly(rng), rand_poly(rng)
+        if b.is_zero:
+            continue
+        assert (a * b) // b == a
+        assert (a * b) // b.shift(5) == a.shift(-5)
+    assert lp({2: 1, 0: -1}) // lp({1: 1, 0: -1}) == lp({1: 1, 0: 1})
+    assert lp({0: 6}) // 3 == lp({0: 2})
+    with pytest.raises(ArithmeticError):
+        lp({2: 1, 0: 1}) // lp({1: 1, 0: -1})
+    with pytest.raises(ZeroDivisionError):
+        X // LaurentPoly.zero()
+
+
 def test_zero_poly_has_no_order():
     with pytest.raises(ValueError):
         LaurentPoly.zero().ord()

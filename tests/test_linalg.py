@@ -68,6 +68,12 @@ def test_inverse_round_trip_and_singular():
         done += 1
         inv = inverse_q(a)
         assert mat_mul(tuple(map(tuple, a)), inv) == identity_q(n)
+        # rational entries: both routines work on d*A, d the denominator lcm
+        q = tuple(tuple(v / rng.randint(1, 7) for v in row) for row in a)
+        if det_q(q) != 0:
+            inv = inverse_q(q)
+            assert mat_mul(q, inv) == identity_q(n)
+            assert det_q(q) * det_q(inv) == 1
     with pytest.raises(NotInvertible):
         inverse_q([[1, 1], [1, 1]])
 
