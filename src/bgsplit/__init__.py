@@ -27,6 +27,7 @@ from .bundles import (
     riemann_roch_check,
     section_profile,
     splitting_type,
+    splitting_type_and_profile,
     twist,
     verify_factorization,
 )
@@ -41,6 +42,7 @@ from .errors import (
     NotInvertibleOverLaurentRing,
     ParseError,
     ResonantExponents,
+    WorkBudgetExceeded,
 )
 from .fuchsian import (
     FrobeniusSeries,

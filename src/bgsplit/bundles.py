@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import InternalSearchExhausted, InvalidBundle
+from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded
 from .laurent import LaurentPoly
 from .linalg import echelon_insert, sparse_int_rows, sparse_kernel
 from .lmatrix import LaurentMatrix
@@ -147,6 +147,10 @@ class RiemannRochReport:
 
 # -- section spaces ----------------------------------------------------
 
+# Most unknowns n*(bound+1), or target exponents, of a section system.  Tests and
+# benchmark need under 10^3, a planted rank-24 bundle 10^4, x^99999999999 10^11.
+SECTION_BUDGET = 1 << 16
+
 
 def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     lo, hi = e.transition.exponent_range()
@@ -169,6 +173,9 @@ def _section_rows(
     """
     n = a.n
     lo, _ = a.exponent_range()
+    if max(n * (bound + 1), bound - k - lo) > SECTION_BUDGET:
+        raise WorkBudgetExceeded(f"section system of twist {k} needs degree bound {bound} "
+                                 f"in rank {n}, over the work budget of {SECTION_BUDGET}")
     int_rows = []
     for i in range(n):
         terms = [a[i, j].terms for j in range(n)]
@@ -193,10 +200,7 @@ def _section_rows(
 
 
 def _h0_dimension(e: BundleOnP1, k: int, extra: int = 0) -> int:
-    groups, ncols = _section_rows(e.transition, k, _degree_bound(e, k, extra))
-    rows = [row for group in groups for row in group]
-    nullity, _ = sparse_kernel(rows, ncols, need_basis=False)
-    return nullity
+    return section_profile(e, k, k, extra)[k]
 
 
 def section_profile(
@@ -237,20 +241,13 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     n = e.rank
     bound = _degree_bound(e, k, 0)
     groups, ncols = _section_rows(a, k, bound)
-    rows = [row for group in groups for row in group]
-    _, kernel = sparse_kernel(rows, ncols, need_basis=True)
-    assert kernel is not None
     basis = []
-    for vec in kernel:
-        s1 = []
-        for j in range(n):
-            terms = {}
-            for b in range(bound + 1):
-                v = vec[(bound - b) * n + j]
-                if v:
-                    terms[-b] = v
-            s1.append(LaurentPoly(terms))
-        s1 = tuple(s1)
+    for vec in sparse_kernel([row for group in groups for row in group], ncols):
+        # column (bound - b) * n + j holds the x^-b coefficient of s1_j
+        terms: List[Dict[int, Fraction]] = [{} for _ in range(n)]
+        for col, v in vec.items():
+            terms[col % n][col // n - bound] = v
+        s1 = tuple(LaurentPoly(t) for t in terms)
         s0 = tuple(p.shift(k) for p in a.apply(s1))
         basis.append((s0, s1))
     return SectionSpace(twist=k, dimension=len(basis), basis=tuple(basis))
@@ -260,7 +257,12 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
 
 
 def splitting_type(e: BundleOnP1) -> SplittingType:
-    """The unique descending index multiset, from section counts alone.
+    """The splitting type alone; see splitting_type_and_profile."""
+    return splitting_type_and_profile(e)[0]
+
+
+def splitting_type_and_profile(e: BundleOnP1) -> Tuple[SplittingType, Dict[int, int]]:
+    """The splitting type, and the section_profile it was read from.
 
     With h(k) = dim H^0(E(k)), the increment h(k) - h(k-1) counts the
     indices d_i >= -k, so consecutive increments recover every
@@ -274,7 +276,8 @@ def splitting_type(e: BundleOnP1) -> SplittingType:
     meromorphic matrix functions, 1992).  The result must account for
     all n indices and sum to the determinant exponent, and on any
     inconsistency the scan widens, the section degree bound doubles, and
-    the profile is recomputed.
+    the profile is recomputed.  The profile returned covers at least
+    -hi - 2 <= k <= -lo + 1, (lo, hi) the entry exponent range.
     """
     lo, hi = e.transition.exponent_range()
     n = e.rank
@@ -295,7 +298,7 @@ def splitting_type(e: BundleOnP1) -> SplittingType:
                 break
             indices.extend([v] * mult)
         if ok and len(indices) == n and sum(indices) == t:
-            return SplittingType(tuple(indices))
+            return SplittingType(tuple(indices)), h
         pad *= 2
         extra = 2 * extra + n * (hi - lo + 1)
     raise InternalSearchExhausted(

@@ -3,9 +3,9 @@
 One command per invocation; deterministic machine-readable output (JSON
 by default, ``--format text`` for key: value lines).  Exit codes: 0
 success, 1 usage (including a file of the wrong kind for the command),
-2 parse error, 3 domain precondition violated, 4 internal consistency
-failure.  ``verify`` exits 0 whether or not the factorization is valid;
-its verdict is the result payload.
+2 parse error, 3 domain precondition violated or work budget exceeded,
+4 internal consistency failure.  ``verify`` exits 0 whether or not the
+factorization is valid; its verdict is the result payload.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     NotInvertibleOverLaurentRing,
     ParseError,
     ResonantExponents,
+    WorkBudgetExceeded,
 )
 from .io import (
     ParsedFile,
@@ -54,6 +55,7 @@ _DOMAIN_ERRORS = (
     ResonantExponents,
     NotFirstKind,
     NotFuchsian,
+    WorkBudgetExceeded,
 )
 
 
@@ -94,12 +96,11 @@ def _load_bundle(path: str):
 
 def _cmd_split(args) -> dict:
     e, text = _load_bundle(args.file)
-    st = bundles.splitting_type(e)
+    st, profile = bundles.splitting_type_and_profile(e)
     lo, hi = e.transition.exponent_range()
-    profile = bundles.section_profile(e, -hi - 2, -lo + 1)
     certificate = {
         "determinant": LaurentPoly({e.det_exponent: e.det_coeff}),
-        "section_counts": {str(k): h for k, h in profile.items()},
+        "section_counts": {str(k): profile[k] for k in range(-hi - 2, -lo + 2)},
     }
     return result_document(
         "split", {"file": text}, {"indices": list(st.indices)}, certificate

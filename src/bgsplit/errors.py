@@ -40,6 +40,10 @@ class InvalidBundle(BGSplitError):
     """Transition matrix is not a bundle datum (non-unit determinant)."""
 
 
+class WorkBudgetExceeded(BGSplitError):
+    """Valid input whose computation exceeds a documented work budget."""
+
+
 class InternalSearchExhausted(BGSplitError):
     """A certified search failed at its configured bound.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,6 +40,7 @@ from .linalg import (
     solve,
     trace,
 )
+from .lmatrix import _gauss_jordan, _laurent
 from .ratfunc import (
     INF,
     Infinity,
@@ -589,30 +591,24 @@ def rf_mat_mul(a: RFMatrix, b: RFMatrix) -> RFMatrix:
 
 
 def rf_mat_inverse(a: RFMatrix) -> RFMatrix:
-    """Inverse over the rational-function field (Gauss-Jordan)."""
-    n = len(a)
-    work = [
-        list(row) + [RatFunc.one() if i == j else RatFunc.zero() for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not work[i][col].is_zero), None)
-        if piv is None:
-            raise NotInvertible("matrix is singular over the rational functions")
-        work[col], work[piv] = work[piv], work[col]
-        lead = work[col][col]
-        work[col] = [v / lead for v in work[col]]
-        for i in range(n):
-            if i != col and not work[i][col].is_zero:
-                f = work[i][col]
-                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    """Inverse over the rational-function field: A^-1 = (L*A)^-1 * L, where L
+    scales each row by the lcm of its denominators, and the polynomial matrix
+    L*A is inverted by the Z[x] Gauss-Jordan of ``lmatrix``."""
+    lcms = [reduce(poly_lcm, (v.den for v in row)) for row in a]
+    f, s, q = _gauss_jordan(
+        [[v.num * poly_divmod(m, v.den)[0] for v in row] for row, m in zip(a, lcms)])
+    if not q:
+        raise NotInvertible("matrix is singular over the rational functions")
+    # L*A = x^lo * D^-1 * N(x^g) and N^-1 = S/q: A^-1_ij = S_ij(x^g) D_j L_j / (x^lo q(x^g)).
+    den = _laurent(f.decode(q), f.g, f.lows[0], 1, 1)
+    return tuple(tuple(RatFunc(_laurent(f.decode(v), f.g, 0, f.scales[0][j], 1) * lcms[j], den)
+                       for j, v in enumerate(row)) for row in s)
 
 
 def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     """System matrix after the substitution w = P v:
 
-        A  ->  P^-1 A P - P^-1 P'   (exact rational arithmetic).
+        A  ->  P^-1 (A P - P')   (exact rational arithmetic).
 
     Raises NotInvertible when P is singular over the rational functions.
     """
@@ -621,9 +617,7 @@ def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     if len(am) != len(pm):
         raise DimensionMismatch("gauge and system sizes disagree")
     p_inv = rf_mat_inverse(pm)
-    p_prime = tuple(tuple(v.derivative() for v in row) for row in pm)
-    first = rf_mat_mul(rf_mat_mul(p_inv, am), pm)
-    second = rf_mat_mul(p_inv, p_prime)
-    return tuple(
-        tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(first, second)
-    )
+    ap = rf_mat_mul(am, pm)
+    return rf_mat_mul(p_inv, tuple(
+        tuple(x - v.derivative() for x, v in zip(r1, r2)) for r1, r2 in zip(ap, pm)
+    ))

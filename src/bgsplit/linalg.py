@@ -1,11 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on two elimination cores.
 
 Matrices are sequences of rows of ``Fraction``/``int`` entries.  The
-elimination engine clears denominators row-wise and runs a
+sparse core (``echelon_insert``) clears denominators row-wise and runs a
 division-controlled integer echelon reduction (every combined row is
-divided by the gcd of its entries), which bounds intermediate swell
-without leaving exact arithmetic.  Kernels are returned in the reduced
-echelon normal form parametrization, so results are deterministic.
+divided by the gcd of its entries), which bounds swell without leaving
+exact arithmetic; rank, kernels, ``solve``, section counts and the
+word-span closure use it, and kernels and solutions share one
+back-substitution to reduced echelon form, so results are deterministic.
+The dense fraction-free core (``eliminate``) serves ``det_q``,
+``inverse_q`` and the Laurent and rational-function matrices of
+``lmatrix``.
 """
 
 from __future__ import annotations
@@ -159,27 +163,14 @@ def echelon_sparse(rows: Sequence[Dict[int, Fraction]]) -> Dict[int, SparseRow]:
     return pivots
 
 
-def sparse_kernel(
-    rows: Sequence[Dict[int, Fraction]],
-    ncols: int,
-    need_basis: bool = True,
-) -> Tuple[int, Optional[List[Tuple[Fraction, ...]]]]:
-    """Exact right kernel of a sparse rational matrix.
-
-    Returns (nullity, basis), basis in the reduced-echelon normal form
-    parametrization: one vector per free column in ascending order, with
-    a 1 in the free position.  With need_basis=False the basis is None.
-    """
-    pivots = echelon_sparse(rows)
-    nullity = ncols - len(pivots)
-    if not need_basis:
-        return nullity, None
-    # Back-substitute the echelon rows to reduced form over Q.
+def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fraction]]:
+    """Reduced echelon form over Q of the echelon rows: each row is divided
+    by its pivot entry and cleared of the other pivot columns."""
     reduced: Dict[int, Dict[int, Fraction]] = {}
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]
         lead = prow[c]
-        frow: Dict[int, Fraction] = {col: Fraction(v, lead) for col, v in prow.items()}
+        frow = {col: Fraction(v, lead) for col, v in prow.items()}
         for col in sorted(col for col in frow if col != c and col in reduced):
             factor = frow.pop(col)
             for col2, v2 in reduced[col].items():
@@ -191,36 +182,42 @@ def sparse_kernel(
                 else:
                     frow.pop(col2, None)
         reduced[c] = frow
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, frow in reduced.items():
-            coeff = frow.get(f)
-            if coeff:
-                vec[c] = -coeff
-        basis.append(tuple(vec))
-    return nullity, basis
+    return reduced
+
+
+def sparse_kernel(
+    rows: Sequence[Dict[int, Fraction]], ncols: int
+) -> List[Dict[int, Fraction]]:
+    """Basis of the exact right kernel of a sparse rational matrix, as
+    sparse vectors {column: value}.
+
+    The basis is in the reduced-echelon normal form parametrization: one
+    vector per free column in ascending order, with a 1 in the free
+    position.
+    """
+    pivots = echelon_sparse(rows)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    # A reduced row holds its pivot c and free columns only.
+    for c, frow in _back_substitute(pivots).items():
+        for f, coeff in frow.items():
+            if f != c:
+                basis[f][c] = -coeff
+    return list(basis.values())
+
+
+def _sparse_rows(matrix: Sequence[Sequence]) -> List[Dict[int, Fraction]]:
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
 
 
 def nullspace(matrix: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel of a dense rational matrix."""
-    rows = [
-        {j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix
-    ]
     ncols = len(matrix[0]) if matrix else 0
-    _, basis = sparse_kernel(rows, ncols, need_basis=True)
-    assert basis is not None
-    return basis
+    return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
+            for vec in sparse_kernel(_sparse_rows(matrix), ncols)]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    rows = [
-        {j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix
-    ]
-    return len(echelon_sparse(rows))
+    return len(echelon_sparse(_sparse_rows(matrix)))
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Tuple[Fraction, ...]]:
@@ -243,24 +240,8 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Tuple[Fraction, ...]]:
     pivots = echelon_sparse(rows)
     if ncols in pivots:
         return None
-    reduced: Dict[int, Dict[int, Fraction]] = {}
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        lead = prow[c]
-        frow = {col: Fraction(v, lead) for col, v in prow.items()}
-        for col in sorted(col for col in frow if col != c and col in reduced):
-            factor = frow.pop(col)
-            for col2, v2 in reduced[col].items():
-                if col2 == col:
-                    continue
-                s = frow.get(col2, Fraction(0)) - factor * v2
-                if s:
-                    frow[col2] = s
-                else:
-                    frow.pop(col2, None)
-        reduced[c] = frow
     x = [Fraction(0)] * ncols
-    for c, frow in reduced.items():
+    for c, frow in _back_substitute(pivots).items():
         x[c] = frow.get(ncols, Fraction(0))
     return tuple(x)
 

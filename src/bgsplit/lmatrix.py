@@ -5,11 +5,12 @@ and the B/C factors of their diagonal factorizations.  A matrix is
 invertible over the ring exactly when its determinant is a monomial
 c*x^t.
 
-``det``, ``inverse``, ``__matmul__`` and ``apply`` share one exact
-kernel over Z[x].  An operand is converted once: shifted by x^-lo (lo
-its lowest exponent), written in y = x^g (g the gcd of the shifted
-exponents) and scaled per row, or per column for a right factor, by the
-lcm of the denominators.  Each integer polynomial entry P is packed into
+``det``, ``inverse``, ``__matmul__``, ``apply`` and the rational-function
+inverse ``fuchsian.rf_mat_inverse`` share one exact kernel over Z[x].
+An operand is converted once: shifted by x^-lo (lo its lowest
+exponent), written in y = x^g (g the gcd of the shifted exponents) and
+scaled per row, or per column for a right factor, by the lcm of the
+denominators.  Each integer polynomial entry P is packed into
 the integer P(2^w) (Kronecker substitution, a ring homomorphism
 Z[y] -> Z), so fraction-free Bareiss and Gauss-Jordan elimination
 (``linalg.eliminate``), and products, run on plain integers; their exact
@@ -32,7 +33,7 @@ from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotInvertibleOverLaurentRing
-from .laurent import LaurentPoly, Scalar
+from .laurent import LaurentPoly, Scalar, exponent_range
 from .linalg import eliminate
 
 Entry = Union[LaurentPoly, int, Fraction]
@@ -128,17 +129,7 @@ class LaurentMatrix:
 
     def exponent_range(self) -> Tuple[int, int]:
         """(min, max) exponent over all nonzero entries."""
-        lo = hi = None
-        for row in self.entries:
-            for v in row:
-                if v.is_zero:
-                    continue
-                o, d = v.ord(), v.deg()
-                lo = o if lo is None else min(lo, o)
-                hi = d if hi is None else max(hi, d)
-        if lo is None:
-            raise ValueError("zero matrix has no exponent range")
-        return lo, hi
+        return exponent_range(v for row in self.entries for v in row)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -189,27 +180,21 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """Inverse over the Laurent ring, by fraction-free Gauss-Jordan.
 
-        Elimination of [N | I], N the kernel form of A, ends at
-        [p*I | R] with p = +-det N, so N^-1 = R/p.  Raises
-        NotInvertibleOverLaurentRing unless p is a monomial c*y^t, which
-        is exactly when det A is a unit.
+        Raises NotInvertibleOverLaurentRing unless the last pivot is a
+        monomial c*y^t, which is exactly when det A is a unit.
         """
-        n = self.n
-        f = _form((self.entries,), _minor_bound)
-        m, lo, scales = f.rows[0], f.lows[0], f.scales[0]
-        for i, row in enumerate(m):
-            row.extend(f.one * int(i == j) for j in range(n))
-        _, pivot = eliminate(m, n, jordan=True)
-        support = [(t, c) for t, c in f.decode(pivot) if c]
+        f, s, q = _gauss_jordan(self.entries)
+        support = [(t, c) for t, c in f.decode(q) if c]
         if len(support) != 1:
             raise NotInvertibleOverLaurentRing(
                 "determinant is not a unit c*x^t of Q[x, x^-1]"
             )
         [(t, c)] = support
-        # A = x^lo * D^-1 * N(x^g), so A^-1 = x^-lo * N^-1 * D with N^-1 = R / (c*y^t).
+        lo, scales = f.lows[0], f.scales[0]
+        # A = x^lo * D^-1 * N(x^g), so A^-1 = x^-lo * N^-1 * D with N^-1 = S / (c*y^t).
         return LaurentMatrix(
             [[_laurent(f.decode(v), f.g, -lo - f.g * t, scales[j], c)
-              for j, v in enumerate(row[n:])] for row in m]
+              for j, v in enumerate(row)] for row in s]
         )
 
     # -- comparison and display ---------------------------------------
@@ -355,6 +340,19 @@ def _laurent(pairs: Iterable[Tuple[int, Scalar]], g: int, shift: int,
              num: Scalar, den: Scalar) -> LaurentPoly:
     """x^shift * (num/den) * P(x^g) for the (exponent, coefficient) pairs of P."""
     return LaurentPoly({g * k + shift: Fraction(c * num, den) for k, c in pairs if c})
+
+
+def _gauss_jordan(rows) -> Tuple[_Form, List[list], object]:
+    """(form, S, q): fraction-free Gauss-Jordan of [N | I], N the kernel form
+    of the square matrix with these LaurentPoly rows, ends at [q*I | S] with
+    q = +-det N, so N^-1 = S/q.  The caller decodes S and q with ``form``."""
+    n = len(rows)
+    f = _form((rows,), _minor_bound)
+    m = f.rows[0]
+    for i, row in enumerate(m):
+        row.extend(f.one * int(i == j) for j in range(n))
+    _, q = eliminate(m, n, jordan=True)
+    return f, [row[n:] for row in m], q
 
 
 def _product(left, right_cols) -> List[List[LaurentPoly]]:

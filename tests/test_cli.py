@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -256,6 +258,46 @@ def test_wide_exponent_non_unit_is_a_domain_error(tmp_path, entry):
     assert code == 3 and out == ""
     assert err.startswith("domain error: transition determinant is not a unit")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("h0", "h1", "rr", "split"))
+def test_huge_exponent_section_system_is_refused_up_front(tmp_path, command):
+    path = write(tmp_path, "huge.txt", "kind = laurent_matrix, n = 1\nx^99999999999\n")
+    start = time.monotonic()
+    code, out, err = _run_process(command, path)
+    assert time.monotonic() - start < 30
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: section system") and "work budget" in err
+    assert "Traceback" not in err
+
+
+def test_h0_basis_memory_grows_with_its_terms_not_nullity_times_columns(tmp_path):
+    # h0(O(20000)) has 20001 sections of 20002 unknowns each: dense kernel
+    # vectors would take 3.2 GB, over the 1 GB address-space cap.
+    path = write(tmp_path, "line.txt", "kind = laurent_matrix, n = 1\nx^20000\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bgsplit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgsplit.cli", "h0", path],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert json.loads(proc.stdout)["result"]["dimension"] == 20001
+
+
+def test_split_eliminates_the_section_system_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "ext.txt", EXT)
+    calls = []
+    profile = bundles.section_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(bundles, "section_profile", counted)
+    code, out, _ = run(capsys, "split", path)
+    assert code == 0 and json.loads(out)["result"]["indices"] == [1, -1]
+    assert len(calls) == 1
 
 
 MALFORMED_FACTORIZATIONS = {

@@ -1,0 +1,147 @@
+"""Property tests of ``fuchsian.rf_mat_inverse`` and ``linalg.solve``.
+
+``rf_mat_inverse`` scales each row of a rational-function matrix by the
+lcm of its denominators and inverts the polynomial matrix on the Z[x]
+Gauss-Jordan of ``lmatrix``.  Inputs have rank <= 3, nonzero entries
+and denominators with a root other than 0, so none is a monomial; one in
+three matrices is made singular by a row that is a rational-function
+multiple of another.  Each property runs on the packed and on the sparse route of
+the kernel.  The product A * A^-1 is formed in ``RatFunc`` arithmetic,
+and singularity is decided exactly by Leibniz determinants at rational
+points (``is_singular``).
+
+``solve`` runs on rectangular systems; sympy gives the ranks and the
+pivot columns of A.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from math import prod
+from unittest import mock
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bgsplit import lmatrix as lmatrix_module
+from bgsplit.errors import NotInvertible
+from bgsplit.fuchsian import rf_mat_inverse, rf_mat_mul
+from bgsplit.laurent import LaurentPoly
+from bgsplit.linalg import solve
+from bgsplit.ratfunc import RatFunc
+
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+ROOTS = st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)))
+
+
+def poly(coeffs):
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+def denominator(roots, x_power):
+    out = LaurentPoly.x_power(x_power)
+    for r in roots:
+        out = out * poly((-r, 1))
+    return out
+
+
+NONZERO = SMALL.filter(bool)
+RATFUNCS = st.builds(
+    lambda low, num, roots, x_power: RatFunc(poly([low] + num), denominator(roots, x_power)),
+    NONZERO,
+    st.lists(SMALL, max_size=2),
+    st.lists(ROOTS, min_size=1, max_size=2),
+    st.integers(0, 1),
+)
+
+
+def matrices(n):
+    """n x n RatFunc matrices; one in three gets row j = r * row i, i != j.
+    Every entry may then be written in x^3 and multiplied by x^4, so the
+    kernel also meets an exponent gcd g > 1 and a lowest exponent lo > 0."""
+    def shape(rows, copy, factor, stride, lift):
+        if copy is not None and n > 1:
+            i, j = copy
+            rows[j] = [factor * v for v in rows[i]]
+        return [[RatFunc(stretched(v.num, stride).shift(lift), stretched(v.den, stride))
+                 for v in row] for row in rows]
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    copy = st.sampled_from((None,) * (2 * max(1, len(pairs))) + tuple(pairs))
+    rows = st.lists(st.lists(RATFUNCS, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.builds(shape, rows, copy, RATFUNCS, st.sampled_from((1, 3)), st.sampled_from((0, 4)))
+
+
+def stretched(p, stride):
+    return LaurentPoly({stride * e: c for e, c in p.terms.items()})
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def is_singular(a):
+    """det A = 0 as a rational function.  det A times the product of all
+    denominators is a polynomial of degree at most D, the sum over the
+    entries of max(deg num, deg den), so it is zero exactly when det A(p)
+    vanishes at D + 1 points p that are not poles (every pole has
+    absolute value at most 2)."""
+    bound = sum(max(0 if v.is_zero else v.num.deg(), v.den.deg()) for row in a for v in row)
+    return all(
+        leibniz_det([[v.evaluate(Fraction(p)) for v in row] for row in a]) == 0
+        for p in range(3, bound + 4)
+    )
+
+
+ROUTES = {"packed": lmatrix_module._PACKED_SPAN, "sparse": 0}
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@SETTINGS
+@given(data=st.data())
+def test_rf_mat_inverse_round_trips_or_raises(route, n, data):
+    a = tuple(tuple(row) for row in data.draw(matrices(n)))
+    with mock.patch.object(lmatrix_module, "_PACKED_SPAN", ROUTES[route]):
+        if is_singular(a):
+            with pytest.raises(NotInvertible):
+                rf_mat_inverse(a)
+            return
+        inv = rf_mat_inverse(a)
+    identity = tuple(
+        tuple(RatFunc.one() if i == j else RatFunc.zero() for j in range(n)) for i in range(n)
+    )
+    assert rf_mat_mul(a, inv) == identity
+
+
+SPARSE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), SMALL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_rectangular_systems(data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a = data.draw(st.lists(st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    if data.draw(st.booleans()):  # a consistent right-hand side A * x0
+        x0 = data.draw(st.lists(SMALL, min_size=cols, max_size=cols))
+        b = [sum(v * w for v, w in zip(row, x0)) for row in a]
+    else:
+        b = data.draw(st.lists(SMALL, min_size=rows, max_size=rows))
+    sa = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in row] for row in a])
+    sb = sp.Matrix([sp.Rational(v.numerator, v.denominator) for v in b])
+    x = solve(a, b)
+    if sa.row_join(sb).rank() > sa.rank():
+        assert x is None
+        return
+    assert x is not None and len(x) == cols
+    assert [sum(v * w for v, w in zip(row, x)) for row in a] == b
+    _, pivots = sa.rref()
+    assert all(x[j] == 0 for j in range(cols) if j not in pivots)

@@ -5,9 +5,11 @@ The files under ``tests/data/golden/`` are the exact stdout of
 ``factor`` and ``verify`` (against the pinned ``factor`` document) on the
 demo extension and on a planted rank-4 bundle, and of the commands that
 read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
-``fuchs-system``) on the demo inputs, and of ``bolibrukh`` on three
-tuples with non-integer entries under ``tests/data/`` (reducible n = 6,
-irreducible n = 5 pair, Jordan n = 6).  Any change to the numbers, the
+``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``bolibrukh``
+on three tuples with non-integer entries under ``tests/data/`` (reducible
+n = 6, irreducible n = 5 pair, Jordan n = 6), and of ``gauge`` on the
+demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
+determinant x + 2 is not a unit, so P^-1 has denominators.  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
@@ -46,6 +48,12 @@ FIELD_CASES = {
     ],
     "residue_system.fuchs_system": [
         "fuchs-system", os.path.join(DEMOS, "residue_system.txt")
+    ],
+    "local_system.frobenius_n4": [
+        "frobenius", os.path.join(DEMOS, "local_system.txt"), "-N", "4"
+    ],
+    "extension.gauge_p": [
+        "gauge", INPUTS["extension"], os.path.join(HERE, "data", "gauge_p.txt")
     ],
 }
 
