@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     BGSplitError,
@@ -30,9 +31,11 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .linalg import (
+    IntMatrix,
     Matrix,
     charpoly,
     identity_q,
+    integer_scaled,
     mat_mul,
     qmat,
     rational_roots,
@@ -40,7 +43,7 @@ from .linalg import (
     solve,
     trace,
 )
-from .lmatrix import _gauss_jordan, _laurent
+from .lmatrix import _gauss_jordan, _laurent, _product
 from .ratfunc import (
     INF,
     Infinity,
@@ -49,6 +52,7 @@ from .ratfunc import (
     poly_divmod,
     poly_lcm,
     poly_radical,
+    poly_shift,
 )
 
 ORDINARY = "ordinary"
@@ -480,96 +484,113 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
 
     S_0 = I and, for k = 1..order,
 
-        k S_k + S_k R - R S_k = sum_(m=0)^(k-1) tail[m] S_(k-1-m),
+        k S_k + S_k R - R S_k = C_k = sum_(m=0)^(k-1) tail[m] S_(k-1-m),
 
     each solved exactly.  Requires that no two eigenvalues of R differ
-    by a positive integer <= order, verified exactly by resultants of
-    the characteristic polynomial against its integer shifts; violation
-    raises ResonantExponents.
+    by a positive integer k <= order, verified exactly by resultants of
+    the characteristic polynomial g of N = d*R below against its shifts
+    g(t - k*d); violation raises ResonantExponents.
+
+    Each step is one n x n solve (Jameson, SIAM J. Appl. Math. 1968).
+    The step reads A S - S R = -C_k with A = R - k; for any polynomial
+    q, q(A) S - S q(R) = sum_m q_m sum_(i+j=m-1) A^i (A S - S R) R^j,
+    and q = charpoly(R) kills q(R) (Cayley-Hamilton), so
+
+        q(R - k) S_k = -sum_m q_m sum_(i+j=m-1) (R - k)^i C_k R^j,
+
+    where det q(R - k) = +-Res(q(x), q(x - k)) is nonzero by the check.
+    It runs on integers: N = d*R (d the lcm of R's denominators) has
+    characteristic polynomial g(t) = d^n q(t/d), the matrices
+    H_i = sum_(m>i) g_m N^(m-1-i) are formed once, and with C_k = C/e
+    for an integer matrix C the step becomes
+
+        g(N - k*d) S_k = -(d/e) * sum_i (N - k*d)^i C H_i.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     n = local.size
-    r = local.r
-    cp = charpoly(r)
-    from .ratfunc import poly_shift
-
+    d, big_n = integer_scaled(local.r)
+    g = charpoly(big_n)
+    shifted = []
     for k in range(1, order + 1):
-        if resultant(cp, poly_shift(cp, -k)) == 0:
+        shifted.append(poly_shift(g, -k * d))  # g(t - k*d)
+        if resultant(g, shifted[-1]) == 0:
             raise ResonantExponents(
                 f"two exponents differ by the positive integer {k}"
             )
+    coeffs = [int(g.coeff(m)) for m in range(n + 1)]
+    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    for _ in range(n):
+        powers.append(mat_mul(big_n, powers[-1]))
+    h = [_lincomb(n, zip(coeffs[i + 1:], powers)) for i in range(n - 1)]  # H_(n-1) = I
+    tails = [integer_scaled(m) for m in local.tail]
     series: List[Matrix] = [identity_q(n)]
-    for k in range(1, order + 1):
-        rhs_mat = _tail_convolution(local, series, k)
-        mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                eq = i * n + j
-                mat[eq][eq] += k
-                for q in range(n):
-                    mat[eq][i * n + q] += r[q][j]      # (S R) term
-                for p in range(n):
-                    mat[eq][p * n + j] -= r[i][p]      # (R S) term
-        rhs_vec = [rhs_mat[i][j] for i in range(n) for j in range(n)]
-        sol = solve(mat, rhs_vec)
-        if sol is None:
+    scaled = [(1, powers[0])]
+    for k, g_k in enumerate(shifted, start=1):
+        e, c = _over_lcm(n, [
+            (1, mat_mul(t_mat, s_mat), t * s)
+            for (t, t_mat), (s, s_mat) in zip(tails, reversed(scaled))])
+        y = c
+        for i in range(n - 2, -1, -1):  # Horner in N - k*d
+            y = _lincomb(n, ((1, mat_mul(big_n, y)), (-k * d, y), (1, mat_mul(c, h[i]))))
+        p_k = _lincomb(n, zip((int(g_k.coeff(m)) for m in range(n + 1)), powers))
+        s_k = solve(p_k, [[-d * v for v in row] for row in y])
+        if s_k is None:
             raise BGSplitError(
                 "Frobenius step became singular despite the resonance check; defect"
             )
-        series.append(
-            tuple(tuple(sol[i * n + j] for j in range(n)) for i in range(n))
-        )
-    return FrobeniusSeries(r=r, s=tuple(series))
+        s_k = tuple(tuple(v / e for v in row) for row in s_k)
+        series.append(s_k)
+        scaled.append(integer_scaled(s_k))
+    return FrobeniusSeries(r=local.r, s=tuple(series))
 
 
-def _tail_convolution(local: LocalSystemData, series: Sequence[Matrix], k: int) -> Matrix:
-    """sum_(m=0)^(k-1) tail[m] * S_(k-1-m), missing terms being zero."""
-    n = local.size
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for m in range(min(k, len(local.tail))):
-        idx = k - 1 - m
-        if idx >= len(series):
-            continue
-        prod = mat_mul(local.tail[m], series[idx])
-        for i in range(n):
-            for j in range(n):
-                total[i][j] += prod[i][j]
-    return tuple(tuple(row) for row in total)
+def _lincomb(n: int, terms: Iterable[Tuple[int, IntMatrix]]) -> IntMatrix:
+    """sum of c * M over the (c, M) pairs of n x n integer matrices."""
+    terms = [(c, m) for c, m in terms if c]
+    return tuple(
+        tuple(sum(c * m[i][j] for c, m in terms) for j in range(n)) for i in range(n)
+    )
+
+
+def _over_lcm(n: int, terms: Sequence[Tuple[int, IntMatrix, int]]) -> Tuple[int, IntMatrix]:
+    """(e, E) with E / e = sum of c * M / den over the (c, M, den) terms and
+    e the lcm of the dens (1 for no terms)."""
+    e = lcm(*(den for _, _, den in terms))
+    return e, _lincomb(n, ((c * (e // den), m) for c, m, den in terms))
 
 
 def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
     """Order through which W' - A W vanishes formally; >= truncation order
     certifies the series.  Identically-zero residual (the exact case)
-    reports order + 1 as a sentinel."""
+    reports order + 1 as a sentinel.
+
+    The order-k coefficient k S_k + S_k R - R S_k - sum_m tail[m] S_(k-1-m)
+    is multiplied back on integer matrices over one common denominator.
+    """
     if len(series.r) != local.size:
         raise DimensionMismatch("series size disagrees with the local system")
     n = local.size
     cap = len(series.s) - 1
-    r = local.r
-    zero_mat = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    r, r_mat = integer_scaled(local.r)
+    tails = [integer_scaled(m) for m in local.tail]
+    scaled = [integer_scaled(m) for m in series.s]
 
-    def term(k: int) -> Matrix:
-        s_k = series.s[k] if k <= cap else zero_mat
-        lhs = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lhs[i][j] = k * s_k[i][j]
-                lhs[i][j] += sum(s_k[i][q] * r[q][j] for q in range(n))
-                lhs[i][j] -= sum(r[i][p] * s_k[p][j] for p in range(n))
-        conv = _tail_convolution(local, series.s, k)
-        return tuple(
-            tuple(lhs[i][j] - conv[i][j] for j in range(n)) for i in range(n)
-        )
-
-    def is_zero(m: Matrix) -> bool:
-        return all(not v for row in m for v in row)
+    def term_is_zero(k: int) -> bool:
+        terms = [(-1, mat_mul(t_mat, scaled[k - 1 - m][1]), t * scaled[k - 1 - m][0])
+                 for m, (t, t_mat) in enumerate(tails[:k]) if k - 1 - m <= cap]
+        if k <= cap:
+            s, s_mat = scaled[k]
+            terms += [(k, s_mat, s), (1, mat_mul(s_mat, r_mat), s * r),
+                      (-1, mat_mul(r_mat, s_mat), r * s)]
+        _, total = _over_lcm(n, terms)
+        return not any(v for row in total for v in row)
 
     for k in range(1, cap + 1):
-        if not is_zero(term(k)):
+        if not term_is_zero(k):
             return k - 1
     for k in range(cap + 1, cap + len(local.tail) + 2):
-        if not is_zero(term(k)):
+        if not term_is_zero(k):
             return cap
     return cap + 1
 
@@ -577,16 +598,29 @@ def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
 # -- gauge transformations ------------------------------------------------
 
 
+def _over_denominator_lcms(lines) -> Tuple[List[LaurentPoly], List[List[LaurentPoly]]]:
+    """(L, P) with lines[i][j] = P[i][j] / L[i]: each row (or column) of
+    RatFunc over L[i], the lcm of its denominators, P[i][j] in Q[x]."""
+    lcms = [reduce(poly_lcm, {v.den for v in line}) for line in lines]
+    return lcms, [[v.num if v.den == m else v.num * poly_divmod(m, v.den)[0] for v in line]
+                  for line, m in zip(lines, lcms)]
+
+
 def rf_mat_mul(a: RFMatrix, b: RFMatrix) -> RFMatrix:
+    """A B over the rational-function field as one Z[x] product: with the
+    rows of A and the columns of B over their denominator lcms,
+    A_i. = P_i / L_i and B_.j = Q_j / K_j, (A B)_ij = (P_i . Q_j) / (L_i K_j),
+    reduced once per entry."""
     n = len(a)
     if len(b) != n:
         raise DimensionMismatch("matrix dimension mismatch")
-    bt = tuple(zip(*b))
+    if not n:
+        return ()
+    row_lcms, rows = _over_denominator_lcms(a)
+    col_lcms, cols = _over_denominator_lcms(tuple(zip(*b)))
     return tuple(
-        tuple(
-            sum((x * y for x, y in zip(row, col)), RatFunc.zero()) for col in bt
-        )
-        for row in a
+        tuple(RatFunc(v, m * q) for v, q in zip(line, col_lcms))
+        for line, m in zip(_product(rows, cols), row_lcms)
     )
 
 
@@ -594,9 +628,8 @@ def rf_mat_inverse(a: RFMatrix) -> RFMatrix:
     """Inverse over the rational-function field: A^-1 = (L*A)^-1 * L, where L
     scales each row by the lcm of its denominators, and the polynomial matrix
     L*A is inverted by the Z[x] Gauss-Jordan of ``lmatrix``."""
-    lcms = [reduce(poly_lcm, (v.den for v in row)) for row in a]
-    f, s, q = _gauss_jordan(
-        [[v.num * poly_divmod(m, v.den)[0] for v in row] for row, m in zip(a, lcms)])
+    lcms, rows = _over_denominator_lcms(a)
+    f, s, q = _gauss_jordan(rows)
     if not q:
         raise NotInvertible("matrix is singular over the rational functions")
     # L*A = x^lo * D^-1 * N(x^g) and N^-1 = S/q: A^-1_ij = S_ij(x^g) D_j L_j / (x^lo q(x^g)).

@@ -220,30 +220,35 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(echelon_sparse(_sparse_rows(matrix)))
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> Optional[Tuple[Fraction, ...]]:
+def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     """One exact solution of A x = b, or None when inconsistent.
 
-    Free variables, if any, are set to zero.
+    b is a vector, giving a vector x, or a matrix given by its rows,
+    giving the matrix X with A X = b, one column per column of b.  Free
+    variables, if any, are set to zero.
     """
     a = qmat(a)
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     if len(b) != nrows:
         raise DimensionMismatch("right-hand side length mismatch")
+    columns = bool(b) and isinstance(b[0], Sequence)
+    b = qmat(b if columns else [[v] for v in b])
     rows = []
-    for i in range(nrows):
-        row = {j: v for j, v in enumerate(a[i]) if v}
-        bv = Fraction(b[i])
-        if bv:
-            row[ncols] = bv
+    for arow, brow in zip(a, b):
+        row = {j: v for j, v in enumerate(arow) if v}
+        row.update((ncols + t, v) for t, v in enumerate(brow) if v)
         rows.append(row)
     pivots = echelon_sparse(rows)
-    if ncols in pivots:
+    if pivots and max(pivots) >= ncols:
         return None
-    x = [Fraction(0)] * ncols
+    width = len(b[0]) if b else 1
+    x = [[Fraction(0)] * width for _ in range(ncols)]
     for c, frow in _back_substitute(pivots).items():
-        x[c] = frow.get(ncols, Fraction(0))
-    return tuple(x)
+        x[c] = [frow.get(ncols + t, Fraction(0)) for t in range(width)]
+    if columns:
+        return tuple(map(tuple, x))
+    return tuple(row[0] for row in x)
 
 
 # -- square-matrix routines -------------------------------------------

@@ -11,7 +11,8 @@ plumbing those computations need.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from math import gcd, lcm
+from typing import List, Optional, Tuple, Union
 
 from .errors import NotInvertible
 from .laurent import LaurentPoly, Scalar, _coerce
@@ -60,13 +61,59 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd over Q[x] (gcd(0, 0) = 0)."""
+    """Monic gcd over Q[x] (gcd(0, 0) = 0).
+
+    The common power of x is split off; the rest runs as the primitive
+    polynomial remainder sequence in Z[x] (Brown, JACM 1971): each
+    pseudo-remainder is divided by the gcd of its coefficients, so no
+    fraction appears until the last primitive remainder is made monic.
+    """
     _require_poly(a), _require_poly(b)
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scale(1 / a.coeff(a.deg()))
+    if a.is_zero or b.is_zero:
+        p = b if a.is_zero else a
+        return p if p.is_zero else p.scale(1 / p.coeff(p.deg()))
+    f, g = _primitive_coeffs(a), _primitive_coeffs(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    low = min(a.ord(), b.ord())
+    return LaurentPoly({e + low: Fraction(c, f[-1]) for e, c in enumerate(f)})
+
+
+def _primitive(coeffs: List[int]) -> List[int]:
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
+
+
+def _primitive_coeffs(p: LaurentPoly) -> List[int]:
+    """The primitive Z[x] coefficient list, lowest first, of the nonzero
+    polynomial p / x^ord(p)."""
+    terms, low = p.terms, p.ord()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    out = [0] * (p.deg() - low + 1)
+    for e, c in terms.items():
+        out[e - low] = c.numerator * (scale // c.denominator)
+    return _primitive(out)
+
+
+def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
+    """c * (f mod g) for a nonzero integer c, on Z[x] coefficient lists
+    (lowest first, nonzero last entry), fraction-free: each step scales f
+    by the leading coefficient of g and cancels its top term."""
+    f = list(f)
+    lead, dg = g[-1], len(g) - 1
+    while len(f) > dg:
+        top = f.pop()
+        if top:
+            if lead != 1:
+                f = [lead * v for v in f]
+            shift = len(f) - dg
+            for i, w in enumerate(g[:-1]):
+                f[shift + i] -= top * w
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -1,5 +1,9 @@
 """Independent test oracles, deliberately not built on the library.
 
+The Frobenius oracles keep the dense route the package took before each
+order became one n x n solve: the n^2 x n^2 Kronecker system per order,
+solved by sympy, and the residual check in plain Fraction sums.
+
 The section-count oracle re-derives dim H^0 from scratch with sympy:
 symbolic coefficients for s1, symbolic expansion of x^k * A(x) * s1(1/x),
 and a sympy rank computation for the vanishing conditions.  It shares no
@@ -229,3 +233,91 @@ def laurent_product_oracle(left, right):
     sl, sr = -_lowest(left), -_lowest(right)
     product = _qqx_matrix(left, sl) * _qqx_matrix(right, sr)
     return [[_laurent_terms(v, -sl - sr) for v in row] for row in product.to_list()]
+
+
+def _kronecker_step(r, k):
+    """The n^2 x n^2 matrix of S -> k S + S R - R S on row-major S."""
+    n = len(r)
+    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            eq = i * n + j
+            mat[eq][eq] += k
+            for q in range(n):
+                mat[eq][i * n + q] += r[q][j]      # (S R) term
+            for p in range(n):
+                mat[eq][p * n + j] -= r[i][p]      # (R S) term
+    return mat
+
+
+def _tail_convolution(tail, series, k):
+    """sum_(m=0)^(k-1) tail[m] * S_(k-1-m), missing terms being zero."""
+    n = len(series[0])
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for m in range(min(k, len(tail))):
+        idx = k - 1 - m
+        if idx >= len(series):
+            continue
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += sum(tail[m][i][q] * series[idx][q][j] for q in range(n))
+    return total
+
+
+def frobenius_oracle(r, tail, order):
+    """S_0..S_order of W = S(z) z^R for w' = (R/z + sum_m tail[m] z^m) w,
+    each order solved as the dense n^2 x n^2 Kronecker system
+    k S + S R - R S = sum_m tail[m] S_(k-1-m) over sympy's QQ.
+
+    An order whose system is singular is resonant: raises ValueError with
+    the message of ``ResonantExponents`` for the smallest such k, before
+    any order is solved.  r and tail: nested lists of Fractions."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(r)
+
+    def qq(rows):
+        return DomainMatrix([[sp.QQ(v.numerator, v.denominator) for v in row] for row in rows],
+                            (len(rows), len(rows[0])), sp.QQ)
+
+    steps = [qq(_kronecker_step(r, k)) for k in range(1, order + 1)]
+    for k, step in enumerate(steps, start=1):
+        if step.det() == 0:
+            raise ValueError(f"two exponents differ by the positive integer {k}")
+    series = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    for k, step in enumerate(steps, start=1):
+        rhs = _tail_convolution(tail, series, k)
+        sol = step.lu_solve(qq([[v] for row in rhs for v in row])).to_list()
+        flat = [Fraction(int(v[0].numerator), int(v[0].denominator)) for v in sol]
+        series.append([flat[i * n:(i + 1) * n] for i in range(n)])
+    return series
+
+
+def residual_oracle(r, tail, series):
+    """Order through which W' - A W vanishes formally for the series
+    S_0..S_N, in Fraction sums: the first k in 1..N whose coefficient
+    k S_k + S_k R - R S_k - sum_m tail[m] S_(k-1-m) is nonzero gives k - 1,
+    a nonzero coefficient past N (S_k = 0 there) gives N, and none gives
+    the sentinel N + 1."""
+    n = len(r)
+    cap = len(series) - 1
+    zero = [[Fraction(0)] * n for _ in range(n)]
+
+    def nonzero(k):
+        s_k = series[k] if k <= cap else zero
+        conv = _tail_convolution(tail, series, k)
+        return any(
+            k * s_k[i][j]
+            + sum(s_k[i][q] * r[q][j] for q in range(n))
+            - sum(r[i][p] * s_k[p][j] for p in range(n))
+            - conv[i][j]
+            for i in range(n) for j in range(n)
+        )
+
+    for k in range(1, cap + 1):
+        if nonzero(k):
+            return k - 1
+    for k in range(cap + 1, cap + len(tail) + 2):
+        if nonzero(k):
+            return cap
+    return cap + 1

@@ -1,17 +1,20 @@
-"""Property tests of ``fuchsian.rf_mat_inverse`` and ``linalg.solve``.
+"""Property tests of ``fuchsian.rf_mat_inverse``, ``rf_mat_mul`` and
+``linalg.solve``.
 
 ``rf_mat_inverse`` scales each row of a rational-function matrix by the
 lcm of its denominators and inverts the polynomial matrix on the Z[x]
-Gauss-Jordan of ``lmatrix``.  Inputs have rank <= 3, nonzero entries
-and denominators with a root other than 0, so none is a monomial; one in
-three matrices is made singular by a row that is a rational-function
-multiple of another.  Each property runs on the packed and on the sparse route of
-the kernel.  The product A * A^-1 is formed in ``RatFunc`` arithmetic,
-and singularity is decided exactly by Leibniz determinants at rational
-points (``is_singular``).
+Gauss-Jordan of ``lmatrix``; ``rf_mat_mul`` puts the rows of the left and
+the columns of the right factor over their lcms and forms one Z[x]
+product.  Inputs have rank <= 4, nonzero entries and denominators with a
+root other than 0, so none is a monomial; one in three matrices is made
+singular by a row that is a rational-function multiple of another.  Each
+property runs on the packed and on the sparse route of the kernel.
+``rf_mat_mul`` is checked against sums of ``RatFunc`` products and then
+forms A * A^-1; singularity is decided exactly by Leibniz determinants at
+rational points (``is_singular``).
 
-``solve`` runs on rectangular systems; sympy gives the ranks and the
-pivot columns of A.
+``solve`` runs on rectangular systems with a vector right-hand side or
+one of 1-3 columns; sympy gives the ranks and the pivot columns of A.
 """
 
 from fractions import Fraction
@@ -99,12 +102,18 @@ def is_singular(a):
     )
 
 
+def ratfunc_product(a, b):
+    """a @ b summed entry by entry in RatFunc arithmetic."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), RatFunc.zero())
+                       for col in zip(*b)) for row in a)
+
+
 ROUTES = {"packed": lmatrix_module._PACKED_SPAN, "sparse": 0}
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 @SETTINGS
 @given(data=st.data())
 def test_rf_mat_inverse_round_trips_or_raises(route, n, data):
@@ -121,27 +130,48 @@ def test_rf_mat_inverse_round_trips_or_raises(route, n, data):
     assert rf_mat_mul(a, inv) == identity
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@SETTINGS
+@given(data=st.data())
+def test_rf_mat_mul_matches_ratfunc_arithmetic(route, n, data):
+    a = tuple(tuple(row) for row in data.draw(matrices(n)))
+    b = tuple(tuple(row) for row in data.draw(matrices(n)))
+    with mock.patch.object(lmatrix_module, "_PACKED_SPAN", ROUTES[route]):
+        assert rf_mat_mul(a, b) == ratfunc_product(a, b)
+
+
 SPARSE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), SMALL)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_solve_rectangular_systems(data):
+    """A vector right-hand side (width None) gives a vector, a matrix one
+    with 1-3 columns gives the rows of X; each column is checked."""
     rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    width = data.draw(st.sampled_from((None, 1, 2, 3)))
     a = data.draw(st.lists(st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols),
                            min_size=rows, max_size=rows))
-    if data.draw(st.booleans()):  # a consistent right-hand side A * x0
-        x0 = data.draw(st.lists(SMALL, min_size=cols, max_size=cols))
-        b = [sum(v * w for v, w in zip(row, x0)) for row in a]
-    else:
-        b = data.draw(st.lists(SMALL, min_size=rows, max_size=rows))
+    b_columns = []
+    for _ in range(width or 1):
+        if data.draw(st.booleans()):  # a consistent right-hand side A * x0
+            x0 = data.draw(st.lists(SMALL, min_size=cols, max_size=cols))
+            b_columns.append([sum(v * w for v, w in zip(row, x0)) for row in a])
+        else:
+            b_columns.append(data.draw(st.lists(SMALL, min_size=rows, max_size=rows)))
+    b = b_columns[0] if width is None else [list(row) for row in zip(*b_columns)]
     sa = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in row] for row in a])
-    sb = sp.Matrix([sp.Rational(v.numerator, v.denominator) for v in b])
+    sb = sp.Matrix([[sp.Rational(v.numerator, v.denominator) for v in column]
+                    for column in b_columns]).T
     x = solve(a, b)
     if sa.row_join(sb).rank() > sa.rank():
         assert x is None
         return
     assert x is not None and len(x) == cols
-    assert [sum(v * w for v, w in zip(row, x)) for row in a] == b
+    x_columns = [x] if width is None else [list(column) for column in zip(*x)]
+    assert width is None or all(len(row) == width for row in x)
     _, pivots = sa.rref()
-    assert all(x[j] == 0 for j in range(cols) if j not in pivots)
+    for x_col, b_col in zip(x_columns, b_columns):
+        assert [sum(v * w for v, w in zip(row, x_col)) for row in a] == b_col
+        assert all(x_col[j] == 0 for j in range(cols) if j not in pivots)

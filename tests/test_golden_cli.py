@@ -5,11 +5,15 @@ The files under ``tests/data/golden/`` are the exact stdout of
 ``factor`` and ``verify`` (against the pinned ``factor`` document) on the
 demo extension and on a planted rank-4 bundle, and of the commands that
 read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
-``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``bolibrukh``
+``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
+-N 8`` on the non-triangular 4 x 4 residue with denominators 2, 3 and 7
+and two tail terms in ``tests/data/local_system4.txt``, of ``bolibrukh``
 on three tuples with non-integer entries under ``tests/data/`` (reducible
 n = 6, irreducible n = 5 pair, Jordan n = 6), and of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
-determinant x + 2 is not a unit, so P^-1 has denominators.  Any change to the numbers, the
+determinant x + 2 is not a unit, so P^-1 has denominators, and on the
+rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
+x^2 - 2x - 2).  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
@@ -54,6 +58,13 @@ FIELD_CASES = {
     ],
     "extension.gauge_p": [
         "gauge", INPUTS["extension"], os.path.join(HERE, "data", "gauge_p.txt")
+    ],
+    "local_system4.frobenius_n8": [
+        "frobenius", os.path.join(HERE, "data", "local_system4.txt"), "-N", "8"
+    ],
+    "gauge_a4.gauge_p4": [
+        "gauge", os.path.join(HERE, "data", "gauge_a4.txt"),
+        os.path.join(HERE, "data", "gauge_p4.txt"),
     ],
 }
 

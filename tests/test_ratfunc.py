@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgsplit.errors import NotInvertible
 from bgsplit.laurent import LaurentPoly, lp
@@ -136,3 +139,48 @@ def test_from_laurent_embedding():
     assert f.num == lp({0: 1, 3: 3}) and f.den == lp({2: 1})
     assert f.as_laurent() == p
     assert RatFunc(lp({0: 1}), lp({1: 1, 0: -1})).as_laurent() is None
+
+
+# -- poly_gcd against sympy -------------------------------------------------
+
+COEFF = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 5)))
+POLYS = st.one_of(
+    st.just(LaurentPoly.zero()),
+    st.builds(LaurentPoly.constant, COEFF),
+    st.builds(lambda cs, low: LaurentPoly({e + low: c for e, c in enumerate(cs)}),
+              st.lists(COEFF, max_size=5), st.integers(0, 2)),
+)
+
+
+def to_sympy(p, x):
+    return sum((sp.Rational(c.numerator, c.denominator) * x**e for e, c in p.terms.items()),
+               sp.Integer(0))
+
+
+def from_sympy(expr, x):
+    if expr == 0:
+        return LaurentPoly.zero()
+    return LaurentPoly({e: Fraction(int(c.p), int(c.q)) for (e,), c in sp.Poly(expr, x).terms()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=POLYS, b=POLYS, common=POLYS)
+def test_poly_gcd_matches_sympy(a, b, common):
+    """Planted common factors, zero, constant and one-sided-zero operands."""
+    if not common.is_zero:
+        a, b = a * common, b * common
+    x = sp.Symbol("x")
+    g = sp.gcd(to_sympy(a, x), to_sympy(b, x))
+    if g != 0:
+        g = g / sp.Poly(g, x).LC()
+    assert poly_gcd(a, b) == from_sympy(sp.expand(g), x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num=POLYS, den=POLYS.filter(bool), common=POLYS.filter(bool))
+def test_ratfunc_normal_form_matches_sympy(num, den, common):
+    x = sp.Symbol("x")
+    f = RatFunc(num * common, den * common)
+    n, d = sp.fraction(sp.cancel(to_sympy(num, x) / to_sympy(den, x)))
+    lead = sp.Poly(d, x).LC()
+    assert (f.num, f.den) == (from_sympy(sp.expand(n / lead), x), from_sympy(sp.expand(d / lead), x))
