@@ -71,10 +71,12 @@ from .linalg import nullspace
 from .lmatrix import LaurentMatrix
 from .monodromy import (
     CriterionReport,
+    IrreducibilityCertificate,
     JordanProfile,
     MonodromyRep,
     bolibrukh_criterion,
     check_product_identity,
+    irreducibility_certificate,
     is_irreducible,
     jordan_profile,
     monodromy_rep,

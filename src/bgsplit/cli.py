@@ -11,6 +11,7 @@ factorization is valid; its verdict is the result payload.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence, Tuple
@@ -329,7 +330,9 @@ def _cmd_bolibrukh(args) -> dict:
 # -- argument wiring -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = _Parser(prog="bgsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 

@@ -15,11 +15,12 @@ The dense fraction-free core (``eliminate``) serves ``det_q``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
+from .ratfunc import _primitive_coeffs, poly_divmod, poly_gcd, root_multiplicity
 
 Row = Sequence[Fraction]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -126,20 +127,21 @@ def sparse_int_rows(rows: Sequence[Dict[int, Fraction]]) -> List[SparseRow]:
     return out
 
 
-def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> None:
+def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> Optional[int]:
     """Reduce an integer row against the echelon rows and keep what is left.
 
     ``pivots`` maps each pivot column to its row, whose minimal column is
-    that pivot; a nonzero remainder joins it under its own minimal column.
-    Rows are combined fraction-free (cross-multiplied then gcd-reduced),
-    which is exact and keeps entries as small minors.
+    that pivot; a nonzero remainder joins it under its own minimal column,
+    which is returned (None when the row reduces to zero).  Rows are
+    combined fraction-free (cross-multiplied then gcd-reduced), which is
+    exact and keeps entries as small minors.
     """
     while row:
         c = min(row)
         p = pivots.get(c)
         if p is None:
             pivots[c] = _normalize_sign(_gcd_reduce(row))
-            return
+            return c
         a, b = row[c], p[c]
         new: SparseRow = {col: b * v for col, v in row.items()}
         for col, v in p.items():
@@ -149,6 +151,24 @@ def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> None:
             else:
                 new.pop(col, None)
         row = _gcd_reduce(new)
+    return None
+
+
+def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> Optional[int]:
+    """``echelon_insert`` over F_p on dense rows: ``pivots`` maps each pivot
+    column c to the tail from c of its row, made monic at c.  Entries are
+    reduced modulo the prime p only once the row is reduced; returns the
+    pivot column of the kept remainder, or None."""
+    for c in sorted(pivots):
+        f = row[c] % p
+        if f:
+            row[c:] = [x - f * y for x, y in zip(row[c:], pivots[c])]
+    row = [x % p for x in row]
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is not None:
+        inv = pow(row[c], -1, p)
+        pivots[c] = [x * inv % p for x in row[c:]]
+    return c
 
 
 def echelon_sparse(rows: Sequence[Dict[int, Fraction]]) -> Dict[int, SparseRow]:
@@ -206,7 +226,10 @@ def sparse_kernel(
 
 
 def _sparse_rows(matrix: Sequence[Sequence]) -> List[Dict[int, Fraction]]:
-    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
+    """Nonzero entries by column; ints stay ints, for the integer fast
+    path of ``sparse_int_rows``."""
+    return [{j: v if type(v) is int else Fraction(v) for j, v in enumerate(row) if v}
+            for row in matrix]
 
 
 def nullspace(matrix: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
@@ -220,6 +243,14 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(echelon_sparse(_sparse_rows(matrix)))
 
 
+def _int_or_qmat(rows: Sequence[Sequence]) -> Matrix:
+    """``qmat(rows)``, except that a matrix of ints stays one, so that its
+    rows take the integer fast path of ``sparse_int_rows``."""
+    if all(type(v) is int for row in rows for v in row) and len({len(r) for r in rows}) < 2:
+        return tuple(map(tuple, rows))
+    return qmat(rows)
+
+
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     """One exact solution of A x = b, or None when inconsistent.
 
@@ -227,13 +258,13 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     giving the matrix X with A X = b, one column per column of b.  Free
     variables, if any, are set to zero.
     """
-    a = qmat(a)
+    a = _int_or_qmat(a)
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     if len(b) != nrows:
         raise DimensionMismatch("right-hand side length mismatch")
     columns = bool(b) and isinstance(b[0], Sequence)
-    b = qmat(b if columns else [[v] for v in b])
+    b = _int_or_qmat(b if columns else [[v] for v in b])
     rows = []
     for arow, brow in zip(a, b):
         row = {j: v for j, v in enumerate(arow) if v}
@@ -348,49 +379,56 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
 def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:
     """All rational roots of a nonzero polynomial, with multiplicities.
 
-    Returned sorted ascending.  Exact: candidates come from the rational
-    root theorem on the primitive integer form.
+    Returned sorted ascending.  Polynomial-time, by p-adic lifting (Loos,
+    SIAM J. Comput. 1983): with f the primitive integer form of the
+    square-free part p / gcd(p, p') and a its leading coefficient, the
+    roots x of f are y/a for the integer roots y of the monic
+    h(y) = a^(m-1) f(y/a), m = deg f.  Those are the roots of h modulo
+    the first prime q at which every root of h is simple, Newton-lifted
+    past twice the Cauchy bound of h, read as symmetric residues and
+    each confirmed exactly.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if not p.is_polynomial():
         raise ValueError("Laurent input; shift to a polynomial first")
-    from .ratfunc import root_multiplicity
-
     roots = []
     low = p.ord()
     if low > 0:
         roots.append((Fraction(0), low))
         p = p.shift(-low)
-    mult = 1
-    for c in p.terms.values():
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ip = {e: int(c * mult) for e, c in p.terms.items()}
-    a0 = abs(ip.get(0, 0))
-    an = abs(ip[p.deg()])
-    if a0 == 0:
-        return sorted(roots)
-
-    def divisors(v: int) -> List[int]:
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return sorted(set(out))
-
-    seen = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p.evaluate(cand) == 0:
-                    roots.append((cand, root_multiplicity(p, cand)))
+    if p.deg() == 0:
+        return roots
+    f = _primitive_coeffs(poly_divmod(p, poly_gcd(p, p.derivative()))[0])
+    m, a = len(f) - 1, f[-1]
+    h = [c * a ** (m - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    bound = 2 * (1 + max(abs(c) for c in h))
+    q = 1
+    while True:  # h is square-free, so only primes dividing its discriminant fail
+        q += 1
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            residues = [r for r in range(q) if _horner(h, r) % q == 0]
+            if all(_horner(dh, r) % q for r in residues):
+                break
+    for r in residues:
+        mod = q
+        while mod <= bound:  # Newton: a simple root mod q^j lifts to q^2j
+            mod *= mod
+            r = (r - _horner(h, r) * pow(_horner(dh, r), -1, mod)) % mod
+        y = r - mod if 2 * r > mod else r
+        if _horner(h, y) == 0:
+            x = Fraction(y, a)
+            roots.append((x, root_multiplicity(p, x)))
     return sorted(roots)
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """Value at x of the integer polynomial with coefficients lowest first."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:

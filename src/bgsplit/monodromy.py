@@ -7,11 +7,14 @@ loop g1 g2 is M(g2) M(g1).  The product-identity convention therefore
 fixes the stored order, and check_product_identity multiplies
 left-to-right in that order.
 
-Irreducibility is decided by the word-span (Burnside) test: the unital
-algebra generated by the matrices acts irreducibly on C^n exactly when
-it is all of the n x n matrices, and the dimension of the word span over
-Q equals its dimension over any extension field, so the rational
-computation decides the complex question.
+Irreducibility over C rests on Burnside's theorem: the unital algebra
+generated by the matrices acts irreducibly on C^n exactly when it is all
+of the n x n matrices, and the dimension of the word span over Q equals
+its dimension over any extension field.  The cheapest certificate
+decides, as in the MeatAxe (Holt-Rees 1994): a proper invariant subspace
+spun from a rational eigenvector (reducible), else n^2 words independent
+modulo a prime (irreducible), else the exact word-span closure over Q,
+the only step that sees a tuple reducible over C but not over Q.
 """
 
 from __future__ import annotations
@@ -19,25 +22,33 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
 from .linalg import (
+    IntMatrix,
     Matrix,
     SparseRow,
     _gcd_reduce,
     charpoly,
     det_q,
     echelon_insert,
+    echelon_insert_mod,
     identity_q,
     integer_scaled,
     is_identity,
     mat_mul,
+    nullspace,
     qmat,
     rank,
+    rational_roots,
     trace,
+    transpose,
 )
+
+WORD_SPAN_PRIME = 2**61 - 1  # of the modular word-span closure
+Word = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,23 @@ class JordanProfile:
 
 
 @dataclass(frozen=True)
+class IrreducibilityCertificate:
+    """Evidence for the answer of ``is_irreducible``.
+
+    ``subspace`` is an integer basis of a proper nonzero subspace that
+    every matrix maps into itself (reducible).  ``words`` are n^2 words
+    whose loop images ``rep.loop_image(word)`` are linearly independent,
+    so they span all n x n matrices (irreducible).  Both are None when
+    the exact closure found a word span below n^2: reducible over C, with
+    no rational witness.
+    """
+
+    irreducible: bool
+    subspace: Optional[Tuple[Tuple[int, ...], ...]] = None
+    words: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+
+@dataclass(frozen=True)
 class CriterionReport:
     """Joint report of the non-realizability test hypotheses.
 
@@ -117,6 +145,7 @@ class CriterionReport:
     applies: bool
     reason: str = ""
     invariant_subspace_witness: Optional[Tuple[int, ...]] = None
+    certificate: Optional[IrreducibilityCertificate] = None
 
 
 def check_product_identity(rep: MonodromyRep) -> bool:
@@ -127,39 +156,120 @@ def check_product_identity(rep: MonodromyRep) -> bool:
     return is_identity(out)
 
 
-def _word_span_dimension(rep: MonodromyRep) -> int:
-    """Dimension over Q of the unital algebra generated by the matrices.
+def _word_span_dimension(
+    rep: MonodromyRep, prime: Optional[int] = None, words: Optional[List[Word]] = None
+) -> int:
+    """Dimension over Q of the unital algebra generated by the matrices,
+    or with a ``prime`` p the dimension over F_p, a lower bound for it.
 
     Breadth-first closure of {I} under right multiplication by the
-    generators, tracked by integer echelon reduction of the flattened
-    matrices.  Each generator is scaled once to an integer matrix; a
-    nonzero scalar does not change whether a word lies in a span, so the
-    accepted words and the dimension are those of the rational tuple.
+    generators, tracked by echelon reduction of the flattened matrices
+    over Z or over F_p.  Each generator is scaled once to an integer
+    matrix; a nonzero scalar does not change whether a word lies in a
+    span, so the accepted words and the dimension are those of the
+    rational tuple.  Words independent modulo p are independent over Q,
+    since a minor nonzero modulo p is nonzero.  The accepted words, one
+    per dimension, are appended to ``words`` when it is given.
+    """
+    n = rep.size
+    pivots: Dict[int, list] = {}
+    frontier: deque = deque()
+
+    def reduced(mat: IntMatrix) -> IntMatrix:
+        return tuple(tuple(v % prime for v in row) for row in mat) if prime else mat
+
+    def visit(word: Word, mat: IntMatrix) -> None:
+        if prime:
+            kept = echelon_insert_mod(pivots, [v for r in mat for v in r], prime)
+        else:
+            row = {k: v for k, v in enumerate(v for r in mat for v in r) if v}
+            kept = echelon_insert(pivots, _gcd_reduce(row))
+        if kept is not None:
+            frontier.append((word, mat))
+            if words is not None:
+                words.append(word)
+
+    gens = [reduced(integer_scaled(m)[1]) for m in rep.matrices]
+    visit((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    while frontier and len(pivots) < n * n:
+        word, mat = frontier.popleft()
+        for i, gen in enumerate(gens):
+            visit((i,) + word, reduced(mat_mul(mat, gen)))
+    return len(pivots)
+
+
+def _spin(seed: Sequence[int], gens: Sequence[IntMatrix]) -> Tuple[Tuple[int, ...], ...]:
+    """Echelon basis of the smallest subspace that contains ``seed`` and
+    that every generator maps into itself, exact over Z.  The spin stops
+    as soon as it is all of Q^n."""
+    n = len(seed)
+    pivots: Dict[int, SparseRow] = {}
+    queue: List[SparseRow] = []
+
+    def add(vec) -> None:
+        c = echelon_insert(pivots, {j: v for j, v in enumerate(vec) if v})
+        if c is not None:
+            queue.append(pivots[c])
+
+    add(seed)
+    for row in queue:
+        if len(pivots) == n:
+            break
+        for g in gens:
+            add(tuple(sum(g[i][j] * v for j, v in row.items()) for i in range(n)))
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for _, row in sorted(pivots.items()))
+
+
+def _invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Integer basis of a proper invariant subspace spun from a rational
+    eigenvector, or None.
+
+    For each generator's integer form N = d*M and each rational (hence
+    integer) eigenvalue lam of N, each basis vector of ker(N - lam) is
+    spun under the integer generators and each basis vector of
+    ker(N^T - lam) under their transposes.  A spin short of Q^n is
+    invariant; for the transposes its annihilator is.  Absence of a
+    witness proves nothing, but the search stops at a one-dimensional
+    kernel whose two spins are both full, because then no invariant
+    subspace exists even over C (Norton's argument): a proper invariant
+    U either contains the kernel vector of N - lam, or N - lam is
+    invertible on U and the kernel vector of N^T - lam annihilates U.
     """
     n = rep.size
     gens = [integer_scaled(m)[1] for m in rep.matrices]
-    pivots: Dict[int, SparseRow] = {}
+    sides = (gens, [transpose(g) for g in gens])
+    for k, big_n in enumerate(gens):
+        for lam, _ in rational_roots(charpoly(big_n)):
+            for side, act in enumerate(sides):
+                shifted = [[v - int(lam) if i == j else v for j, v in enumerate(row)]
+                           for i, row in enumerate(act[k])]
+                kernel = integer_scaled(nullspace(shifted))[1]
+                for vec in kernel:
+                    span = _spin(vec, act)
+                    if len(span) < n:
+                        return span if side == 0 else integer_scaled(nullspace(span))[1]
+            if len(kernel) == 1:  # ker(N - lam) has the dimension of ker(N^T - lam)
+                return None
+    return None
 
-    def independent(word) -> bool:
-        before = len(pivots)
-        row = {k: v for k, v in enumerate(v for r in word for v in r) if v}
-        echelon_insert(pivots, _gcd_reduce(row))
-        return len(pivots) > before
 
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    frontier = deque([ident] if independent(ident) else [])
-    while frontier and len(pivots) < n * n:
-        word = frontier.popleft()
-        for gen in gens:
-            cand = mat_mul(word, gen)
-            if independent(cand):
-                frontier.append(cand)
-    return len(pivots)
+def irreducibility_certificate(rep: MonodromyRep) -> IrreducibilityCertificate:
+    """Decide irreducibility over C by the cheapest certificate: a
+    rational invariant subspace, then n^2 words independent modulo
+    ``WORD_SPAN_PRIME``, then the exact word-span closure."""
+    subspace = _invariant_subspace(rep)
+    if subspace is not None:
+        return IrreducibilityCertificate(irreducible=False, subspace=subspace)
+    for prime in (WORD_SPAN_PRIME, None):
+        words: List[Word] = []
+        if _word_span_dimension(rep, prime, words) == rep.size * rep.size:
+            return IrreducibilityCertificate(irreducible=True, words=tuple(words))
+    return IrreducibilityCertificate(irreducible=False)
 
 
 def is_irreducible(rep: MonodromyRep) -> bool:
     """True when no common invariant subspace exists over C (Burnside)."""
-    return _word_span_dimension(rep) == rep.size * rep.size
+    return irreducibility_certificate(rep).irreducible
 
 
 def coordinate_invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[int, ...]]:
@@ -216,7 +326,8 @@ def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
     monodromy.  Sizes below 4 are reported but never certified.
     """
     product_ok = check_product_identity(rep)
-    reducible = not is_irreducible(rep)
+    certificate = irreducibility_certificate(rep)
+    reducible = not certificate.irreducible
     witness = coordinate_invariant_subspace(rep) if reducible else None
     profiles = [jordan_profile(m) for m in rep.matrices]
     all_single = all(p.single_block for p in profiles)
@@ -257,6 +368,7 @@ def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
         applies=applies,
         reason=reason,
         invariant_subspace_witness=witness,
+        certificate=certificate,
     )
 
 

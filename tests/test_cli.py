@@ -336,3 +336,28 @@ def test_text_format_and_out_flag(tmp_path, capsys):
     assert code == 0 and out == ""
     content = out_file.read_text()
     assert "result.indices: [0, 0]" in content
+
+
+def test_parser_state_does_not_leak_between_calls(tmp_path, capsys):
+    path = write(tmp_path, "ext.txt", EXT)
+    first = run(capsys, "h0", path)
+    assert run(capsys, "h0", path, "-k", "2")[0] == 0
+    code, out, err = run(capsys, "h0", path, "-k", "not-an-int")
+    assert code == 1 and out == "" and "usage error" in err
+    assert run(capsys, "h0")[0] == 1
+    assert run(capsys, "h0", path) == first
+    assert json.loads(first[1])["result"]["twist"] == 0
+
+
+def test_indicial_with_a_huge_constant_term_does_not_hang(tmp_path):
+    # The rational zeros of x^2 - x + c come from p-adic lifting; trial
+    # division up to sqrt(c) would take hours here.
+    path = write(tmp_path, "huge.txt",
+                 "kind = scalar_ode, n = 2\n0\n123456789012345678901237/x^2\n")
+    start = time.monotonic()
+    code, out, err = _run_process("indicial", path, "-p", "0")
+    assert time.monotonic() - start < 10
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["polynomial"] == "123456789012345678901237 - x + x^2"
+    assert result["rational_roots"] == []

@@ -8,8 +8,10 @@ read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
 ``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
 -N 8`` on the non-triangular 4 x 4 residue with denominators 2, 3 and 7
 and two tail terms in ``tests/data/local_system4.txt``, of ``bolibrukh``
-on three tuples with non-integer entries under ``tests/data/`` (reducible
-n = 6, irreducible n = 5 pair, Jordan n = 6), and of ``gauge`` on the
+on five tuples with non-integer entries under ``tests/data/`` (reducible
+n = 6, irreducible n = 5 pair, Jordan n = 6, a 4 x 4 pair reducible
+only over Q(i), which only the exact word-span closure decides, and an
+irreducible n = 5 pair with denominator 999991), and of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
@@ -44,7 +46,8 @@ FIELD_CASES = {
     "monodromy.bolibrukh": ["bolibrukh", os.path.join(DEMOS, "monodromy.txt")],
     **{
         f"{stem}.bolibrukh": ["bolibrukh", os.path.join(HERE, "data", f"{stem}.txt")]
-        for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6")
+        for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6",
+                     "monodromy_gaussian4", "monodromy_irreducible5_wide")
     },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
     "hypergeometric.indicial_oo": [
