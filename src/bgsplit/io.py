@@ -9,6 +9,17 @@ with integer or fraction coefficients and ``^`` powers, e.g.
 ``x^-1 + 3/2*x^2``.  Emission is canonical, so emit(parse(emit(obj)))
 is byte-identical to emit(obj).
 
+Entries are read in one pass: one compiled regex splits an entry into
+ASCII digit runs and single non-space characters, and a sum adds its
+Laurent terms into one term map, so parsing is linear in the number of
+terms.  Numerals are ASCII digits only, at most MAX_NUMERAL_DIGITS of
+them; ``^`` refuses, with WorkBudgetExceeded and before computing, a
+power whose size bound exceeds POWER_TERM_BUDGET terms or
+POWER_BIT_BUDGET coefficient bits.  Atoms, monomial powers and the sums
+are built with the trusted constructor ``laurent._trusted``, whose
+contract (int exponents, nonzero Fraction coefficients, a map nobody
+mutates afterwards) the parser guarantees by construction.
+
 Result documents are JSON objects carrying the command echo, a digest of
 the input bytes, the result payload and a certificate payload; fractions
 are serialized as strings so no consumer ever rounds.
@@ -18,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded
 from .fuchsian import FuchsianSystem, ScalarODE
-from .laurent import LaurentPoly
+from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
 from .monodromy import MonodromyRep
 from .ratfunc import INF, Infinity, RatFunc
@@ -41,33 +54,49 @@ KINDS = ("laurent_matrix", "rat_matrix_list", "fuchsian_system", "scalar_ode", "
 # the same as evaluating everything in Q(x).
 Value = Union[LaurentPoly, RatFunc]
 
+# Longest numeral (run of ASCII digits) an entry may hold: CPython's
+# default limit for int() on a decimal string.
+MAX_NUMERAL_DIGITS = 4300
+
+# Work budget of ``^``: a power whose result could have more terms than
+# POWER_TERM_BUDGET, or a coefficient of more than POWER_BIT_BUDGET bits
+# (numerator and denominator together), is refused before it is computed.
+POWER_TERM_BUDGET = 512
+POWER_BIT_BUDGET = 4096
+
+# One token per ASCII digit run or non-space character; whitespace
+# separates tokens and is dropped.
+_TOKEN = re.compile(r"[0-9]+|\S")
+_DIGITS = "0123456789"
+
 
 class _Tokenizer:
+    """The tokens of one entry, read left to right, then a None sentinel."""
+
+    __slots__ = ("text", "line", "col_offset", "toks", "pos")
+
     def __init__(self, text: str, line: int, col_offset: int):
         self.text = text
         self.line = line
         self.col_offset = col_offset
+        self.toks: List[Optional[str]] = _TOKEN.findall(text)
+        self.toks.append(None)
         self.pos = 0
 
-    def error(self, message: str, pos: Optional[int] = None) -> ParseError:
-        at = self.pos if pos is None else pos
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the current token, or at the end of the text."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        at = starts[self.pos] if self.pos < len(starts) else len(self.text)
         return ParseError(message, line=self.line, column=self.col_offset + at + 1)
 
-    def peek(self) -> Optional[str]:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
     def take_int(self) -> int:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        tok = self.toks[self.pos]
+        if tok is None or tok[0] not in _DIGITS:
             raise self.error("integer expected")
-        return int(self.text[start:self.pos])
+        if len(tok) > MAX_NUMERAL_DIGITS:
+            raise self.error(f"numeral longer than {MAX_NUMERAL_DIGITS} digits")
+        self.pos += 1
+        return int(tok)
 
 
 def _as_ratfunc(value: Value) -> RatFunc:
@@ -83,44 +112,99 @@ def _divide(num: Value, den: Value) -> Value:
     return _as_ratfunc(num) / _as_ratfunc(den)
 
 
+def _check_power(p: LaurentPoly, exp: int) -> None:
+    """Refuse p^exp, exp >= 0, when it could exceed the ``^`` budget.
+
+    With p = P/D, P integral with coefficient sum S of absolute values,
+    every coefficient of p^exp has a numerator of at most S^exp and a
+    denominator of at most D^exp.  When the k exponents of p differ by
+    multiples of g, the power has at most exp*(deg p - ord p)/g + 1 terms,
+    and at most C(exp + k - 1, k - 1).
+    """
+    coeffs = p.terms
+    k = len(coeffs)
+    if not k:
+        return
+    if k > 1:
+        low = min(coeffs)
+        step = gcd(*(e - low for e in coeffs))
+        terms = exp * ((max(coeffs) - low) // step) + 1
+        if POWER_TERM_BUDGET < terms and exp < POWER_TERM_BUDGET:
+            terms = min(terms, comb(exp + k - 1, k - 1))
+        if terms > POWER_TERM_BUDGET:
+            raise WorkBudgetExceeded(
+                f"power with up to {terms} terms exceeds the work budget of "
+                f"{POWER_TERM_BUDGET} terms"
+            )
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    size = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs.values())
+    bits = exp * ((size - 1).bit_length() + (den - 1).bit_length())
+    if bits > POWER_BIT_BUDGET:
+        raise WorkBudgetExceeded(
+            f"power with {bits}-bit coefficients exceeds the work budget of "
+            f"{POWER_BIT_BUDGET} bits"
+        )
+
+
 def _power(base: Value, exp: int) -> Value:
     """base^exp: a monomial takes any integer exponent, another Laurent
-    polynomial any exponent >= 0; the rest is computed in Q(x)."""
-    if isinstance(base, LaurentPoly):
-        mono = base.as_monomial()
-        if mono is not None:
-            c, t = mono
-            return LaurentPoly.x_power(t * exp, c**exp)
-        if exp >= 0:
-            return base**exp
-    value = _as_ratfunc(base)
-    if exp < 0:
-        value, exp = RatFunc.one() / value, -exp
-    return RatFunc(value.num**exp, value.den**exp)
+    polynomial any exponent >= 0; the rest is computed in Q(x).  The
+    ``^`` budget is checked before anything is computed."""
+    if isinstance(base, RatFunc):
+        _check_power(base.num, abs(exp))
+        _check_power(base.den, abs(exp))
+        return base**exp
+    mono = base.as_monomial()
+    if mono is not None:
+        c, t = mono
+        if c != 1:
+            _check_power(base, abs(exp))
+            c = c**exp
+        return _trusted({t * exp: c})
+    _check_power(base, abs(exp))
+    return base**exp if exp >= 0 else _as_ratfunc(base) ** exp
 
 
 def _parse_expression(tok: _Tokenizer) -> Value:
+    """A sum of terms.  Laurent terms add into one term map, and the sum
+    is lifted to Q(x) only when a term is a rational function."""
     value = _parse_term(tok)
+    toks = tok.toks
+    sign = toks[tok.pos]
+    if sign != "+" and sign != "-":
+        return value
+    terms: Dict[int, Fraction] = {}
+    lifted: Optional[RatFunc] = None
+    sign = "+"
     while True:
-        c = tok.peek()
-        if c == "+":
-            tok.pos += 1
-            value = value + _parse_term(tok)
-        elif c == "-":
-            tok.pos += 1
-            value = value - _parse_term(tok)
+        if isinstance(value, RatFunc):
+            if sign == "-":
+                value = -value
+            lifted = value if lifted is None else lifted + value
         else:
-            return value
+            for e, c in value.terms.items():
+                if sign == "-":
+                    c = -c
+                old = terms.get(e)
+                terms[e] = c if old is None else old + c
+        sign = toks[tok.pos]
+        if sign != "+" and sign != "-":
+            break
+        tok.pos += 1
+        value = _parse_term(tok)
+    total = _trusted({e: c for e, c in terms.items() if c})
+    return total if lifted is None else lifted + total
 
 
 def _parse_term(tok: _Tokenizer) -> Value:
     value = _parse_factor(tok)
+    toks = tok.toks
     while True:
-        c = tok.peek()
-        if c == "*":
+        op = toks[tok.pos]
+        if op == "*":
             tok.pos += 1
             value = value * _parse_factor(tok)
-        elif c == "/":
+        elif op == "/":
             tok.pos += 1
             value = _divide(value, _parse_factor(tok))
         else:
@@ -128,11 +212,11 @@ def _parse_term(tok: _Tokenizer) -> Value:
 
 
 def _parse_factor(tok: _Tokenizer) -> Value:
-    c = tok.peek()
-    if c == "-":
+    op = tok.toks[tok.pos]
+    if op == "-":
         tok.pos += 1
         return -_parse_factor(tok)
-    if c == "+":
+    if op == "+":
         tok.pos += 1
         return _parse_factor(tok)
     return _parse_power(tok)
@@ -140,32 +224,33 @@ def _parse_factor(tok: _Tokenizer) -> Value:
 
 def _parse_power(tok: _Tokenizer) -> Value:
     base = _parse_atom(tok)
-    if tok.peek() == "^":
+    toks = tok.toks
+    if toks[tok.pos] == "^":
         tok.pos += 1
-        sign = 1
-        if tok.peek() == "-":
+        if toks[tok.pos] == "-":
             tok.pos += 1
-            sign = -1
-        return _power(base, sign * tok.take_int())
+            return _power(base, -tok.take_int())
+        return _power(base, tok.take_int())
     return base
 
 
 def _parse_atom(tok: _Tokenizer) -> Value:
-    c = tok.peek()
+    c = tok.toks[tok.pos]
     if c is None:
         raise tok.error("unexpected end of expression")
     if c == "(":
         tok.pos += 1
         value = _parse_expression(tok)
-        if tok.peek() != ")":
+        if tok.toks[tok.pos] != ")":
             raise tok.error("')' expected")
         tok.pos += 1
         return value
-    if c in ("x", "z"):
+    if c == "x" or c == "z":
         tok.pos += 1
-        return LaurentPoly.x_power(1)
-    if c.isdigit():
-        return LaurentPoly.constant(tok.take_int())
+        return X
+    if c[0] in _DIGITS:
+        n = tok.take_int()
+        return _trusted({0: Fraction(n)} if n else {})
     raise tok.error(f"unexpected character {c!r}")
 
 
@@ -177,7 +262,7 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
         raise ParseError(
             "expression nested too deeply", line=line, column=col_offset + 1
         ) from None
-    if tok.peek() is not None:
+    if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
     return value
 

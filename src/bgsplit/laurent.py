@@ -6,6 +6,12 @@ The zero polynomial has an empty map.  Values are immutable and hashable;
 every operation returns a new object, so instances are safe to share
 across threads.
 
+The public constructor ``LaurentPoly(terms)`` validates and copies its
+input.  Arithmetic builds its results through the private trusted
+constructor :func:`_trusted`, which wraps a term map as it is: the caller
+guarantees int exponents and nonzero ``Fraction`` coefficients, and hands
+the map over (nothing may mutate it afterwards).
+
 Canonical text form lists terms in ascending exponent order, e.g.
 ``-x^-1 + 2 + 3/2*x^2``.  The parser for this syntax lives in
 :mod:`bgsplit.io`.
@@ -17,6 +23,17 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _subtract_multiple(rem: dict, terms: Mapping[int, Fraction], shift: int, c: Fraction) -> None:
+    """rem -= c * x^shift * terms, in place, dropping the terms that cancel."""
+    for e, v in terms.items():
+        k = e + shift
+        s = rem.get(k, 0) - c * v
+        if s:
+            rem[k] = s
+        else:
+            rem.pop(k, None)
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -119,17 +136,21 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            s = terms.get(exp, Fraction(0)) + coeff
-            if s:
-                terms[exp] = s
+            old = terms.get(exp)
+            if old is None:
+                terms[exp] = coeff
             else:
-                terms.pop(exp, None)
-        return LaurentPoly(terms)
+                s = old + coeff
+                if s:
+                    terms[exp] = s
+                else:
+                    del terms[exp]
+        return _trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._lift(other)
@@ -147,18 +168,29 @@ class LaurentPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return LaurentPoly()
+        left, right = self._terms, other._terms
+        if not left or not right:
+            return _trusted({})
+        if len(left) == 1:
+            (e1, c1), = left.items()
+            return _trusted({e1 + e2: c1 * c2 for e2, c2 in right.items()})
+        if len(right) == 1:
+            (e2, c2), = right.items()
+            return _trusted({e1 + e2: c1 * c2 for e1, c1 in left.items()})
         prod: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 e = e1 + e2
-                s = prod.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    prod[e] = s
+                old = prod.get(e)
+                if old is None:
+                    prod[e] = c1 * c2
                 else:
-                    del prod[e]
-        return LaurentPoly(prod)
+                    s = old + c1 * c2
+                    if s:
+                        prod[e] = s
+                    else:
+                        del prod[e]
+        return _trusted(prod)
 
     __rmul__ = __mul__
 
@@ -174,7 +206,7 @@ class LaurentPoly:
         if not other._terms:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self._terms:
-            return LaurentPoly()
+            return _trusted({})
         top = max(other._terms)
         lead = other._terms[top]
         low = min(self._terms) - min(other._terms)
@@ -186,13 +218,8 @@ class LaurentPoly:
                 raise ArithmeticError("inexact division of Laurent polynomials")
             c = rem[q + top] / lead
             quot[q] = c
-            for e, v in other._terms.items():
-                s = rem.get(q + e, Fraction(0)) - c * v
-                if s:
-                    rem[q + e] = s
-                else:
-                    rem.pop(q + e, None)
-        return LaurentPoly(quot)
+            _subtract_multiple(rem, other._terms, q, c)
+        return _trusted(quot)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
@@ -202,26 +229,29 @@ class LaurentPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: Scalar) -> "LaurentPoly":
         c = _coerce(c)
         if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: v * c for e, v in self._terms.items()})
+            return _trusted({})
+        return _trusted({e: v * c for e, v in self._terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k (shift every exponent by k)."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        if not k:
+            return self
+        return _trusted({e + k: c for e, c in self._terms.items()})
 
     def reciprocal_substitution(self) -> "LaurentPoly":
         """The Laurent polynomial p(1/x) (negate every exponent)."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        return _trusted({-e: c for e, c in self._terms.items()})
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self._terms.items() if e})
+        return _trusted({e - 1: c * e for e, c in self._terms.items() if e})
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Evaluate at a nonzero rational point (nonzero if ord < 0)."""
@@ -281,6 +311,22 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
+
+
+_new = object.__new__
+_set_terms = LaurentPoly._terms.__set__
+
+
+def _trusted(terms: dict) -> LaurentPoly:
+    """Wrap a term map that is already clean, without checking or copying.
+
+    Contract: every key is an int, every value a nonzero ``Fraction``, and
+    the map belongs to the result from now on.  Inputs that may break it
+    go through ``LaurentPoly(...)``, which validates.
+    """
+    poly = _new(LaurentPoly)
+    _set_terms(poly, terms)
+    return poly
 
 
 ZERO = LaurentPoly.zero()

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
-from .errors import NotInvertible
-from .laurent import LaurentPoly, Scalar, _coerce
+from .errors import NotInvertible, WorkBudgetExceeded
+from .laurent import LaurentPoly, Scalar, _coerce, _subtract_multiple, _trusted
 
 
 class Infinity:
@@ -35,6 +35,11 @@ class Infinity:
 INF = Infinity()
 Point = Union[Fraction, int, Infinity]
 
+# Work budget of poly_gcd: the remainder sequence runs on dense coefficient
+# lists, so operands of higher degree (after the common power of x is split
+# off) are refused with WorkBudgetExceeded.
+GCD_DEGREE_BUDGET = 1 << 12
+
 
 def _require_poly(p: LaurentPoly, what: str = "operand") -> LaurentPoly:
     if not p.is_polynomial():
@@ -43,21 +48,23 @@ def _require_poly(p: LaurentPoly, what: str = "operand") -> LaurentPoly:
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Long division a = q*b + r with deg r < deg b, over Q[x]."""
+    """Long division a = q*b + r with deg r < deg b, over Q[x], in place
+    on one remainder map (one pass per quotient term)."""
     _require_poly(a), _require_poly(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q = LaurentPoly.zero()
-    r = a
-    db = b.deg()
-    lead_b = b.coeff(db)
-    while not r.is_zero and r.deg() >= db:
-        e = r.deg() - db
-        c = r.coeff(r.deg()) / lead_b
-        mono = LaurentPoly.x_power(e, c)
-        q = q + mono
-        r = r - mono * b
-    return q, r
+    divisor = b.terms
+    db = max(divisor)
+    lead = divisor[db]
+    rem, quot = a.terms, {}
+    while rem:
+        top = max(rem)
+        if top < db:
+            break
+        c = rem[top] / lead
+        quot[top - db] = c
+        _subtract_multiple(rem, divisor, top - db, c)
+    return _trusted(quot), _trusted(rem)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -67,17 +74,29 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     polynomial remainder sequence in Z[x] (Brown, JACM 1971): each
     pseudo-remainder is divided by the gcd of its coefficients, so no
     fraction appears until the last primitive remainder is made monic.
+    When either operand is a monomial the gcd is that power of x, found
+    without the dense coefficient lists; otherwise an operand of degree
+    above GCD_DEGREE_BUDGET, once its power of x is split off, is refused
+    before the lists are built.
     """
     _require_poly(a), _require_poly(b)
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
         return p if p.is_zero else p.scale(1 / p.coeff(p.deg()))
+    low = min(a.ord(), b.ord())
+    if a.as_monomial() is not None or b.as_monomial() is not None:
+        return LaurentPoly.x_power(low)
+    for p in (a, b):
+        if p.deg() - p.ord() > GCD_DEGREE_BUDGET:
+            raise WorkBudgetExceeded(
+                f"polynomial gcd on degree {p.deg() - p.ord()} exceeds the work budget "
+                f"of degree {GCD_DEGREE_BUDGET}"
+            )
     f, g = _primitive_coeffs(a), _primitive_coeffs(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_pseudo_remainder(f, g))
-    low = min(a.ord(), b.ord())
     return LaurentPoly({e + low: Fraction(c, f[-1]) for e, c in enumerate(f)})
 
 
@@ -163,6 +182,8 @@ def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:
     _require_poly(p)
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if point == 0:
+        return p.ord()
     factor = LaurentPoly({1: 1, 0: -_coerce(point)})
     mult = 0
     while p.evaluate(point) == 0:
@@ -316,6 +337,16 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def __pow__(self, n: int) -> "RatFunc":
+        """self^n for any integer n.  num and den are coprime and den is
+        monic, so num^n/den^n is already reduced: no gcd runs."""
+        if n < 0:
+            return (RatFunc.one() / self) ** -n
+        power = object.__new__(RatFunc)
+        object.__setattr__(power, "num", self.num**n)
+        object.__setattr__(power, "den", self.den**n)
+        return power
 
     def inverse(self) -> "RatFunc":
         if self.is_zero:

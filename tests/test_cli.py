@@ -361,3 +361,40 @@ def test_indicial_with_a_huge_constant_term_does_not_hang(tmp_path):
     result = json.loads(out)["result"]
     assert result["polynomial"] == "123456789012345678901237 - x + x^2"
     assert result["rational_roots"] == []
+
+
+# Entries the parser refuses up front: non-ASCII digits and over-long
+# numerals are parse errors (exit 2), and a power over the work budget of
+# ``^`` is a domain error (exit 3), raised before it is computed.
+REFUSED_ENTRIES = {
+    "superscript_exponent": ("x^²", 2, "parse error: integer expected (line 2, column 3)"),
+    "superscript_numeral": ("²", 2, "parse error: unexpected character '²' (line 2, column 1)"),
+    "arabic_indic_exponent": ("x^٣", 2, "parse error: integer expected (line 2, column 3)"),
+    "long_numeral": ("x + " + "7" * 5000, 2,
+                     "parse error: numeral longer than 4300 digits (line 2, column 5)"),
+    "power_of_two": ("2^20000", 3, "domain error: power with 20000-bit coefficients"),
+    "binomial_power": ("(x+1)^3000000", 3, "domain error: power with up to 3000001 terms"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ENTRIES))
+def test_refused_entry_exits_cleanly(tmp_path, case):
+    entry, want_code, want_err = REFUSED_ENTRIES[case]
+    path = write(tmp_path, "entry.txt", "kind = laurent_matrix, n = 1\n" + entry + "\n")
+    start = time.monotonic()
+    code, out, err = _run_process("split", path)
+    assert time.monotonic() - start < 30
+    assert code == want_code and out == ""
+    assert err.startswith(want_err), err
+    assert "Traceback" not in err
+
+
+def test_fuchs_ode_with_a_huge_pole_order_at_zero_does_not_hang(tmp_path):
+    # The multiplicity of the root 0 is the lowest exponent; dividing by x
+    # once per unit of multiplicity would take 10^8 steps here.
+    path = write(tmp_path, "ode.txt", "kind = scalar_ode, n = 1\nx^-99999999\n")
+    start = time.monotonic()
+    code, out, err = _run_process("fuchs-ode", path)
+    assert time.monotonic() - start < 30
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: coefficient of derivative order 0 has a pole")

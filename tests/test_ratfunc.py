@@ -184,3 +184,27 @@ def test_ratfunc_normal_form_matches_sympy(num, den, common):
     n, d = sp.fraction(sp.cancel(to_sympy(num, x) / to_sympy(den, x)))
     lead = sp.Poly(d, x).LC()
     assert (f.num, f.den) == (from_sympy(sp.expand(n / lead), x), from_sympy(sp.expand(d / lead), x))
+
+
+def _sympy_terms(poly):
+    return {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.as_dict().items()}
+
+
+polynomials = st.dictionaries(
+    st.integers(0, 7), st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6
+).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, polynomials.filter(bool))
+def test_poly_divmod_matches_sympy_div(a, b):
+    x = sp.symbols("x")
+
+    def to_sympy(p):
+        expr = sum((sp.Rational(c.numerator, c.denominator) * x**e for e, c in p.terms.items()),
+                   sp.Integer(0))
+        return sp.Poly(expr, x, domain="QQ")
+
+    want_q, want_r = sp.div(to_sympy(a), to_sympy(b))
+    q, r = poly_divmod(a, b)
+    assert (q.terms, r.terms) == (_sympy_terms(want_q), _sympy_terms(want_r))
