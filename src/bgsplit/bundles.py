@@ -86,9 +86,6 @@ class SplittingType:
     def degree(self) -> int:
         return sum(self.indices)
 
-    def twisted(self, k: int) -> "SplittingType":
-        return SplittingType(tuple(d + k for d in self.indices))
-
     def dual(self) -> "SplittingType":
         return SplittingType(tuple(-d for d in reversed(self.indices)))
 
@@ -147,8 +144,10 @@ class RiemannRochReport:
 
 # -- section spaces ----------------------------------------------------
 
-# Most unknowns n*(bound+1), or target exponents, of a section system.  Tests and
-# benchmark need under 10^3, a planted rank-24 bundle 10^4, x^99999999999 10^11.
+# Most unknowns n*(bound+1), or target exponents, of a section system, and most
+# n*(span+1) of a factorization, whose order-basis loop takes about that many
+# steps.  Tests and benchmark need under 10^3, a planted rank-24 bundle 10^4,
+# x^99999999999 10^11.
 SECTION_BUDGET = 1 << 16
 
 
@@ -317,9 +316,16 @@ def birkhoff_factor(e: BundleOnP1) -> Factorization:
     entries and constant determinant.  The factor pair is not unique but
     the exponent multiset is an invariant of the bundle.  The result is
     verified by multiply-back before returning; a verification failure
-    is an internal defect and raises InternalSearchExhausted.
+    is an internal defect and raises InternalSearchExhausted.  The
+    iteration steps once per order up to about rank * span orders, so
+    that product is held to SECTION_BUDGET first (WorkBudgetExceeded).
     """
-    b, exponents, c = factor_to_diagonal(e.transition)
+    lo, hi = e.transition.exponent_range()
+    if e.rank * (hi - lo + 1) > SECTION_BUDGET:
+        raise WorkBudgetExceeded(f"factorization in rank {e.rank} needs more than "
+                                 f"{SECTION_BUDGET // e.rank} orders, over the work budget "
+                                 f"of {SECTION_BUDGET}")
+    b, exponents, c = factor_to_diagonal(e.transition, e.det_exponent)
     factorization = Factorization(b=b, c=c, exponents=SplittingType(exponents))
     report = verify_factorization(e, factorization)
     if not report.valid:
@@ -343,16 +349,13 @@ def verify_factorization(
     exps = factorization.exponents.indices
     if not (a.n == b.n == c.n == len(exps)):
         return VerificationReport(False, "shape", "dimensions disagree")
-    unit_b = b.unit_det()
-    if unit_b is None or unit_b[1] != 0:
-        return VerificationReport(
-            False, "det(B) constant", f"det(B) = {b.det()} is not a nonzero constant"
-        )
-    unit_c = c.unit_det()
-    if unit_c is None or unit_c[1] != 0:
-        return VerificationReport(
-            False, "det(C) constant", f"det(C) = {c.det()} is not a nonzero constant"
-        )
+    for name, factor in (("B", b), ("C", c)):
+        det = factor.det()
+        unit = det.as_monomial()
+        if unit is None or unit[1] != 0:
+            return VerificationReport(
+                False, f"det({name}) constant", f"det({name}) = {det} is not a nonzero constant"
+            )
     if not b.is_polynomial():
         return VerificationReport(
             False, "B polynomial", "B has a negative exponent"

@@ -131,21 +131,6 @@ class FuchsianSystem:
                     total[i][j] += m[i][j]
         return tuple(tuple(-v for v in row) for row in total)
 
-    def system_matrix(self) -> RFMatrix:
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = RatFunc.zero()
-                for p, m in zip(self.points, self.residues):
-                    if m[i][j]:
-                        pole = LaurentPoly({1: 1, 0: -p})
-                        entry = entry + RatFunc(LaurentPoly.constant(m[i][j]), pole)
-                row.append(entry)
-            rows.append(tuple(row))
-        return tuple(rows)
-
 
 def fuchsian_system(points: Sequence, residues: Sequence) -> FuchsianSystem:
     return FuchsianSystem.from_data(points, residues)
@@ -181,10 +166,6 @@ class FrobeniusSeries:
 
     r: Matrix
     s: Tuple[Matrix, ...]
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.s) - 1
 
 
 @dataclass(frozen=True)
@@ -285,7 +266,12 @@ def classify_singularity_scalar(ode: ScalarODE, point: Point) -> SingularityRepo
     every a is finite, first kind means every b is finite, and the rank
     is the highest pole order among the b's (0 for the first two kinds).
     """
-    local = _localize_ode(ode, point)
+    return _classify_local(_localize_ode(ode, point), point)
+
+
+def _classify_local(local: ScalarODE, point: Point) -> SingularityReport:
+    """classify_singularity_scalar on the equation already in the local
+    coordinate of the point."""
     n = local.order
     ordinary = True
     rank = 0
@@ -389,10 +375,10 @@ def indicial_polynomial(ode: ScalarODE, point: Point) -> IndicialData:
     in the local coordinate; the exponent sum is n(n-1)/2 - b_(n-1)(0),
     which matches the negated subleading coefficient (Vieta).
     """
-    report = classify_singularity_scalar(ode, point)
+    local = _localize_ode(ode, point)
+    report = _classify_local(local, point)
     if report.kind == SECOND_KIND:
         raise NotFirstKind(f"irregular singularity at {point} (rank {report.rank})")
-    local = _localize_ode(ode, point)
     n = local.order
     xk = RatFunc.from_laurent(LaurentPoly({1: 1}))
     poly = _falling_factorial(n)
@@ -456,15 +442,17 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
         locus = poly_lcm(locus, rad)
     num_finite = locus.deg() if not locus.is_zero else 0
 
-    at_inf = classify_singularity_scalar(ode, INF)
+    local_inf = _infinity_chart_ode(ode)
+    at_inf = _classify_local(local_inf, INF)
     if at_inf.kind == SECOND_KIND:
         raise NotFuchsian(f"irregular singularity at infinity (rank {at_inf.rank})")
     infinity_singular = at_inf.kind == FIRST_KIND
 
     half = Fraction(n * (n - 1), 2)
     lhs = num_finite * half - _sum_of_finite_residues(ode.coeffs[0])
-    if infinity_singular:
-        lhs += indicial_polynomial(ode, INF).exponent_sum
+    if infinity_singular:  # plus the exponent sum n(n-1)/2 - b_(n-1)(0) at infinity
+        b1 = local_inf.coeffs[0] * RatFunc.from_laurent(LaurentPoly({1: 1}))
+        lhs += half - b1.evaluate(Fraction(0))
     num_sing = num_finite + (1 if infinity_singular else 0)
     rhs = half * (num_sing - 2)
     return FuchsRelationReport(

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
+_FRACTION_ZERO = Fraction(0)  # Fractions are immutable, so one zero serves every miss
 
 
 def _subtract_multiple(rem: dict, terms: Mapping[int, Fraction], shift: int, c: Fraction) -> None:
@@ -91,7 +92,7 @@ class LaurentPoly:
         return iter(sorted(self._terms.items()))
 
     def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+        return self._terms.get(exp, _FRACTION_ZERO)
 
     @property
     def is_zero(self) -> bool:

@@ -7,146 +7,81 @@ descending integers d_1 >= ... >= d_n with
     B * A * C = diag(x^d_1, ..., x^d_n)      (exactly).
 
 Method: shift A to a polynomial matrix F = x^m * A and grow a minimal
-approximant basis P of F order by order (van Barel-Bultheel iteration):
-at order s the constant coefficient of the running residual F*P is
-column-reduced, and the columns that remain nonzero are multiplied by x.
-Every P produced this way has det P = x^(sum of column multiplications),
-so G := x^-sigma * F * P has det G = c * x^(tau + sum(mu) - n*sigma) with
-tau = ord det F.  The iteration has converged exactly when that exponent
+approximant basis P of F order by order (van Barel-Bultheel iteration).
+Column j is kept as one stacked list of 2n entries, P_j on top and the
+residual (F*P)_j below, so every column operation acts on both at once.
+At order s the constant coefficient of the residual is column-reduced,
+and the columns that remain nonzero are multiplied by x.  Every P
+produced this way has det P = x^(sum of column multiplications), so
+G := x^-sigma * F * P has det G = c * x^(tau + sum(mu) - n*sigma) with
+tau = t + n*m.  The iteration has converged exactly when that exponent
 is zero; then B = G^-1 is polynomial with constant determinant,
 C = P * diag(x^-mu_j) has nonpositive exponents and constant determinant,
 and A*C = G*Lambda with Lambda = diag(x^(sigma - m - mu_j)).
 
-The caller certifies the output by an exact multiply-back check, so the
-iteration cap is a backstop only; hitting it is a defect, not a user
-error.
+The exponent t comes from the caller, which already holds det A; this
+module computes no determinant.  The caller certifies the output by an
+exact multiply-back check, so the iteration cap is a backstop only;
+hitting it is a defect, not a user error.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .errors import InternalSearchExhausted, NotInvertibleOverLaurentRing
+from .errors import InternalSearchExhausted
 from .laurent import LaurentPoly
 from .lmatrix import LaurentMatrix
 
-# residual column: {exponent: coefficient vector of length n}
-_ResidualColumn = Dict[int, List[Fraction]]
 
+def factor_to_diagonal(
+    a: LaurentMatrix, t: int
+) -> Tuple[LaurentMatrix, Tuple[int, ...], LaurentMatrix]:
+    """Return (B, exponents, C) with B*A*C diagonal; exponents descending.
 
-def factor_to_diagonal(a: LaurentMatrix) -> Tuple[LaurentMatrix, Tuple[int, ...], LaurentMatrix]:
-    """Return (B, exponents, C) with B*A*C diagonal; exponents descending."""
-    unit = a.unit_det()
-    if unit is None:
-        raise NotInvertibleOverLaurentRing("determinant is not a unit c*x^t")
-    c_det, t = unit
+    ``t`` is the exponent of det A = c*x^t.
+    """
     n = a.n
-
-    if n == 1:
-        coeff, exp = a[0, 0].as_monomial()
-        b = LaurentMatrix([[LaurentPoly.constant(1 / coeff)]])
-        c = LaurentMatrix.identity(1)
-        return b, (exp,), c
-
     lo, hi = a.exponent_range()
     m = -lo
-    f = a.shift(m)
     tau = t + n * m
-    width = hi - lo
-
-    # P starts as the identity; residual columns start as the columns of F.
-    p_cols: List[List[LaurentPoly]] = [
+    # Stacked column j: P_j (P starts as I) above (F*P)_j (starts as F_j).
+    cols: List[List[LaurentPoly]] = [
         [LaurentPoly.one() if i == j else LaurentPoly.zero() for i in range(n)]
+        + [a[i, j].shift(m) for i in range(n)]
         for j in range(n)
     ]
-    residuals: List[_ResidualColumn] = []
-    for j in range(n):
-        col: _ResidualColumn = {}
-        for i in range(n):
-            for e, coeff in f[i, j].terms.items():
-                col.setdefault(e, [Fraction(0)] * n)[i] = coeff
-        residuals.append(col)
     mu = [0] * n
 
-    cap = 8 * (n * (width + 1) + abs(tau) + 8)
+    cap = 8 * (n * (hi - lo + 1) + abs(tau) + 8)
     sigma = 0
-    converged = False
-    while sigma < cap:
-        s = sigma
-        r = [list(residuals[j].get(s, (Fraction(0),) * n)) for j in range(n)]
-        pivots: List[Tuple[int, int]] = []  # (pivot row, column)
+    while True:
+        pivots: List[Tuple[int, int]] = []  # (pivot row in the stacked column, column)
         for j in sorted(range(n), key=lambda jj: (mu[jj], jj)):
-            vec = r[j]
-            for prow, pcol in pivots:
-                if vec[prow]:
-                    alpha = vec[prow] / r[pcol][prow]
-                    r[j] = vec = [v - alpha * w for v, w in zip(vec, r[pcol])]
-                    _column_update(p_cols, residuals, j, pcol, alpha, n)
-            prow = next((i for i, v in enumerate(vec) if v), None)
-            if prow is not None:
-                pivots.append((prow, j))
-        for _, j in pivots:
-            p_cols[j] = [poly.shift(1) for poly in p_cols[j]]
-            residuals[j] = {e + 1: v for e, v in residuals[j].items()}
-            mu[j] += 1
-        for j in range(n):
-            residuals[j].pop(s, None)
-        sigma += 1
-        if sum(mu) == n * sigma - tau:
-            converged = True
-            break
-    if not converged:
-        raise InternalSearchExhausted(
-            f"order-basis iteration did not converge within {cap} orders"
-        )
-
-    # G = x^-sigma * F * P, guaranteed polynomial with constant determinant.
-    g_rows: List[List[LaurentPoly]] = [[LaurentPoly.zero()] * n for _ in range(n)]
-    for j in range(n):
-        per_row: List[Dict[int, Fraction]] = [{} for _ in range(n)]
-        for e, vec in residuals[j].items():
-            for i, v in enumerate(vec):
+            for row, pcol in pivots:
+                v = cols[j][row].coeff(sigma)
                 if v:
-                    per_row[i][e - sigma] = v
-        for i in range(n):
-            g_rows[i][j] = LaurentPoly(per_row[i])
-    g = LaurentMatrix(g_rows)
+                    alpha = v / cols[pcol][row].coeff(sigma)
+                    cols[j] = [pt - ps.scale(alpha) for pt, ps in zip(cols[j], cols[pcol])]
+            row = next((i for i in range(n, 2 * n) if cols[j][i].coeff(sigma)), None)
+            if row is not None:
+                pivots.append((row, j))
+        for _, j in pivots:
+            cols[j] = [p.shift(1) for p in cols[j]]
+            mu[j] += 1
+        sigma += 1
+        # Tested after the step: tested before it, tau = 0 would stop at
+        # sigma = 0 and give a different (still valid) pair B, C.
+        if sum(mu) == n * sigma - tau:
+            break
+        if sigma >= cap:
+            raise InternalSearchExhausted(
+                f"order-basis iteration did not converge within {cap} orders"
+            )
 
-    b = g.inverse()
-    c = LaurentMatrix(
-        [[p_cols[j][i].shift(-mu[j]) for j in range(n)] for i in range(n)]
-    )
-    exponents = [sigma - m - mu[j] for j in range(n)]
-
-    order = sorted(range(n), key=lambda j: (-exponents[j], j))
-    b_sorted = LaurentMatrix([b.row(order[k]) for k in range(n)])
-    c_sorted = LaurentMatrix(
-        [[c[i, order[k]] for k in range(n)] for i in range(n)]
-    )
-    return b_sorted, tuple(exponents[j] for j in order), c_sorted
-
-
-def _column_update(
-    p_cols: List[List[LaurentPoly]],
-    residuals: List[_ResidualColumn],
-    target: int,
-    source: int,
-    alpha: Fraction,
-    n: int,
-) -> None:
-    """col_target -= alpha * col_source, applied to both P and F*P."""
-    p_cols[target] = [
-        pt - ps.scale(alpha) for pt, ps in zip(p_cols[target], p_cols[source])
-    ]
-    tcol = residuals[target]
-    for e, vec in residuals[source].items():
-        cur = tcol.get(e)
-        if cur is None:
-            cur = [Fraction(0)] * n
-            tcol[e] = cur
-        for i, v in enumerate(vec):
-            if v:
-                cur[i] -= alpha * v
-        if not any(cur):
-            del tcol[e]
+    # Columns by descending exponent sigma - m - mu_j, ties by index; then
+    # G = x^-sigma * F * P is polynomial with constant determinant.
+    order = sorted(range(n), key=lambda j: (mu[j], j))
+    g = LaurentMatrix([[cols[j][n + i] for j in order] for i in range(n)]).shift(-sigma)
+    c = LaurentMatrix([[cols[j][i].shift(-mu[j]) for j in order] for i in range(n)])
+    return g.inverse(), tuple(sigma - m - mu[j] for j in order), c

@@ -398,3 +398,23 @@ def test_fuchs_ode_with_a_huge_pole_order_at_zero_does_not_hang(tmp_path):
     assert time.monotonic() - start < 30
     assert code == 3 and out == ""
     assert err.startswith("domain error: coefficient of derivative order 0 has a pole")
+
+
+@pytest.mark.parametrize("power", (100000, 99999999999))
+def test_factor_over_the_work_budget_is_refused_up_front(tmp_path, power):
+    # The order-basis loop pivots at every one of the 2 * power orders here.
+    path = write(tmp_path, "wide.txt",
+                 f"kind = laurent_matrix, n = 2\nx^{power}, 1\n0, x^-{power}\n")
+    start = time.monotonic()
+    code, out, err = _run_process("factor", path)
+    assert time.monotonic() - start < 10
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: factorization") and "work budget" in err
+    assert "Traceback" not in err
+
+
+def test_factor_inside_the_work_budget_still_runs(tmp_path):
+    path = write(tmp_path, "wide.txt", "kind = laurent_matrix, n = 2\nx^6000, 1\n0, x^-6000\n")
+    code, out, err = _run_process("factor", path)
+    assert code == 0, err
+    assert json.loads(out)["result"]["exponents"] == [6000, -6000]

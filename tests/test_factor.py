@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from bgsplit.bundles import (
     Factorization,
     SplittingType,
@@ -11,10 +9,8 @@ from bgsplit.bundles import (
     splitting_type,
     verify_factorization,
 )
-from bgsplit.errors import NotInvertibleOverLaurentRing
 from bgsplit.laurent import lp
 from bgsplit.lmatrix import LaurentMatrix
-from bgsplit.orderbasis import factor_to_diagonal
 
 from test_bundles import planted_bundle, rand_unimodular, x
 
@@ -117,8 +113,3 @@ def test_factor_survives_extra_unimodular_noise():
         f = birkhoff_factor(noisy)
         assert verify_factorization(noisy, f).valid
         assert f.exponents.indices == d
-
-
-def test_non_unit_determinant_rejected():
-    with pytest.raises(NotInvertibleOverLaurentRing):
-        factor_to_diagonal(LaurentMatrix([[1, 1], [1, 1]]))

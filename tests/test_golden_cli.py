@@ -15,7 +15,9 @@ irreducible n = 5 pair with denominator 999991), and of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
-x^2 - 2x - 2).  Any change to the numbers, the
+x^2 - 2x - 2), and of ``factor`` and ``verify`` on a 1 x 1 unit and on
+the det-1 matrix ``[[1, 1 + x], [0, 1]]``, where the order-basis loop
+takes one step before it tests convergence.  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
@@ -31,6 +33,10 @@ GOLDEN = os.path.join(HERE, "data", "golden")
 INPUTS = {
     "extension": os.path.join(DEMOS, "extension.txt"),
     "planted_rank4": os.path.join(HERE, "data", "planted_rank4.txt"),
+}
+FACTOR_INPUTS = {
+    stem: os.path.join(HERE, "data", f"{stem}.txt")
+    for stem in ("scalar_1x1", "unipotent_tau0")
 }
 COMMANDS = {
     "split": lambda stem: ["split", INPUTS[stem]],
@@ -87,3 +93,12 @@ def test_cli_document_is_byte_identical(stem, command, capsys):
 @pytest.mark.parametrize("case", sorted(FIELD_CASES))
 def test_field_parser_document_is_byte_identical(case, capsys):
     _assert_golden(FIELD_CASES[case], case, capsys)
+
+
+@pytest.mark.parametrize("stem", sorted(FACTOR_INPUTS))
+def test_factor_and_verify_documents_are_byte_identical(stem, capsys):
+    path = FACTOR_INPUTS[stem]
+    _assert_golden(["factor", path], f"{stem}.factor", capsys)
+    _assert_golden(
+        ["verify", path, os.path.join(GOLDEN, f"{stem}.factor.json")], f"{stem}.verify", capsys
+    )

@@ -33,7 +33,8 @@ def _cli(*argv):
 @given(entries)
 def test_any_short_entry_exits_with_a_result_or_a_refusal(entry):
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, command in (("laurent_matrix", "split"), ("scalar_ode", "fuchs-ode")):
+        for kind, command in (("laurent_matrix", "split"), ("laurent_matrix", "factor"),
+                              ("scalar_ode", "fuchs-ode")):
             path = os.path.join(tmp, kind + ".txt")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(f"kind = {kind}, n = 1\n{entry}\n")
