@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded
 from .laurent import LaurentPoly
-from .linalg import echelon_insert, sparse_int_rows, sparse_kernel
+from .linalg import echelon_insert, sparse_kernel
 from .lmatrix import LaurentMatrix
 from .orderbasis import factor_to_diagonal
 
@@ -85,12 +85,6 @@ class SplittingType:
     @property
     def degree(self) -> int:
         return sum(self.indices)
-
-    def dual(self) -> "SplittingType":
-        return SplittingType(tuple(-d for d in reversed(self.indices)))
-
-    def section_count(self, k: int = 0) -> int:
-        return sum(max(0, d + k + 1) for d in self.indices)
 
     def __iter__(self):
         return iter(self.indices)
@@ -221,7 +215,7 @@ def section_profile(
     for k in range(kmax, kmin - 1, -1):
         cutoff = max(done, len(groups) + kmin - k)
         for group in groups[done:cutoff]:
-            for row in sparse_int_rows(group):
+            for row in group:
                 echelon_insert(pivots, row)
         done = cutoff
         profile[k] = ncols - len(pivots)
@@ -376,8 +370,9 @@ def verify_factorization(
 
 
 def dual(e: BundleOnP1) -> BundleOnP1:
-    """Dual bundle: transition (A^T)^-1."""
-    return BundleOnP1.from_transition(e.transition.transpose().inverse())
+    """Dual bundle: transition (A^T)^-1, whose determinant is 1 / det A."""
+    return BundleOnP1(e.transition.transpose().inverse(), e.rank,
+                      1 / e.det_coeff, -e.det_exponent)
 
 
 def twist(e: BundleOnP1, k: int) -> BundleOnP1:

@@ -4,7 +4,8 @@ One command per invocation; deterministic machine-readable output (JSON
 by default, ``--format text`` for key: value lines).  Exit codes: 0
 success, 1 usage (including a file of the wrong kind for the command),
 2 parse error, 3 domain precondition violated or work budget exceeded,
-4 internal consistency failure.  ``verify`` exits 0 whether or not the
+4 internal consistency failure; codes 2-4 are carried by the error
+classes of ``bgsplit.errors``.  ``verify`` exits 0 whether or not the
 factorization is valid; its verdict is the result payload.
 """
 
@@ -17,19 +18,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from . import bundles, fuchsian, monodromy
-from .errors import (
-    BGSplitError,
-    DimensionMismatch,
-    InternalSearchExhausted,
-    InvalidBundle,
-    NotFirstKind,
-    NotFuchsian,
-    NotInvertible,
-    NotInvertibleOverLaurentRing,
-    ParseError,
-    ResonantExponents,
-    WorkBudgetExceeded,
-)
+from .errors import BGSplitError, ParseError
 from .io import (
     ParsedFile,
     parse_laurent,
@@ -44,20 +33,6 @@ from .lmatrix import LaurentMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_INTERNAL = 4
-
-_PARSE_ERRORS = (ParseError, DimensionMismatch)
-_DOMAIN_ERRORS = (
-    InvalidBundle,
-    NotInvertibleOverLaurentRing,
-    NotInvertible,
-    ResonantExponents,
-    NotFirstKind,
-    NotFuchsian,
-    WorkBudgetExceeded,
-)
 
 
 class UsageError(Exception):
@@ -385,15 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (InternalSearchExhausted, BGSplitError) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except BGSplitError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     rendered = render_json(doc) if args.format == "json" else render_text(doc)
     if args.out:
         try:

@@ -1,19 +1,27 @@
 """Exception hierarchy shared by all bgsplit modules.
 
-Errors fall into three groups, mirrored by the CLI exit codes: input
-errors (parsing, shape), domain-precondition errors (the input is well
-formed but outside an operation's mathematical domain), and internal
-consistency failures (a certified computation failed its own check,
-which indicates a defect and is surfaced loudly).
+Errors fall into three groups: input errors (parsing, shape),
+domain-precondition errors (the input is well formed but outside an
+operation's mathematical domain), and internal consistency failures (a
+certified computation failed its own check, which indicates a defect and
+is surfaced loudly).  Each class carries its group's CLI exit code (2, 3,
+4) and the label the CLI prints before its message on stderr, so a new
+error only has to pick its base class.
 """
 
 
 class BGSplitError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; by itself an internal failure."""
+
+    exit_code = 4
+    label = "internal consistency failure"
 
 
 class ParseError(BGSplitError):
     """Malformed input text.  Carries 1-based line and column numbers."""
+
+    exit_code = 2
+    label = "parse error"
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -27,20 +35,30 @@ class ParseError(BGSplitError):
 class DimensionMismatch(BGSplitError):
     """Matrix or vector shapes do not agree."""
 
+    exit_code = 2
+    label = "parse error"
 
-class NotInvertibleOverLaurentRing(BGSplitError):
+
+class _DomainError(BGSplitError):
+    """Well-formed input outside an operation's domain or work budget."""
+
+    exit_code = 3
+    label = "domain error"
+
+
+class NotInvertibleOverLaurentRing(_DomainError):
     """Determinant is not a unit c*x^t of the Laurent polynomial ring."""
 
 
-class NotInvertible(BGSplitError):
+class NotInvertible(_DomainError):
     """Singular matrix over a field (rationals or rational functions)."""
 
 
-class InvalidBundle(BGSplitError):
+class InvalidBundle(_DomainError):
     """Transition matrix is not a bundle datum (non-unit determinant)."""
 
 
-class WorkBudgetExceeded(BGSplitError):
+class WorkBudgetExceeded(_DomainError):
     """Valid input whose computation exceeds a documented work budget."""
 
 
@@ -51,14 +69,14 @@ class InternalSearchExhausted(BGSplitError):
     """
 
 
-class ResonantExponents(BGSplitError):
+class ResonantExponents(_DomainError):
     """Residue eigenvalues differ by a positive integer within the
     requested truncation order, so the Frobenius recursion is singular."""
 
 
-class NotFirstKind(BGSplitError):
+class NotFirstKind(_DomainError):
     """The point is an irregular (second-kind) singularity."""
 
 
-class NotFuchsian(BGSplitError):
+class NotFuchsian(_DomainError):
     """The equation has a singularity that is not of the first kind."""

@@ -550,7 +550,7 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def render_text(doc: dict, prefix: str = "") -> str:
+def render_text(doc: dict) -> str:
     """Human-readable deterministic key: value rendering."""
     out: List[str] = []
 
@@ -566,5 +566,5 @@ def render_text(doc: dict, prefix: str = "") -> str:
         else:
             out.append(f"{path}: {value}")
 
-    walk(doc, prefix)
+    walk(doc, "")
     return "\n".join(out) + "\n"

@@ -77,9 +77,9 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def x_power(exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        """The monomial coeff * x^exp."""
-        return LaurentPoly({exp: coeff})
+    def x_power(exp: int) -> "LaurentPoly":
+        """The monomial x^exp."""
+        return LaurentPoly({exp: 1})
 
     # -- inspection ----------------------------------------------------
 
@@ -330,8 +330,6 @@ def _trusted(terms: dict) -> LaurentPoly:
     return poly
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 X = LaurentPoly.x_power(1)
 
 

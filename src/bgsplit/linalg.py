@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals, on two elimination cores.
 
-Matrices are sequences of rows of ``Fraction``/``int`` entries.  The
-sparse core (``echelon_insert``) clears denominators row-wise and runs a
+Matrices are sequences of rows whose entries are ``int`` or ``Fraction``.
+Both types carry ``numerator`` and ``denominator``, and every entry point
+clears denominators once through those two attributes, on one path for
+either type: row by row in ``sparse_int_rows``, matrix by matrix in
+``integer_scaled``.  The sparse core (``echelon_insert``) runs a
 division-controlled integer echelon reduction (every combined row is
 divided by the gcd of its entries), which bounds swell without leaving
 exact arithmetic; rank, kernels, ``solve``, section counts and the
@@ -22,7 +25,6 @@ from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
 from .ratfunc import _primitive_coeffs, poly_divmod, poly_gcd, root_multiplicity
 
-Row = Sequence[Fraction]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 SparseRow = Dict[int, int]
@@ -31,9 +33,16 @@ SparseRow = Dict[int, int]
 def qmat(rows: Sequence[Sequence]) -> Matrix:
     """Normalize a nested sequence to an immutable Fraction matrix."""
     out = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionMismatch("ragged matrix")
+    _width(out)
     return out
+
+
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows (0 when there are none);
+    DimensionMismatch when they differ."""
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("ragged matrix")
+    return len(rows[0]) if rows else 0
 
 
 def identity_q(n: int) -> Matrix:
@@ -42,9 +51,9 @@ def identity_q(n: int) -> Matrix:
     )
 
 
-def integer_scaled(a: Matrix) -> Tuple[int, IntMatrix]:
-    """(d, d*A) for a Fraction matrix A, with d the lcm of its denominators,
-    so that d*A is an integer matrix."""
+def integer_scaled(a: Sequence[Sequence]) -> Tuple[int, IntMatrix]:
+    """(d, d*A) for a matrix A, with d the lcm of its denominators, so that
+    d*A is an integer matrix."""
     d = lcm(*(v.denominator for row in a for v in row))
     return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in a)
 
@@ -102,26 +111,12 @@ def _normalize_sign(row: SparseRow) -> SparseRow:
 
 
 def sparse_int_rows(rows: Sequence[Dict[int, Fraction]]) -> List[SparseRow]:
-    """Clear denominators per row, returning integer sparse rows.
-
-    A row whose entries are all nonzero ``int`` is only gcd-reduced.
-    """
+    """Clear denominators per row, returning gcd-reduced integer sparse
+    rows; zero entries, and rows left empty, are dropped."""
     out = []
     for row in rows:
-        if not row:
-            continue
-        if all(type(v) is int and v for v in row.values()):
-            out.append(_gcd_reduce(row))
-            continue
-        mult = 1
-        for v in row.values():
-            f = Fraction(v)
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        intified = {}
-        for c, v in row.items():
-            f = Fraction(v) * mult
-            if f:
-                intified[c] = int(f)
+        mult = lcm(*(v.denominator for v in row.values()))
+        intified = {c: v.numerator * (mult // v.denominator) for c, v in row.items() if v}
         if intified:
             out.append(_gcd_reduce(intified))
     return out
@@ -225,30 +220,15 @@ def sparse_kernel(
     return list(basis.values())
 
 
-def _sparse_rows(matrix: Sequence[Sequence]) -> List[Dict[int, Fraction]]:
-    """Nonzero entries by column; ints stay ints, for the integer fast
-    path of ``sparse_int_rows``."""
-    return [{j: v if type(v) is int else Fraction(v) for j, v in enumerate(row) if v}
-            for row in matrix]
-
-
 def nullspace(matrix: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel of a dense rational matrix."""
     ncols = len(matrix[0]) if matrix else 0
     return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
-            for vec in sparse_kernel(_sparse_rows(matrix), ncols)]
+            for vec in sparse_kernel([dict(enumerate(row)) for row in matrix], ncols)]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    return len(echelon_sparse(_sparse_rows(matrix)))
-
-
-def _int_or_qmat(rows: Sequence[Sequence]) -> Matrix:
-    """``qmat(rows)``, except that a matrix of ints stays one, so that its
-    rows take the integer fast path of ``sparse_int_rows``."""
-    if all(type(v) is int for row in rows for v in row) and len({len(r) for r in rows}) < 2:
-        return tuple(map(tuple, rows))
-    return qmat(rows)
+    return len(echelon_sparse([dict(enumerate(row)) for row in matrix]))
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
@@ -258,22 +238,16 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     giving the matrix X with A X = b, one column per column of b.  Free
     variables, if any, are set to zero.
     """
-    a = _int_or_qmat(a)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if len(b) != nrows:
+    ncols = _width(a)
+    if len(b) != len(a):
         raise DimensionMismatch("right-hand side length mismatch")
     columns = bool(b) and isinstance(b[0], Sequence)
-    b = _int_or_qmat(b if columns else [[v] for v in b])
-    rows = []
-    for arow, brow in zip(a, b):
-        row = {j: v for j, v in enumerate(arow) if v}
-        row.update((ncols + t, v) for t, v in enumerate(brow) if v)
-        rows.append(row)
-    pivots = echelon_sparse(rows)
+    if not columns:
+        b = [[v] for v in b]
+    width = _width(b)
+    pivots = echelon_sparse([dict(enumerate((*arow, *brow))) for arow, brow in zip(a, b)])
     if pivots and max(pivots) >= ncols:
         return None
-    width = len(b[0]) if b else 1
     x = [[Fraction(0)] * width for _ in range(ncols)]
     for c, frow in _back_substitute(pivots).items():
         x[c] = [frow.get(ncols + t, Fraction(0)) for t in range(width)]
@@ -322,7 +296,6 @@ def eliminate(m: List[list], n: int, jordan: bool) -> Tuple[int, object]:
 
 def det_q(a: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("determinant of a non-square matrix")
@@ -334,7 +307,6 @@ def det_q(a: Sequence[Sequence]) -> Fraction:
 def inverse_q(a: Sequence[Sequence]) -> Matrix:
     """Exact inverse by fraction-free Gauss-Jordan on [d*A | I]; raises
     NotInvertible when singular."""
-    a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -356,7 +328,6 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
     p_A is c_k / d^k.  Returned as a polynomial in the variable
     (exponent = power of lambda).
     """
-    a = qmat(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")

@@ -30,7 +30,6 @@ from .linalg import (
     IntMatrix,
     Matrix,
     SparseRow,
-    _gcd_reduce,
     charpoly,
     det_q,
     echelon_insert,
@@ -183,7 +182,7 @@ def _word_span_dimension(
             kept = echelon_insert_mod(pivots, [v for r in mat for v in r], prime)
         else:
             row = {k: v for k, v in enumerate(v for r in mat for v in r) if v}
-            kept = echelon_insert(pivots, _gcd_reduce(row))
+            kept = echelon_insert(pivots, row)
         if kept is not None:
             frontier.append((word, mat))
             if words is not None:

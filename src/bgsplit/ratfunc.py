@@ -117,19 +117,19 @@ def _primitive_coeffs(p: LaurentPoly) -> List[int]:
 
 
 def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
-    """c * (f mod g) for a nonzero integer c, on Z[x] coefficient lists
-    (lowest first, nonzero last entry), fraction-free: each step scales f
-    by the leading coefficient of g and cancels its top term."""
-    f = list(f)
+    """The pseudo-remainder lead(g)^(deg f - deg g + 1) * f mod g, on Z[x]
+    coefficient lists (lowest first, nonzero last entry, deg f >= deg g).
+    f is scaled once up front; each quotient coefficient is then an exact
+    integer division by lead(g)."""
     lead, dg = g[-1], len(g) - 1
+    scale = lead ** (len(f) - dg)
+    f = [scale * v for v in f]
     while len(f) > dg:
-        top = f.pop()
-        if top:
-            if lead != 1:
-                f = [lead * v for v in f]
+        q = f.pop() // lead
+        if q:
             shift = len(f) - dg
             for i, w in enumerate(g[:-1]):
-                f[shift + i] -= top * w
+                f[shift + i] -= q * w
     while f and not f[-1]:
         f.pop()
     return f

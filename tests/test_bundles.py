@@ -166,6 +166,7 @@ def test_twist_covariance_and_dual_reversal():
     for k in (-2, 1, 3):
         assert splitting_type(twist(e, k)).indices == tuple(di + k for di in d)
     assert splitting_type(dual(e)).indices == tuple(-di for di in reversed(d))
+    assert (dual(e).det_coeff, dual(e).det_exponent) == dual(e).transition.unit_det()
     assert splitting_type(dual(EXT_UP)).indices == (1, -1)
 
 

@@ -21,7 +21,17 @@ from bgsplit.linalg import (
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
-    return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
+    """Entries all int, all Fraction with small denominators, or mixed; the
+    kind is drawn per matrix, so each test below runs on all three."""
+    kind = rng.choice(("int", "fraction", "mixed"))
+
+    def entry():
+        v = rng.randint(lo, hi)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return v
+        return Fraction(v, rng.randint(1, 3))
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
 def test_nullspace_worked_examples():
@@ -69,7 +79,7 @@ def test_inverse_round_trip_and_singular():
         inv = inverse_q(a)
         assert mat_mul(tuple(map(tuple, a)), inv) == identity_q(n)
         # rational entries: both routines work on d*A, d the denominator lcm
-        q = tuple(tuple(v / rng.randint(1, 7) for v in row) for row in a)
+        q = tuple(tuple(Fraction(v, rng.randint(1, 7)) for v in row) for row in a)
         if det_q(q) != 0:
             inv = inverse_q(q)
             assert mat_mul(q, inv) == identity_q(n)

@@ -11,6 +11,7 @@ from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.ratfunc import (
     INF,
     RatFunc,
+    _pseudo_remainder,
     poly_divmod,
     poly_gcd,
     poly_lcm,
@@ -208,3 +209,23 @@ def test_poly_divmod_matches_sympy_div(a, b):
     want_q, want_r = sp.div(to_sympy(a), to_sympy(b))
     q, r = poly_divmod(a, b)
     assert (q.terms, r.terms) == (_sympy_terms(want_q), _sympy_terms(want_r))
+
+
+# Integer coefficient lists, lowest first, with a nonzero last entry.  Small
+# entries make vanishing intermediate top coefficients frequent.
+INT_POLYS = st.builds(lambda cs, lead: cs + [lead],
+                      st.lists(st.integers(-3, 3), max_size=6),
+                      st.integers(-4, 4).filter(bool))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=INT_POLYS, g=INT_POLYS)
+def test_pseudo_remainder_matches_sympy_prem(f, g):
+    """lead(g)^(deg f - deg g + 1) * f mod g, negative leads included."""
+    if len(f) < len(g):
+        f, g = g, f
+    x = sp.Symbol("x")
+    want = sp.prem(sum(c * x**e for e, c in enumerate(f)),
+                   sum(c * x**e for e, c in enumerate(g)), x)
+    coeffs = [] if want == 0 else [int(c) for c in reversed(sp.Poly(want, x).all_coeffs())]
+    assert _pseudo_remainder(f, g) == coeffs
