@@ -376,13 +376,16 @@ def dual(e: BundleOnP1) -> BundleOnP1:
 
 
 def twist(e: BundleOnP1, k: int) -> BundleOnP1:
-    """E(k) = E tensor O(k): transition x^k * A."""
-    return BundleOnP1.from_transition(e.transition.shift(k))
+    """E(k) = E tensor O(k): transition x^k * A, whose determinant is
+    x^(nk) det A."""
+    n = e.rank
+    return BundleOnP1(e.transition.shift(k), n, e.det_coeff, e.det_exponent + n * k)
 
 
 def det_bundle(e: BundleOnP1) -> BundleOnP1:
-    """Determinant line bundle, with 1x1 transition det(A)."""
-    return BundleOnP1.from_transition(LaurentMatrix([[e.transition.det()]]))
+    """Determinant line bundle, with 1x1 transition det(A) = c*x^t."""
+    c, t = e.det_coeff, e.det_exponent
+    return BundleOnP1(LaurentMatrix([[LaurentPoly({t: c})]]), 1, c, t)
 
 
 def degree(e: BundleOnP1) -> int:

@@ -111,12 +111,12 @@ class FuchsianSystem:
     def from_data(points: Sequence, residues: Sequence[Sequence[Sequence]]) -> "FuchsianSystem":
         pts = tuple(Fraction(p) for p in points)
         if len(set(pts)) != len(pts):
-            raise ValueError("marked points must be pairwise distinct")
+            raise DimensionMismatch("marked points must be pairwise distinct")
         mats = tuple(qmat(r) for r in residues)
         if len(pts) != len(mats):
             raise DimensionMismatch("one residue matrix per marked point")
         if not mats:
-            raise ValueError("at least one marked point required")
+            raise DimensionMismatch("at least one marked point required")
         n = len(mats[0])
         if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
             raise DimensionMismatch("residues must be square of equal size")

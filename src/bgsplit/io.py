@@ -3,11 +3,17 @@
 Input files are line oriented: a header line of comma-separated
 ``key = value`` pairs (``kind`` and ``n`` always; ``count``, ``points``
 and ``format_version`` per kind), then payload rows with comma-separated
-entries.  ``#`` starts a comment; blank lines are ignored.  Entries are
+entries.  ``#`` starts a comment; blank lines are ignored.  Integer
+header values (``n``, ``count``) are at least 1.  Entries are
 arithmetic expressions in the variable x (z is accepted as a synonym)
 with integer or fraction coefficients and ``^`` powers, e.g.
-``x^-1 + 3/2*x^2``.  Emission is canonical, so emit(parse(emit(obj)))
-is byte-identical to emit(obj).
+``x^-1 + 3/2*x^2``.
+
+Each input kind is one entry of ``_KINDS``: the reader of its payload
+rows and its emit layout (n, the header items after n, the payload
+rows).  ``parse_matrix_file`` and ``emit`` each dispatch once through
+that table.  Emission is canonical, so ``emit(parse_matrix_file(text))``
+is a fixed point: emitting the re-parsed document gives the same bytes.
 
 Entries are read in one pass: one compiled regex splits an entry into
 ASCII digit runs and single non-space characters, and a sum adds its
@@ -32,7 +38,7 @@ import json
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded
 from .fuchsian import FuchsianSystem, ScalarODE
@@ -42,8 +48,6 @@ from .monodromy import MonodromyRep
 from .ratfunc import INF, Infinity, RatFunc
 
 FORMAT_VERSION = 1
-
-KINDS = ("laurent_matrix", "rat_matrix_list", "fuchsian_system", "scalar_ode", "monodromy_rep")
 
 
 # -- expression parsing --------------------------------------------------
@@ -299,20 +303,20 @@ def parse_point(text: str) -> Union[Fraction, Infinity]:
     return parse_fraction(text)
 
 
-# -- file parsing --------------------------------------------------------
+# -- input files ---------------------------------------------------------
 
 
 DomainObject = Union[LaurentMatrix, List, FuchsianSystem, ScalarODE, MonodromyRep]
+Header = Dict[str, str]
+Rows = List[Tuple[int, str]]  # (line number, text) of nonblank lines, comments cut
 
 
-class ParsedFile:
-    def __init__(self, kind: str, obj: DomainObject, header: Dict[str, str]):
-        self.kind = kind
-        self.obj = obj
-        self.header = header
+class ParsedFile(NamedTuple):
+    kind: str
+    obj: DomainObject
 
 
-def _logical_lines(text: str) -> List[Tuple[int, str]]:
+def _logical_lines(text: str) -> Rows:
     lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
@@ -321,8 +325,8 @@ def _logical_lines(text: str) -> List[Tuple[int, str]]:
     return lines
 
 
-def _parse_header(line_no: int, line: str) -> Dict[str, str]:
-    header: Dict[str, str] = {}
+def _parse_header(line_no: int, line: str) -> Header:
+    header: Header = {}
     for chunk in line.split(","):
         if "=" not in chunk:
             raise ParseError("header items must be 'key = value'", line=line_no)
@@ -330,55 +334,101 @@ def _parse_header(line_no: int, line: str) -> Dict[str, str]:
         header[key.strip()] = value.strip()
     if "kind" not in header:
         raise ParseError("header must declare a kind", line=line_no)
-    if header["kind"] not in KINDS:
+    if header["kind"] not in _KINDS:
         raise ParseError(f"unknown kind {header['kind']!r}", line=line_no)
-    if "n" not in header:
-        raise ParseError("header must declare n", line=line_no)
     return header
 
 
-def _split_entries(line: str) -> List[Tuple[int, str]]:
-    """Comma-separated cells with their column offsets."""
-    cells = []
-    offset = 0
-    for cell in line.split(","):
-        cells.append((offset, cell))
-        offset += len(cell) + 1
-    return cells
-
-
-def _parse_rat_rows(
-    rows: List[Tuple[int, str]], n: int, count: int
-) -> List[List[List[Fraction]]]:
-    if len(rows) != count * n:
-        raise ParseError(
-            f"expected {count * n} matrix rows, found {len(rows)}",
-            line=rows[-1][0] if rows else None,
-        )
-    matrices = []
-    it = iter(rows)
-    for _ in range(count):
-        mat = []
-        for _ in range(n):
-            line_no, line = next(it)
-            cells = _split_entries(line)
-            if len(cells) != n:
-                raise DimensionMismatch(
-                    f"line {line_no}: expected {n} entries, found {len(cells)}"
-                )
-            mat.append([parse_fraction(cell, line_no, off) for off, cell in cells])
-        matrices.append(mat)
-    return matrices
-
-
-def _int_header(header: Dict[str, str], key: str, line_no: int, default=None) -> int:
+def _int_header(header: Header, key: str, line_no: int, default=None) -> int:
+    """An integer header value; every one (n, count) is at least 1."""
     raw = header.get(key, default)
     if raw is None:
         raise ParseError(f"header must declare {key}", line=line_no)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"{key} must be an integer", line=line_no)
+    if value < 1:
+        raise ParseError(f"{key} must be at least 1", line=line_no)
+    return value
+
+
+def _parse_rows(rows: Rows, n: int, parse_cell: Callable) -> List[list]:
+    """The n comma-separated cells of each row, each parsed with its line
+    number and column offset."""
+    out = []
+    for line_no, line in rows:
+        cells = line.split(",")
+        if len(cells) != n:
+            raise DimensionMismatch(f"line {line_no}: expected {n} entries, found {len(cells)}")
+        row, offset = [], 0
+        for cell in cells:
+            row.append(parse_cell(cell, line_no, offset))
+            offset += len(cell) + 1
+        out.append(row)
+    return out
+
+
+def _parse_rat_rows(rows: Rows, n: int, count: int) -> List[List[List[Fraction]]]:
+    if len(rows) != count * n:
+        raise ParseError(f"expected {count * n} matrix rows, found {len(rows)}",
+                         line=rows[-1][0] if rows else None)
+    cells = _parse_rows(rows, n, parse_fraction)
+    return [cells[i:i + n] for i in range(0, len(cells), n)]
+
+
+def _read_laurent_matrix(header: Header, line_no: int, n: int, body: Rows) -> LaurentMatrix:
+    if len(body) != n:
+        raise ParseError(f"expected {n} rows, found {len(body)}", line=line_no)
+    return LaurentMatrix(_parse_rows(body, n, parse_laurent))
+
+
+def _read_rat_matrix_list(header: Header, line_no: int, n: int, body: Rows) -> List:
+    return _parse_rat_rows(body, n, _int_header(header, "count", line_no, default="1"))
+
+
+def _read_fuchsian_system(header: Header, line_no: int, n: int, body: Rows) -> FuchsianSystem:
+    if "points" not in header:
+        raise ParseError("fuchsian_system header needs points", line=line_no)
+    points = [parse_fraction(p) for p in header["points"].split()]
+    return FuchsianSystem.from_data(points, _parse_rat_rows(body, n, len(points)))
+
+
+def _read_scalar_ode(header: Header, line_no: int, n: int, body: Rows) -> ScalarODE:
+    if len(body) != n:
+        raise ParseError(f"expected {n} coefficient lines, found {len(body)}", line=line_no)
+    return ScalarODE.from_coeffs([parse_ratfunc(line, i) for i, line in body])
+
+
+def _read_monodromy_rep(header: Header, line_no: int, n: int, body: Rows) -> MonodromyRep:
+    return MonodromyRep.from_matrices(_read_rat_matrix_list(header, line_no, n, body))
+
+
+def _matrix_rows(matrices) -> List[str]:
+    return [", ".join(str(Fraction(v)) for v in row) for mat in matrices for row in mat]
+
+
+class _Kind(NamedTuple):
+    """One input kind: how its payload is read, and how it is laid out again."""
+
+    # (header, header line number, n, payload rows) -> domain object
+    read: Callable[[Header, int, int, Rows], DomainObject]
+    # domain object -> (n, header items after n, payload rows)
+    layout: Callable[[DomainObject], Tuple[int, tuple, List[str]]]
+
+
+_KINDS = {
+    "laurent_matrix": _Kind(_read_laurent_matrix, lambda m: (
+        m.n, (), [", ".join(str(v) for v in row) for row in m.entries])),
+    "rat_matrix_list": _Kind(_read_rat_matrix_list, lambda mats: (
+        len(mats[0]), (("count", len(mats)),), _matrix_rows(mats))),
+    "fuchsian_system": _Kind(_read_fuchsian_system, lambda s: (
+        s.size, (("points", " ".join(str(p) for p in s.points)),), _matrix_rows(s.residues))),
+    "scalar_ode": _Kind(_read_scalar_ode, lambda ode: (
+        ode.order, (), [str(c) for c in ode.coeffs])),
+    "monodromy_rep": _Kind(_read_monodromy_rep, lambda rep: (
+        rep.size, (("count", len(rep.matrices)),), _matrix_rows(rep.matrices))),
+}
 
 
 def parse_matrix_file(text: str) -> ParsedFile:
@@ -386,121 +436,18 @@ def parse_matrix_file(text: str) -> ParsedFile:
     lines = _logical_lines(text)
     if not lines:
         raise ParseError("empty document", line=1)
-    header = _parse_header(*lines[0])
+    line_no = lines[0][0]
+    header = _parse_header(line_no, lines[0][1])
     kind = header["kind"]
-    header_line = lines[0][0]
-    n = _int_header(header, "n", header_line)
-    if n < 1:
-        raise ParseError("n must be at least 1", line=header_line)
-    body = lines[1:]
-
-    if kind == "laurent_matrix":
-        if len(body) != n:
-            raise ParseError(f"expected {n} rows, found {len(body)}", line=header_line)
-        rows = []
-        for line_no, line in body:
-            cells = _split_entries(line)
-            if len(cells) != n:
-                raise DimensionMismatch(
-                    f"line {line_no}: expected {n} entries, found {len(cells)}"
-                )
-            rows.append([parse_laurent(cell, line_no, off) for off, cell in cells])
-        return ParsedFile(kind, LaurentMatrix(rows), header)
-
-    if kind == "rat_matrix_list":
-        count = _int_header(header, "count", header_line, default="1")
-        matrices = _parse_rat_rows(body, n, count)
-        return ParsedFile(kind, matrices, header)
-
-    if kind == "fuchsian_system":
-        if "points" not in header:
-            raise ParseError("fuchsian_system header needs points", line=header_line)
-        points = [parse_fraction(p) for p in header["points"].split()]
-        matrices = _parse_rat_rows(body, n, len(points))
-        return ParsedFile(kind, FuchsianSystem.from_data(points, matrices), header)
-
-    if kind == "scalar_ode":
-        if len(body) != n:
-            raise ParseError(
-                f"expected {n} coefficient lines, found {len(body)}", line=header_line
-            )
-        coeffs = [parse_ratfunc(line, line_no) for line_no, line in body]
-        return ParsedFile(kind, ScalarODE.from_coeffs(coeffs), header)
-
-    if kind == "monodromy_rep":
-        count = _int_header(header, "count", header_line, default="1")
-        matrices = _parse_rat_rows(body, n, count)
-        return ParsedFile(kind, MonodromyRep.from_matrices(matrices), header)
-
-    raise ParseError(f"unhandled kind {kind!r}")  # unreachable
-
-
-# -- emission ------------------------------------------------------------
-
-
-def _header_line(pairs: Sequence[Tuple[str, str]]) -> str:
-    return ", ".join(f"{k} = {v}" for k, v in pairs)
-
-
-def emit_laurent_matrix(m: LaurentMatrix) -> str:
-    lines = [_header_line([("kind", "laurent_matrix"), ("n", str(m.n)),
-                           ("format_version", str(FORMAT_VERSION))])]
-    for i in range(m.n):
-        lines.append(", ".join(str(m[i, j]) for j in range(m.n)))
-    return "\n".join(lines) + "\n"
-
-
-def emit_rat_matrix_list(matrices: Sequence[Sequence[Sequence[Fraction]]]) -> str:
-    n = len(matrices[0])
-    lines = [_header_line([("kind", "rat_matrix_list"), ("n", str(n)),
-                           ("count", str(len(matrices))),
-                           ("format_version", str(FORMAT_VERSION))])]
-    for mat in matrices:
-        for row in mat:
-            lines.append(", ".join(str(Fraction(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def emit_fuchsian_system(system: FuchsianSystem) -> str:
-    lines = [_header_line([("kind", "fuchsian_system"), ("n", str(system.size)),
-                           ("points", " ".join(str(p) for p in system.points)),
-                           ("format_version", str(FORMAT_VERSION))])]
-    for mat in system.residues:
-        for row in mat:
-            lines.append(", ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def emit_scalar_ode(ode: ScalarODE) -> str:
-    lines = [_header_line([("kind", "scalar_ode"), ("n", str(ode.order)),
-                           ("format_version", str(FORMAT_VERSION))])]
-    for c in ode.coeffs:
-        lines.append(str(c))
-    return "\n".join(lines) + "\n"
-
-
-def emit_monodromy_rep(rep: MonodromyRep) -> str:
-    lines = [_header_line([("kind", "monodromy_rep"), ("n", str(rep.size)),
-                           ("count", str(len(rep.matrices))),
-                           ("format_version", str(FORMAT_VERSION))])]
-    for mat in rep.matrices:
-        for row in mat:
-            lines.append(", ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    n = _int_header(header, "n", line_no)
+    return ParsedFile(kind, _KINDS[kind].read(header, line_no, n, lines[1:]))
 
 
 def emit(parsed: ParsedFile) -> str:
-    if parsed.kind == "laurent_matrix":
-        return emit_laurent_matrix(parsed.obj)
-    if parsed.kind == "rat_matrix_list":
-        return emit_rat_matrix_list(parsed.obj)
-    if parsed.kind == "fuchsian_system":
-        return emit_fuchsian_system(parsed.obj)
-    if parsed.kind == "scalar_ode":
-        return emit_scalar_ode(parsed.obj)
-    if parsed.kind == "monodromy_rep":
-        return emit_monodromy_rep(parsed.obj)
-    raise ValueError(f"unknown kind {parsed.kind!r}")
+    """The canonical document of a parsed file."""
+    n, extra, rows = _KINDS[parsed.kind].layout(parsed.obj)
+    items = [("kind", parsed.kind), ("n", n), *extra, ("format_version", FORMAT_VERSION)]
+    return "\n".join([", ".join(f"{k} = {v}" for k, v in items), *rows]) + "\n"
 
 
 # -- result documents -----------------------------------------------------
@@ -515,9 +462,7 @@ def jsonable(value):
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (LaurentPoly, RatFunc)):
+    if isinstance(value, (Fraction, LaurentPoly, RatFunc)):
         return str(value)
     if isinstance(value, Infinity):
         return "oo"
@@ -530,15 +475,12 @@ def jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def input_digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def result_document(command: str, inputs: Dict[str, str], result, certificate=None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "command": command,
-        "inputs": {name: input_digest(text) for name, text in inputs.items()},
+        "inputs": {name: "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+                   for name, text in inputs.items()},
         "result": jsonable(result),
     }
     if certificate is not None:

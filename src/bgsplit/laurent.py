@@ -26,15 +26,28 @@ Scalar = Union[int, Fraction]
 _FRACTION_ZERO = Fraction(0)  # Fractions are immutable, so one zero serves every miss
 
 
-def _subtract_multiple(rem: dict, terms: Mapping[int, Fraction], shift: int, c: Fraction) -> None:
-    """rem -= c * x^shift * terms, in place, dropping the terms that cancel."""
-    for e, v in terms.items():
-        k = e + shift
-        s = rem.get(k, 0) - c * v
-        if s:
-            rem[k] = s
-        else:
-            rem.pop(k, None)
+def _long_division(rem: dict, divisor: Mapping[int, Fraction], stop: int) -> dict:
+    """Long division by the nonzero ``divisor`` from the top term, in place
+    on the remainder map ``rem``: one pass per quotient term while the top
+    exponent of ``rem`` is at least ``stop``.  Returns the quotient's term
+    map and leaves the remainder in ``rem``."""
+    top = max(divisor)
+    lead = divisor[top]
+    quot = {}
+    while rem:
+        high = max(rem)
+        if high < stop:
+            break
+        shift = high - top
+        c = quot[shift] = rem[high] / lead
+        for e, v in divisor.items():
+            k = e + shift
+            s = rem.get(k, 0) - c * v
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return quot
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -208,18 +221,11 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self._terms:
             return _trusted({})
-        top = max(other._terms)
-        lead = other._terms[top]
-        low = min(self._terms) - min(other._terms)
+        divisor = other._terms
         rem = dict(self._terms)
-        quot = {}
-        while rem:
-            q = max(rem) - top
-            if q < low:
-                raise ArithmeticError("inexact division of Laurent polynomials")
-            c = rem[q + top] / lead
-            quot[q] = c
-            _subtract_multiple(rem, other._terms, q, c)
+        quot = _long_division(rem, divisor, min(self._terms) - min(divisor) + max(divisor))
+        if rem:
+            raise ArithmeticError("inexact division of Laurent polynomials")
         return _trusted(quot)
 
     def __pow__(self, n: int) -> "LaurentPoly":

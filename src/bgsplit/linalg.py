@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
-from .ratfunc import _primitive_coeffs, poly_divmod, poly_gcd, root_multiplicity
+from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -352,7 +352,7 @@ def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:
 
     Returned sorted ascending.  Polynomial-time, by p-adic lifting (Loos,
     SIAM J. Comput. 1983): with f the primitive integer form of the
-    square-free part p / gcd(p, p') and a its leading coefficient, the
+    square-free part ``poly_radical(p)`` and a its leading coefficient, the
     roots x of f are y/a for the integer roots y of the monic
     h(y) = a^(m-1) f(y/a), m = deg f.  Those are the roots of h modulo
     the first prime q at which every root of h is simple, Newton-lifted
@@ -370,7 +370,7 @@ def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:
         p = p.shift(-low)
     if p.deg() == 0:
         return roots
-    f = _primitive_coeffs(poly_divmod(p, poly_gcd(p, p.derivative()))[0])
+    f = _primitive_coeffs(poly_radical(p))
     m, a = len(f) - 1, f[-1]
     h = [c * a ** (m - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     dh = [i * c for i, c in enumerate(h)][1:]

@@ -93,9 +93,6 @@ class LaurentMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> Tuple[LaurentPoly, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> Tuple[LaurentPoly, ...]:
         return tuple(self.entries[i][j] for i in range(self.n))
 
@@ -108,9 +105,6 @@ class LaurentMatrix:
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply every entry by x^k."""
         return self.map_entries(lambda p: p.shift(k))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero for row in self.entries for v in row)
 
     def is_identity(self) -> bool:
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
@@ -133,21 +127,6 @@ class LaurentMatrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._check_shape(other)
-        return LaurentMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __neg__(self) -> "LaurentMatrix":
-        return self.map_entries(lambda p: -p)
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_shape(other)
         return LaurentMatrix(_product(self.entries, tuple(zip(*other.entries))))
@@ -157,9 +136,6 @@ class LaurentMatrix:
             raise DimensionMismatch("vector length mismatch")
         vec = tuple(_coerce_entry(v) for v in vector)
         return tuple(row[0] for row in _product(self.entries, (vec,)))
-
-    def scale(self, c: Scalar) -> "LaurentMatrix":
-        return self.map_entries(lambda p: p.scale(c))
 
     def _check_shape(self, other: "LaurentMatrix") -> None:
         if not isinstance(other, LaurentMatrix) or other.n != self.n:

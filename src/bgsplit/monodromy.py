@@ -61,7 +61,7 @@ class MonodromyRep:
     def from_matrices(matrices: Sequence[Sequence[Sequence]]) -> "MonodromyRep":
         mats = tuple(qmat(m) for m in matrices)
         if not mats:
-            raise ValueError("a representation needs at least one matrix")
+            raise DimensionMismatch("a representation needs at least one matrix")
         n = len(mats[0])
         for m in mats:
             if len(m) != n or any(len(row) != n for row in m):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
 from .errors import NotInvertible, WorkBudgetExceeded
-from .laurent import LaurentPoly, Scalar, _coerce, _subtract_multiple, _trusted
+from .laurent import LaurentPoly, Scalar, _coerce, _long_division, _trusted
 
 
 class Infinity:
@@ -48,22 +48,13 @@ def _require_poly(p: LaurentPoly, what: str = "operand") -> LaurentPoly:
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Long division a = q*b + r with deg r < deg b, over Q[x], in place
-    on one remainder map (one pass per quotient term)."""
+    """Long division a = q*b + r with deg r < deg b, over Q[x]: the shared
+    top-term loop, stopped below deg b."""
     _require_poly(a), _require_poly(b)
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    divisor = b.terms
-    db = max(divisor)
-    lead = divisor[db]
-    rem, quot = a.terms, {}
-    while rem:
-        top = max(rem)
-        if top < db:
-            break
-        c = rem[top] / lead
-        quot[top - db] = c
-        _subtract_multiple(rem, divisor, top - db, c)
+    rem = a.terms
+    quot = _long_division(rem, b.terms, b.deg())
     return _trusted(quot), _trusted(rem)
 
 

@@ -165,6 +165,8 @@ def test_twist_covariance_and_dual_reversal():
     e, d = planted_bundle(rng, n_max=3)
     for k in (-2, 1, 3):
         assert splitting_type(twist(e, k)).indices == tuple(di + k for di in d)
+        ek = twist(e, k)
+        assert (ek.det_coeff, ek.det_exponent) == ek.transition.unit_det()
     assert splitting_type(dual(e)).indices == tuple(-di for di in reversed(d))
     assert (dual(e).det_coeff, dual(e).det_exponent) == dual(e).transition.unit_det()
     assert splitting_type(dual(EXT_UP)).indices == (1, -1)
@@ -178,6 +180,8 @@ def test_degree_and_det_bundle():
     assert degree(e) == 1
     assert degree(det_bundle(e)) == 1
     assert det_bundle(e).rank == 1
+    d = det_bundle(e)
+    assert (d.det_coeff, d.det_exponent) == d.transition.unit_det()
     assert degree(twist(e, 3)) == 1 + 2 * 3
     assert splitting_type(dual(line(5))).indices == (-5,)
 

@@ -5,9 +5,8 @@ import pytest
 from bgsplit.errors import DimensionMismatch, ParseError
 from bgsplit.fuchsian import INF, FuchsianSystem, ScalarODE
 from bgsplit.io import (
+    ParsedFile,
     emit,
-    emit_laurent_matrix,
-    emit_monodromy_rep,
     jsonable,
     parse_fraction,
     parse_laurent,
@@ -70,7 +69,7 @@ def test_identity_document():
 def test_round_trip_byte_identity_all_kinds():
     docs = []
     m = LaurentMatrix([[lp({1: 1, -1: F(1, 2)}), 1], [0, lp({-1: 1})]])
-    docs.append(emit_laurent_matrix(m))
+    docs.append(emit(ParsedFile("laurent_matrix", m)))
     docs.append(
         "kind = rat_matrix_list, n = 2, count = 2, format_version = 1\n"
         "1, 1/2\n0, 1\n-1, 0\n2/3, 1\n"
@@ -83,7 +82,8 @@ def test_round_trip_byte_identity_all_kinds():
         "kind = scalar_ode, n = 2, format_version = 1\n"
         "(31/21*x - 1/2)/(-x + x^2)\n(1/21)/(-x + x^2)\n"
     )
-    docs.append(emit_monodromy_rep(MonodromyRep.from_matrices(COUNTEREXAMPLE_MATRICES)))
+    rep = MonodromyRep.from_matrices(COUNTEREXAMPLE_MATRICES)
+    docs.append(emit(ParsedFile("monodromy_rep", rep)))
     for text in docs:
         first = emit(parse_matrix_file(text))
         second = emit(parse_matrix_file(first))

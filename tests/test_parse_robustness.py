@@ -1,5 +1,6 @@
 """Robustness of entry parsing on the CLI and the parser: short entries
-exit cleanly, documents round-trip, and a long sum parses in linear time."""
+and short headers exit cleanly, documents round-trip, and a long sum
+parses in linear time."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgsplit.cli import main
-from bgsplit.io import emit, emit_laurent_matrix, emit_rat_matrix_list, parse_laurent, parse_matrix_file
+from bgsplit.io import ParsedFile, emit, parse_laurent, parse_matrix_file
 from bgsplit.laurent import LaurentPoly
 from bgsplit.lmatrix import LaurentMatrix
 
@@ -43,6 +44,27 @@ def test_any_short_entry_exits_with_a_result_or_a_refusal(entry):
             assert "Traceback" not in err
 
 
+# Each input kind with a command that reads it.
+KIND_COMMANDS = [("laurent_matrix", "split"), ("rat_matrix_list", "frobenius"),
+                 ("fuchsian_system", "fuchs-system"), ("scalar_ode", "fuchs-ode"),
+                 ("monodromy_rep", "bolibrukh")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KIND_COMMANDS), st.integers(-1, 2), st.integers(-1, 2),
+       st.sampled_from(["", "0", "0 0", "0 1"]), st.integers(0, 4))
+def test_any_short_header_exits_with_a_result_or_a_refusal(kind_command, n, count, points, rows):
+    kind, command = kind_command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, kind + ".txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"kind = {kind}, n = {n}, count = {count}, points = {points}\n"
+                         + "1\n" * rows)
+        code, err = _cli(command, path)
+    assert code in (0, 2, 3), (kind, n, count, points, rows, err)
+    assert "Traceback" not in err
+
+
 coefficients = st.fractions(min_value=-99, max_value=99, max_denominator=40)
 polys = st.dictionaries(st.integers(-9, 9), coefficients, max_size=5).map(LaurentPoly)
 
@@ -54,7 +76,7 @@ def _square(n, cells):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: _square(n, polys)))
 def test_laurent_matrix_document_round_trips(rows):
-    text = emit_laurent_matrix(LaurentMatrix(rows))
+    text = emit(ParsedFile("laurent_matrix", LaurentMatrix(rows)))
     assert emit(parse_matrix_file(text)) == text
 
 
@@ -62,7 +84,7 @@ def test_laurent_matrix_document_round_trips(rows):
 @given(st.integers(1, 4).flatmap(
     lambda n: st.lists(_square(n, coefficients), min_size=1, max_size=3)))
 def test_rat_matrix_list_document_round_trips(matrices):
-    text = emit_rat_matrix_list(matrices)
+    text = emit(ParsedFile("rat_matrix_list", matrices))
     assert emit(parse_matrix_file(text)) == text
 
 
