@@ -29,15 +29,16 @@ All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded
+from . import linalg  # linalg.sparse_int_rows, looked up per call: perfbench wraps it
+from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly
-from .linalg import echelon_insert, sparse_kernel
-from .lmatrix import LaurentMatrix
+from .linalg import TailRow, echelon_insert, sparse_kernel
+from .lmatrix import LaurentMatrix, _product
 from .orderbasis import factor_to_diagonal
 
 
@@ -143,6 +144,9 @@ class RiemannRochReport:
 # steps.  Tests and benchmark need under 10^3, a planted rank-24 bundle 10^4,
 # x^99999999999 10^11.
 SECTION_BUDGET = 1 << 16
+# Most entries, rows times the width each spans, of a section system, whose rows
+# the echelon core keeps dense: 4*10^6 for a planted rank 24, 10*N^2 for x^N, x^-N.
+SECTION_BAND_BUDGET = 1 << 24
 
 
 def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
@@ -152,44 +156,44 @@ def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     return e.rank * (m + big) + abs(k) + e.rank + extra
 
 
-def _section_rows(
-    a: LaurentMatrix, k: int, bound: int
-) -> Tuple[List[List[Dict[int, int]]], int]:
+def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[TailRow]], int]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
     0 <= b <= bound, laid out so the system is banded: column index
     (bound - b) * n + j.  Rows are indexed by (target exponent e < 0,
     component i) and grouped by e in ascending order, so the last group
-    holds e = -1.  Row i is scaled by the lcm of the denominators in row
-    i of A, so every row is an integer row.
+    holds e = -1; rows without an entry are left out.  Each row is a
+    window of row i of the generator, which holds the x^t coefficient of
+    A[i, j] at (hi - t) * n + j and is scaled by the lcm of its
+    denominators, and is given as (first column, integer entries).
     """
     n = a.n
-    lo, _ = a.exponent_range()
+    lo, hi = a.exponent_range()
     if max(n * (bound + 1), bound - k - lo) > SECTION_BUDGET:
-        raise WorkBudgetExceeded(f"section system of twist {k} needs degree bound {bound} "
-                                 f"in rank {n}, over the work budget of {SECTION_BUDGET}")
-    int_rows = []
-    for i in range(n):
-        terms = [a[i, j].terms for j in range(n)]
-        mult = lcm(*(c.denominator for t in terms for c in t.values()))
-        int_rows.append(
-            [[(exp, int(c * mult)) for exp, c in t.items()] for t in terms]
-        )
-    groups: List[List[Dict[int, int]]] = []
+        raise WorkBudgetExceeded(f"section system of twist {decimal(k)} needs degree bound "
+                                 f"{decimal(bound)} in rank {n}, over the work budget of "
+                                 f"{SECTION_BUDGET}")
+    offsets = [{(hi - t) * n + j: v for j in range(n) for t, v in a[i, j].terms.items()}
+               for i in range(n)]
+    dense = [(0, [row.get(o, 0) for o in range(n * (hi - lo + 1))]) for row in offsets]
+    generator = [(row, [o for o, v in enumerate(row) if v])
+                 for _, row in linalg.sparse_int_rows(dense)]
+    entries = (bound - k - lo) * sum(nz[-1] - nz[0] + 1 for _, nz in generator if nz)
+    if entries > SECTION_BAND_BUDGET:
+        raise WorkBudgetExceeded(f"section system of twist {decimal(k)} spans up to {entries} "
+                                 f"entries, over the work budget of {SECTION_BAND_BUDGET}")
+    ncols = n * (bound + 1)
+    groups: List[List[TailRow]] = []
     for e in range(k + lo - bound, 0):
+        base = (bound - k + e - hi) * n  # the column of generator offset 0
         group = []
-        for int_row in int_rows:
-            row: Dict[int, int] = {}
-            for j, terms in enumerate(int_row):
-                for exp, coeff in terms:
-                    b = exp + k - e
-                    if 0 <= b <= bound:
-                        row[(bound - b) * n + j] = coeff
-            if row:
-                group.append(row)
+        for row, nonzero in generator:
+            window = nonzero[bisect_left(nonzero, -base):bisect_left(nonzero, ncols - base)]
+            if window:
+                group.append((base + window[0], row[window[0]:window[-1] + 1]))
         groups.append(group)
-    return groups, n * (bound + 1)
+    return groups, ncols
 
 
 def _h0_dimension(e: BundleOnP1, k: int, extra: int = 0) -> int:
@@ -209,14 +213,14 @@ def section_profile(
     """
     bound = max(_degree_bound(e, kmin, extra), _degree_bound(e, kmax, extra))
     groups, ncols = _section_rows(e.transition, kmin, bound)
-    pivots: Dict[int, Dict[int, int]] = {}
+    pivots: Dict[int, List[int]] = {}
     done = 0
     profile = {}
     for k in range(kmax, kmin - 1, -1):
         cutoff = max(done, len(groups) + kmin - k)
         for group in groups[done:cutoff]:
-            for row in group:
-                echelon_insert(pivots, row)
+            for c, row in group:
+                echelon_insert(pivots, c, row)
         done = cutoff
         profile[k] = ncols - len(pivots)
     return dict(sorted(profile.items()))
@@ -234,16 +238,16 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     n = e.rank
     bound = _degree_bound(e, k, 0)
     groups, ncols = _section_rows(a, k, bound)
-    basis = []
+    columns = []
     for vec in sparse_kernel([row for group in groups for row in group], ncols):
         # column (bound - b) * n + j holds the x^-b coefficient of s1_j
         terms: List[Dict[int, Fraction]] = [{} for _ in range(n)]
         for col, v in vec.items():
             terms[col % n][col // n - bound] = v
-        s1 = tuple(LaurentPoly(t) for t in terms)
-        s0 = tuple(p.shift(k) for p in a.apply(s1))
-        basis.append((s0, s1))
-    return SectionSpace(twist=k, dimension=len(basis), basis=tuple(basis))
+        columns.append(tuple(LaurentPoly(t) for t in terms))
+    images = zip(*_product(a.entries, columns)) if columns else ()
+    basis = tuple((tuple(p.shift(k) for p in s0), s1) for s0, s1 in zip(images, columns))
+    return SectionSpace(twist=k, dimension=len(basis), basis=basis)
 
 
 # -- splitting type from the section-count profile ----------------------

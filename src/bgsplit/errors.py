@@ -9,6 +9,8 @@ is surfaced loudly).  Each class carries its group's CLI exit code (2, 3,
 error only has to pick its base class.
 """
 
+from math import log10
+
 
 class BGSplitError(Exception):
     """Base class for all library errors; by itself an internal failure."""
@@ -60,6 +62,16 @@ class InvalidBundle(_DomainError):
 
 class WorkBudgetExceeded(_DomainError):
     """Valid input whose computation exceeds a documented work budget."""
+
+
+def decimal(value: int) -> str:
+    """An integer for a message: its decimal digits, or its order of
+    magnitude when it is past the digit limit of str()."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = int(abs(value).bit_length() * log10(2))
+        return f"about {'-' if value < 0 else ''}10^{digits}"
 
 
 class InternalSearchExhausted(BGSplitError):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded
+from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, decimal
 from .fuchsian import FuchsianSystem, ScalarODE
 from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
@@ -58,9 +58,11 @@ FORMAT_VERSION = 1
 # the same as evaluating everything in Q(x).
 Value = Union[LaurentPoly, RatFunc]
 
-# Longest numeral (run of ASCII digits) an entry may hold: CPython's
-# default limit for int() on a decimal string.
+# Longest numeral (run of ASCII digits) an entry may hold, and longest
+# exponent of its value: CPython's default limit for int() on a decimal
+# string, and for str() on an int.
 MAX_NUMERAL_DIGITS = 4300
+_EXPONENT_LIMIT = 10**MAX_NUMERAL_DIGITS
 
 # Work budget of ``^``: a power whose result could have more terms than
 # POWER_TERM_BUDGET, or a coefficient of more than POWER_BIT_BUDGET bits
@@ -137,7 +139,7 @@ def _check_power(p: LaurentPoly, exp: int) -> None:
             terms = min(terms, comb(exp + k - 1, k - 1))
         if terms > POWER_TERM_BUDGET:
             raise WorkBudgetExceeded(
-                f"power with up to {terms} terms exceeds the work budget of "
+                f"power with up to {decimal(terms)} terms exceeds the work budget of "
                 f"{POWER_TERM_BUDGET} terms"
             )
     den = lcm(*(c.denominator for c in coeffs.values()))
@@ -145,7 +147,7 @@ def _check_power(p: LaurentPoly, exp: int) -> None:
     bits = exp * ((size - 1).bit_length() + (den - 1).bit_length())
     if bits > POWER_BIT_BUDGET:
         raise WorkBudgetExceeded(
-            f"power with {bits}-bit coefficients exceeds the work budget of "
+            f"power with {decimal(bits)}-bit coefficients exceeds the work budget of "
             f"{POWER_BIT_BUDGET} bits"
         )
 
@@ -268,6 +270,10 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
         ) from None
     if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
+    for p in (value,) if isinstance(value, LaurentPoly) else (value.num, value.den):
+        if any(abs(e) >= _EXPONENT_LIMIT for e in p.terms):
+            raise ParseError(f"exponent longer than {MAX_NUMERAL_DIGITS} digits",
+                             line=line, column=col_offset + 1)
     return value
 
 
@@ -458,21 +464,33 @@ def jsonable(value):
 
     Fractions become strings "p/q" (or "p"); Laurent polynomials and
     rational functions use their canonical text form; booleans, ints and
-    None pass through.
+    None pass through.  An integer past the digit limit of str() is
+    refused with WorkBudgetExceeded.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        _text(value)
         return value
     if isinstance(value, (Fraction, LaurentPoly, RatFunc)):
-        return str(value)
+        return _text(value)
     if isinstance(value, Infinity):
         return "oo"
     if isinstance(value, LaurentMatrix):
-        return [[str(value[i, j]) for j in range(value.n)] for i in range(value.n)]
+        return [[_text(value[i, j]) for j in range(value.n)] for i in range(value.n)]
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {_text(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _text(value) -> str:
+    try:
+        return str(value)
+    except ValueError:  # an integer past the digit limit of str()
+        raise WorkBudgetExceeded("result holds an integer too long to render "
+                                 f"(over {MAX_NUMERAL_DIGITS} digits)") from None
 
 
 def result_document(command: str, inputs: Dict[str, str], result, certificate=None) -> dict:

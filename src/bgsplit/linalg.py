@@ -4,20 +4,21 @@ Matrices are sequences of rows whose entries are ``int`` or ``Fraction``.
 Both types carry ``numerator`` and ``denominator``, and every entry point
 clears denominators once through those two attributes, on one path for
 either type: row by row in ``sparse_int_rows``, matrix by matrix in
-``integer_scaled``.  The sparse core (``echelon_insert``) runs a
-division-controlled integer echelon reduction (every combined row is
-divided by the gcd of its entries), which bounds swell without leaving
-exact arithmetic; rank, kernels, ``solve``, section counts and the
-word-span closure use it, and kernels and solutions share one
-back-substitution to reduced echelon form, so results are deterministic.
-The dense fraction-free core (``eliminate``) serves ``det_q``,
-``inverse_q`` and the Laurent and rational-function matrices of
-``lmatrix``.
+``integer_scaled``.  The sparse core (``echelon_insert``) runs an integer
+echelon reduction on rows kept dense from their first column: two rows
+combine after their leading entries are divided by their gcd, and a row
+loses its content only when it is stored, which bounds swell without
+leaving exact arithmetic.  Rank, kernels, ``solve``, section counts and
+the word-span closure use it; kernels and solutions share one integer
+back-substitution to reduced echelon form.  The dense fraction-free core
+(``eliminate``) serves ``det_q``, ``inverse_q`` and the Laurent and
+rational-function matrices of ``lmatrix``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +29,8 @@ from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 SparseRow = Dict[int, int]
+# A row of the echelon core: its first column c and its entries from c on.
+TailRow = Tuple[int, List[int]]
 
 
 def qmat(rows: Sequence[Sequence]) -> Matrix:
@@ -93,60 +96,54 @@ def is_identity(a: Matrix) -> bool:
 # -- integer echelon engine -------------------------------------------
 
 
-def _gcd_reduce(row: SparseRow) -> SparseRow:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
-
-
-def _normalize_sign(row: SparseRow) -> SparseRow:
-    if row and row[min(row)] < 0:
-        row = {c: -v for c, v in row.items()}
-    return row
-
-
-def sparse_int_rows(rows: Sequence[Dict[int, Fraction]]) -> List[SparseRow]:
-    """Clear denominators per row, returning gcd-reduced integer sparse
-    rows; zero entries, and rows left empty, are dropped."""
+def sparse_int_rows(rows: Sequence[TailRow]) -> List[TailRow]:
+    """Clear denominators per row: each (first column, entries) row, with
+    int or Fraction entries, scaled by the lcm of its denominators."""
     out = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row.values()))
-        intified = {c: v.numerator * (mult // v.denominator) for c, v in row.items() if v}
-        if intified:
-            out.append(_gcd_reduce(intified))
+    for c, entries in rows:
+        mult = lcm(*(v.denominator for v in entries))
+        out.append((c, [v.numerator * (mult // v.denominator) for v in entries]))
     return out
 
 
-def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> Optional[int]:
-    """Reduce an integer row against the echelon rows and keep what is left.
+def echelon_insert(pivots: Dict[int, List[int]], c: int, row: List[int]) -> Optional[int]:
+    """Reduce an integer row, its entries from column c on, in place
+    against the echelon rows and keep what is left.
 
-    ``pivots`` maps each pivot column to its row, whose minimal column is
-    that pivot; a nonzero remainder joins it under its own minimal column,
-    which is returned (None when the row reduces to zero).  Rows are
-    combined fraction-free (cross-multiplied then gcd-reduced), which is
-    exact and keeps entries as small minors.
+    ``pivots`` maps each pivot column to the tail of its row from that
+    column, primitive with a positive first entry; a nonzero remainder
+    joins it under its own first nonzero column, which is returned (None
+    when the row reduces to zero).  Rows are combined fraction-free after
+    their leading entries are divided by their gcd, which is exact and
+    keeps entries as small minors.  The remainder is a multiple of the one
+    a reduction dividing out the content at every step would keep, so
+    dividing it out once, on storing, stores the same row.
     """
-    while row:
-        c = min(row)
-        p = pivots.get(c)
+    s, end = 0, len(row)  # row[s] is the entry in column c + s
+    while True:
+        while s < end and not row[s]:
+            s += 1
+        if s == end:
+            return None
+        p = pivots.get(c + s)
         if p is None:
-            pivots[c] = _normalize_sign(_gcd_reduce(row))
-            return c
-        a, b = row[c], p[c]
-        new: SparseRow = {col: b * v for col, v in row.items()}
-        for col, v in p.items():
-            s = new.get(col, 0) - a * v
-            if s:
-                new[col] = s
-            else:
-                new.pop(col, None)
-        row = _gcd_reduce(new)
-    return None
+            while not row[-1]:
+                row.pop()
+            g = gcd(*row[s:]) if row[s] > 0 else -gcd(*row[s:])
+            pivots[c + s] = [v // g for v in row[s:]]
+            return c + s
+        g = gcd(row[s], p[0])
+        a, b = row[s] // g, p[0] // g
+        stop = s + len(p)
+        if stop > end:
+            row += [0] * (stop - end)
+            end = stop
+        s += 1
+        if b == 1:
+            row[s:stop] = [x - a * y for x, y in zip(row[s:stop], islice(p, 1, None))]
+        else:
+            row[s:stop] = [b * x - a * y for x, y in zip(row[s:stop], islice(p, 1, None))]
+            row[stop:] = [b * x for x in row[stop:]]
 
 
 def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> Optional[int]:
@@ -166,45 +163,43 @@ def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> 
     return c
 
 
-def echelon_sparse(rows: Sequence[Dict[int, Fraction]]) -> Dict[int, SparseRow]:
-    """Reduce sparse rows to echelon form.
-
-    Returns a map {pivot column: integer row} where each row's minimal
-    column is its pivot (see ``echelon_insert``).
-    """
-    pivots: Dict[int, SparseRow] = {}
-    for row in sparse_int_rows(rows):
-        echelon_insert(pivots, row)
-    return pivots
+def echelon_sparse(rows: Sequence[TailRow]) -> Dict[int, SparseRow]:
+    """Echelon form of integer rows given as (first column, entries): a map
+    {pivot column: integer row} where each row's minimal column is its
+    pivot (see ``echelon_insert``)."""
+    pivots: Dict[int, List[int]] = {}
+    for c, row in rows:
+        echelon_insert(pivots, c, row)
+    return {c: {c + i: v for i, v in enumerate(row) if v} for c, row in pivots.items()}
 
 
 def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fraction]]:
-    """Reduced echelon form over Q of the echelon rows: each row is divided
-    by its pivot entry and cleared of the other pivot columns."""
-    reduced: Dict[int, Dict[int, Fraction]] = {}
+    """Reduced echelon form over Q of the echelon rows, as {pivot column c:
+    {free column f: v}} for the rows x_c + sum of v * x_f.  Each row is
+    cleared of the other pivot columns on integers, as d * x_c + sum of
+    w * x_f with no common factor, and divided by d only at the end."""
+    reduced: Dict[int, Tuple[int, SparseRow]] = {}
     for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        lead = prow[c]
-        frow = {col: Fraction(v, lead) for col, v in prow.items()}
-        for col in sorted(col for col in frow if col != c and col in reduced):
-            factor = frow.pop(col)
-            for col2, v2 in reduced[col].items():
-                if col2 == col:
-                    continue
-                s = frow.get(col2, Fraction(0)) - factor * v2
-                if s:
-                    frow[col2] = s
-                else:
-                    frow.pop(col2, None)
-        reduced[c] = frow
-    return reduced
+        row = pivots[c]
+        den, free = 1, {f: v for f, v in row.items() if f != c and f not in reduced}
+        for p in row.keys() & reduced.keys():
+            m, other = reduced[p]
+            g = gcd(den, m)
+            scale, v = m // g, row[p] * (den // g)
+            free = {f: w * scale for f, w in free.items()} if scale != 1 else free
+            for f, w in other.items():
+                free[f] = free.get(f, 0) - v * w
+            den *= scale
+        den *= row[c]
+        g = gcd(den, *free.values())
+        reduced[c] = (den // g, {f: w // g for f, w in free.items() if w})
+    return {c: {f: Fraction(w, den) for f, w in free.items()}
+            for c, (den, free) in reduced.items()}
 
 
-def sparse_kernel(
-    rows: Sequence[Dict[int, Fraction]], ncols: int
-) -> List[Dict[int, Fraction]]:
-    """Basis of the exact right kernel of a sparse rational matrix, as
-    sparse vectors {column: value}.
+def sparse_kernel(rows: Sequence[TailRow], ncols: int) -> List[Dict[int, Fraction]]:
+    """Basis of the exact right kernel of an integer matrix with rows
+    given as (first column, entries), as sparse vectors {column: value}.
 
     The basis is in the reduced-echelon normal form parametrization: one
     vector per free column in ascending order, with a 1 in the free
@@ -212,11 +207,9 @@ def sparse_kernel(
     """
     pivots = echelon_sparse(rows)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
-    # A reduced row holds its pivot c and free columns only.
     for c, frow in _back_substitute(pivots).items():
         for f, coeff in frow.items():
-            if f != c:
-                basis[f][c] = -coeff
+            basis[f][c] = -coeff
     return list(basis.values())
 
 
@@ -224,11 +217,11 @@ def nullspace(matrix: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel of a dense rational matrix."""
     ncols = len(matrix[0]) if matrix else 0
     return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
-            for vec in sparse_kernel([dict(enumerate(row)) for row in matrix], ncols)]
+            for vec in sparse_kernel(sparse_int_rows([(0, row) for row in matrix]), ncols)]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    return len(echelon_sparse([dict(enumerate(row)) for row in matrix]))
+    return len(echelon_sparse(sparse_int_rows([(0, row) for row in matrix])))
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
@@ -245,7 +238,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     if not columns:
         b = [[v] for v in b]
     width = _width(b)
-    pivots = echelon_sparse([dict(enumerate((*arow, *brow))) for arow, brow in zip(a, b)])
+    pivots = echelon_sparse(sparse_int_rows([(0, (*arow, *brow)) for arow, brow in zip(a, b)]))
     if pivots and max(pivots) >= ncols:
         return None
     x = [[Fraction(0)] * width for _ in range(ncols)]

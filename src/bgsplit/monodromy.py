@@ -29,7 +29,6 @@ from .laurent import LaurentPoly
 from .linalg import (
     IntMatrix,
     Matrix,
-    SparseRow,
     charpoly,
     det_q,
     echelon_insert,
@@ -181,8 +180,7 @@ def _word_span_dimension(
         if prime:
             kept = echelon_insert_mod(pivots, [v for r in mat for v in r], prime)
         else:
-            row = {k: v for k, v in enumerate(v for r in mat for v in r) if v}
-            kept = echelon_insert(pivots, row)
+            kept = echelon_insert(pivots, 0, [v for r in mat for v in r])
         if kept is not None:
             frontier.append((word, mat))
             if words is not None:
@@ -202,45 +200,54 @@ def _spin(seed: Sequence[int], gens: Sequence[IntMatrix]) -> Tuple[Tuple[int, ..
     that every generator maps into itself, exact over Z.  The spin stops
     as soon as it is all of Q^n."""
     n = len(seed)
-    pivots: Dict[int, SparseRow] = {}
-    queue: List[SparseRow] = []
+    pivots: Dict[int, List[int]] = {}
+    queue: List[int] = []
 
     def add(vec) -> None:
-        c = echelon_insert(pivots, {j: v for j, v in enumerate(vec) if v})
+        c = echelon_insert(pivots, 0, list(vec))
         if c is not None:
-            queue.append(pivots[c])
+            queue.append(c)
 
     add(seed)
-    for row in queue:
+    for c in queue:
         if len(pivots) == n:
             break
+        row = pivots[c]
         for g in gens:
-            add(tuple(sum(g[i][j] * v for j, v in row.items()) for i in range(n)))
-    return tuple(tuple(row.get(j, 0) for j in range(n)) for _, row in sorted(pivots.items()))
+            add(sum(g[i][c + t] * v for t, v in enumerate(row)) for i in range(n))
+    return tuple((0,) * c + tuple(row) + (0,) * (n - c - len(row))
+                 for c, row in sorted(pivots.items()))
 
 
-def _invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[Tuple[int, ...], ...]]:
+def _invariant_subspace(
+    rep: MonodromyRep, charpolys: Optional[Sequence[LaurentPoly]] = None
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Integer basis of a proper invariant subspace spun from a rational
     eigenvector, or None.
 
     For each generator's integer form N = d*M and each rational (hence
-    integer) eigenvalue lam of N, each basis vector of ker(N - lam) is
-    spun under the integer generators and each basis vector of
-    ker(N^T - lam) under their transposes.  A spin short of Q^n is
-    invariant; for the transposes its annihilator is.  Absence of a
-    witness proves nothing, but the search stops at a one-dimensional
-    kernel whose two spins are both full, because then no invariant
-    subspace exists even over C (Norton's argument): a proper invariant
-    U either contains the kernel vector of N - lam, or N - lam is
-    invertible on U and the kernel vector of N^T - lam annihilates U.
+    integer) eigenvalue lam = d*mu of N, mu a rational root of the
+    characteristic polynomial of M (``charpolys[k]`` for generator k, when
+    given), each basis vector of ker(N - lam) is spun under the integer
+    generators and each basis vector of ker(N^T - lam) under their
+    transposes.  A spin short of Q^n is invariant; for the transposes its
+    annihilator is.  Absence of a witness proves nothing, but the search
+    stops at a one-dimensional kernel whose two spins are both full,
+    because then no invariant subspace exists even over C (Norton's
+    argument): a proper invariant U either contains the kernel vector of
+    N - lam, or N - lam is invertible on U and the kernel vector of
+    N^T - lam annihilates U.
     """
     n = rep.size
-    gens = [integer_scaled(m)[1] for m in rep.matrices]
+    scaled = [integer_scaled(m) for m in rep.matrices]
+    gens = [g for _, g in scaled]
     sides = (gens, [transpose(g) for g in gens])
-    for k, big_n in enumerate(gens):
-        for lam, _ in rational_roots(charpoly(big_n)):
+    for k, (d, _) in enumerate(scaled):
+        char = charpoly(rep.matrices[k]) if charpolys is None else charpolys[k]
+        for mu, _ in rational_roots(char):
+            lam = int(d * mu)
             for side, act in enumerate(sides):
-                shifted = [[v - int(lam) if i == j else v for j, v in enumerate(row)]
+                shifted = [[v - lam if i == j else v for j, v in enumerate(row)]
                            for i, row in enumerate(act[k])]
                 kernel = integer_scaled(nullspace(shifted))[1]
                 for vec in kernel:
@@ -252,11 +259,14 @@ def _invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[Tuple[int, ...], ..
     return None
 
 
-def irreducibility_certificate(rep: MonodromyRep) -> IrreducibilityCertificate:
+def irreducibility_certificate(
+    rep: MonodromyRep, charpolys: Optional[Sequence[LaurentPoly]] = None
+) -> IrreducibilityCertificate:
     """Decide irreducibility over C by the cheapest certificate: a
     rational invariant subspace, then n^2 words independent modulo
-    ``WORD_SPAN_PRIME``, then the exact word-span closure."""
-    subspace = _invariant_subspace(rep)
+    ``WORD_SPAN_PRIME``, then the exact word-span closure.  ``charpolys``
+    are the generators' characteristic polynomials, when already known."""
+    subspace = _invariant_subspace(rep, charpolys)
     if subspace is not None:
         return IrreducibilityCertificate(irreducible=False, subspace=subspace)
     for prime in (WORD_SPAN_PRIME, None):
@@ -296,15 +306,16 @@ def coordinate_invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[int, ...]
     return best
 
 
-def jordan_profile(m: Sequence[Sequence]) -> JordanProfile:
-    """Single-eigenvalue and single-Jordan-block test, exact over Q."""
+def jordan_profile(m: Sequence[Sequence], char: Optional[LaurentPoly] = None) -> JordanProfile:
+    """Single-eigenvalue and single-Jordan-block test, exact over Q; ``char``
+    is the characteristic polynomial of m, when already known."""
     mat = qmat(m)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch("square matrix expected")
     mu = trace(mat) / n
     target = LaurentPoly({1: 1, 0: -mu}) ** n
-    if charpoly(mat) != target:
+    if (charpoly(mat) if char is None else char) != target:
         return JordanProfile(single_eigenvalue=None, single_block=False)
     shifted = tuple(
         tuple(mat[i][j] - (mu if i == j else 0) for j in range(n)) for i in range(n)
@@ -325,10 +336,11 @@ def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
     monodromy.  Sizes below 4 are reported but never certified.
     """
     product_ok = check_product_identity(rep)
-    certificate = irreducibility_certificate(rep)
+    charpolys = [charpoly(m) for m in rep.matrices]
+    certificate = irreducibility_certificate(rep, charpolys)
     reducible = not certificate.irreducible
     witness = coordinate_invariant_subspace(rep) if reducible else None
-    profiles = [jordan_profile(m) for m in rep.matrices]
+    profiles = [jordan_profile(m, char) for m, char in zip(rep.matrices, charpolys)]
     all_single = all(p.single_block for p in profiles)
     eigenvalues: Optional[Tuple[Fraction, ...]] = None
     product: Optional[Fraction] = None

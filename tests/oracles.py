@@ -8,11 +8,79 @@ The section-count oracle re-derives dim H^0 from scratch with sympy:
 symbolic coefficients for s1, symbolic expansion of x^k * A(x) * s1(1/x),
 and a sympy rank computation for the vanishing conditions.  It shares no
 code path with the package, so agreement is meaningful evidence.
+
+The echelon oracle is the package's sparse integer echelon insertion as
+it was before the lazy, dense-row core: dict rows, and the gcd of the
+whole row divided out after every combination.  It is kept verbatim, so
+the pivot rows of the two can be compared exactly.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Dict, Optional
 
 import sympy as sp
+
+SparseRow = Dict[int, int]
+
+
+# -- echelon reference: per-step gcd on dict rows ----------------------
+
+
+def _gcd_reduce(row: SparseRow) -> SparseRow:
+    g = 0
+    for v in row.values():
+        g = gcd(g, abs(v))
+        if g == 1:
+            break
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _normalize_sign(row: SparseRow) -> SparseRow:
+    if row and row[min(row)] < 0:
+        row = {c: -v for c, v in row.items()}
+    return row
+
+
+def echelon_insert(pivots: Dict[int, SparseRow], row: SparseRow) -> Optional[int]:
+    """Reduce an integer row against the echelon rows and keep what is left.
+
+    ``pivots`` maps each pivot column to its row, whose minimal column is
+    that pivot; a nonzero remainder joins it under its own minimal column,
+    which is returned (None when the row reduces to zero).  Rows are
+    combined fraction-free (cross-multiplied then gcd-reduced), which is
+    exact and keeps entries as small minors.
+    """
+    while row:
+        c = min(row)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = _normalize_sign(_gcd_reduce(row))
+            return c
+        a, b = row[c], p[c]
+        new: SparseRow = {col: b * v for col, v in row.items()}
+        for col, v in p.items():
+            s = new.get(col, 0) - a * v
+            if s:
+                new[col] = s
+            else:
+                new.pop(col, None)
+        row = _gcd_reduce(new)
+    return None
+
+
+def echelon_reference(rows):
+    """Pivot map of rational dict rows {column: value}: denominators cleared
+    and the gcd divided out per row, then ``echelon_insert`` row by row."""
+    pivots: Dict[int, SparseRow] = {}
+    for row in rows:
+        mult = lcm(*(v.denominator for v in row.values()))
+        intified = {c: v.numerator * (mult // v.denominator) for c, v in row.items() if v}
+        if intified:
+            echelon_insert(pivots, _gcd_reduce(intified))
+    return pivots
 
 
 def _to_sympy_entry(terms, x):

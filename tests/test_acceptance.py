@@ -239,11 +239,12 @@ def test_criterion_8_recorded_value_for_second_matrix():
 # -- cross-route check at higher rank ---------------------------------------
 
 
-@pytest.mark.parametrize("n", (5, 6, 7, 8))
+@pytest.mark.parametrize("n", (5, 6, 7, 8, 12))
 def test_cross_route_planted_rank_5_to_8(n):
     """The section-count scan and the order-basis factorization are
     independent routes to the splitting type; on planted bundles with 3n
-    elementary factors a side both must give the planted indices."""
+    elementary factors a side both must give the planted indices.  The
+    seeded rank-12 case reaches past the ranks the name says."""
     rng = random.Random(n)
     for _ in range(3):
         d = tuple(sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True))

@@ -15,6 +15,13 @@ rational points (``is_singular``).
 
 ``solve`` runs on rectangular systems with a vector right-hand side or
 one of 1-3 columns; sympy gives the ranks and the pivot columns of A.
+
+The sparse integer echelon core runs on row sets given as (first column,
+entries), with integer or rational entries, some in a band whose first
+column shifts from row to row as in a section system.  Its pivot map must
+equal that of the per-step-gcd insertion it replaced
+(``oracles.echelon_reference``), and ``sparse_kernel`` and ``solve`` must
+give the vectors read off sympy's ``rref``.
 """
 
 from fractions import Fraction
@@ -31,8 +38,10 @@ from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
 from bgsplit.fuchsian import rf_mat_inverse, rf_mat_mul
 from bgsplit.laurent import LaurentPoly
-from bgsplit.linalg import solve
+from bgsplit.linalg import echelon_sparse, solve, sparse_int_rows, sparse_kernel
 from bgsplit.ratfunc import RatFunc
+
+from oracles import echelon_reference
 
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
 ROOTS = st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)))
@@ -175,3 +184,75 @@ def test_solve_rectangular_systems(data):
     for x_col, b_col in zip(x_columns, b_columns):
         assert [sum(v * w for v, w in zip(row, x_col)) for row in a] == b_col
         assert all(x_col[j] == 0 for j in range(cols) if j not in pivots)
+
+
+@st.composite
+def tail_rows(draw):
+    """(rows, ncols) with rows (first column, entries).  A banded set keeps
+    one width and moves its first column by a fixed step per row; the
+    other rows start and end anywhere.  Entries are all int or all
+    rational, and a row may carry a common factor."""
+    ncols = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from((st.integers(-9, 9), SPARSE_ENTRY)))
+    banded = draw(st.booleans())
+    width, step = draw(st.integers(1, ncols)), draw(st.integers(0, 2))
+    rows = []
+    for i in range(draw(st.integers(0, 10))):
+        if banded:
+            start, length = (i * step) % (ncols - width + 1), width
+        else:
+            start = draw(st.integers(0, ncols - 1))
+            length = draw(st.integers(1, ncols - start))
+        factor = draw(st.sampled_from((1, 1, 6, -4)))
+        rows.append((start, [factor * v for v in draw(
+            st.lists(entry, min_size=length, max_size=length))]))
+    return rows, ncols
+
+
+def _dense(rows, ncols):
+    out = [[0] * ncols for _ in rows]
+    for dense, (start, entries) in zip(out, rows):
+        dense[start:start + len(entries)] = entries
+    return out
+
+
+def _fraction(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tail_rows())
+def test_echelon_pivots_match_the_per_step_gcd_reference(drawn):
+    rows, _ = drawn
+    as_dicts = [{c + i: Fraction(v) for i, v in enumerate(entries)} for c, entries in rows]
+    assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tail_rows())
+def test_sparse_kernel_matches_sympy_rref(drawn):
+    rows, ncols = drawn
+    m = sp.Matrix(_dense(rows, ncols) or [[0] * ncols])
+    want = [tuple(_fraction(v) for v in vec) for vec in m.nullspace()]
+    got = [tuple(vec.get(j, 0) for j in range(ncols))
+           for vec in sparse_kernel(sparse_int_rows(rows), ncols)]
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tail_rows(), st.data())
+def test_solve_matches_sympy_rref(drawn, data):
+    rows, ncols = drawn
+    a = _dense(rows, ncols)
+    b = data.draw(st.lists(SMALL, min_size=len(a), max_size=len(a)))
+    if not a:
+        return
+    reduced, pivots = sp.Matrix([[*row, v] for row, v in zip(a, b)]).rref()
+    x = solve(a, b)
+    if ncols in pivots:
+        assert x is None
+        return
+    want = [Fraction(0)] * ncols
+    for i, j in enumerate(pivots):
+        want[j] = _fraction(reduced[i, ncols])
+    assert list(x) == want

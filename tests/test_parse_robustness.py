@@ -8,6 +8,7 @@ import os
 import tempfile
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,25 @@ def test_sum_of_16000_terms_parses_in_linear_time():
     value = parse_laurent(entry)
     assert time.perf_counter() - start < 5
     assert len(value.terms) == 16000 and value.coeff(-8000) == 1
+
+
+# 1 x 1 entries whose value holds an integer past the 4,300-digit limit of
+# str(): a product of two 4,300-digit numerals (its coefficient), a power of
+# a power with two 4,000-digit numerals (its exponent), and an exponent of
+# 4,300 digits, which the section work-budget message has to print.
+OVERLONG = {
+    "coefficient": ("7" * 4300 + "*" + "7" * 4300, 3, "domain error: result holds an integer"),
+    "exponent": (f"(x^{'3' * 4000})^{'3' * 4000}", 2,
+                 "parse error: exponent longer than 4300 digits"),
+    "budget_message": (f"x^{'9' * 4300}", 3, "domain error: section system of twist about"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLONG))
+def test_overlong_integers_are_refused_not_rendered(tmp_path, case):
+    entry, code, message = OVERLONG[case]
+    path = tmp_path / "long.txt"
+    path.write_text(f"kind = laurent_matrix, n = 1\n{entry}\n", encoding="utf-8")
+    got, err = _cli("split", str(path))
+    assert got == code and err.startswith(message), err[:200]
+    assert "Traceback" not in err

@@ -62,12 +62,12 @@ def test_profile_window_inside_the_scan(kmin, width):
 
 
 int_rows = st.lists(
-    st.dictionaries(st.integers(0, 12), st.integers(-50, 50), max_size=6), max_size=5
+    st.tuples(st.integers(0, 12), st.lists(st.integers(-50, 50), max_size=6)), max_size=5
 )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(int_rows)
 def test_sparse_int_rows_same_for_int_and_fraction_input(rows):
-    as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows]
-    assert sparse_int_rows(rows) == sparse_int_rows(as_fractions)
+    as_fractions = [(c, [Fraction(v) for v in entries]) for c, entries in rows]
+    assert sparse_int_rows(rows) == sparse_int_rows(as_fractions) == rows
