@@ -29,7 +29,6 @@ All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -37,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg  # linalg.sparse_int_rows, looked up per call: perfbench wraps it
 from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly
-from .linalg import TailRow, echelon_insert, sparse_kernel
+from .linalg import Row, echelon_insert, sparse_kernel
 from .lmatrix import LaurentMatrix, _product
 from .orderbasis import factor_to_diagonal
 
@@ -144,19 +143,14 @@ class RiemannRochReport:
 # steps.  Tests and benchmark need under 10^3, a planted rank-24 bundle 10^4,
 # x^99999999999 10^11.
 SECTION_BUDGET = 1 << 16
-# Most entries, rows times the width each spans, of a section system, whose rows
-# the echelon core keeps dense: 4*10^6 for a planted rank 24, 10*N^2 for x^N, x^-N.
-SECTION_BAND_BUDGET = 1 << 24
 
 
 def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     lo, hi = e.transition.exponent_range()
-    m = max(0, -lo)
-    big = max(0, hi)
-    return e.rank * (m + big) + abs(k) + e.rank + extra
+    return e.rank * (max(0, -lo) + max(0, hi)) + abs(k) + e.rank + extra
 
 
-def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[TailRow]], int]:
+def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]], int]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
@@ -166,7 +160,7 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[TailR
     holds e = -1; rows without an entry are left out.  Each row is a
     window of row i of the generator, which holds the x^t coefficient of
     A[i, j] at (hi - t) * n + j and is scaled by the lcm of its
-    denominators, and is given as (first column, integer entries).
+    denominators, and is given as integer runs (see ``linalg.Row``).
     """
     n = a.n
     lo, hi = a.exponent_range()
@@ -174,24 +168,20 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[TailR
         raise WorkBudgetExceeded(f"section system of twist {decimal(k)} needs degree bound "
                                  f"{decimal(bound)} in rank {n}, over the work budget of "
                                  f"{SECTION_BUDGET}")
-    offsets = [{(hi - t) * n + j: v for j in range(n) for t, v in a[i, j].terms.items()}
-               for i in range(n)]
-    dense = [(0, [row.get(o, 0) for o in range(n * (hi - lo + 1))]) for row in offsets]
-    generator = [(row, [o for o, v in enumerate(row) if v])
-                 for _, row in linalg.sparse_int_rows(dense)]
-    entries = (bound - k - lo) * sum(nz[-1] - nz[0] + 1 for _, nz in generator if nz)
-    if entries > SECTION_BAND_BUDGET:
-        raise WorkBudgetExceeded(f"section system of twist {decimal(k)} spans up to {entries} "
-                                 f"entries, over the work budget of {SECTION_BAND_BUDGET}")
+    generator = linalg.sparse_int_rows([linalg.runs(sorted(
+        ((hi - t) * n + j, v) for j in range(n) for t, v in a[i, j].terms.items()))
+        for i in range(n)])
     ncols = n * (bound + 1)
-    groups: List[List[TailRow]] = []
+    groups: List[List[Row]] = []
     for e in range(k + lo - bound, 0):
         base = (bound - k + e - hi) * n  # the column of generator offset 0
+        first, stop = -base, ncols - base  # the generator offsets of columns 0 and ncols
         group = []
-        for row, nonzero in generator:
-            window = nonzero[bisect_left(nonzero, -base):bisect_left(nonzero, ncols - base)]
-            if window:
-                group.append((base + window[0], row[window[0]:window[-1] + 1]))
+        for runs in generator:
+            row = [(base + o if o > first else 0, window) for o, entries in runs if o < stop
+                   and any(window := entries[first - o if o < first else 0:stop - o])]
+            if row:
+                group.append(row)
         groups.append(group)
     return groups, ncols
 
@@ -213,14 +203,14 @@ def section_profile(
     """
     bound = max(_degree_bound(e, kmin, extra), _degree_bound(e, kmax, extra))
     groups, ncols = _section_rows(e.transition, kmin, bound)
-    pivots: Dict[int, List[int]] = {}
+    pivots: Dict[int, Row] = {}
     done = 0
     profile = {}
     for k in range(kmax, kmin - 1, -1):
         cutoff = max(done, len(groups) + kmin - k)
         for group in groups[done:cutoff]:
-            for c, row in group:
-                echelon_insert(pivots, c, row)
+            for row in group:
+                echelon_insert(pivots, row)
         done = cutoff
         profile[k] = ncols - len(pivots)
     return dict(sorted(profile.items()))
@@ -277,13 +267,9 @@ def splitting_type_and_profile(e: BundleOnP1) -> Tuple[SplittingType, Dict[int, 
     -hi - 2 <= k <= -lo + 1, (lo, hi) the entry exponent range.
     """
     lo, hi = e.transition.exponent_range()
-    n = e.rank
-    t = e.det_exponent
-    pad = 1
-    extra = 0
+    n, t, pad, extra = e.rank, e.det_exponent, 1, 0
     for _ in range(4):
-        kmin = -hi - pad
-        kmax = -lo + pad
+        kmin, kmax = -hi - pad, -lo + pad
         h = section_profile(e, kmin - 1, kmax, extra)
         delta = {k: h[k] - h[k - 1] for k in range(kmin, kmax + 1)}
         indices: List[int] = []
@@ -298,10 +284,8 @@ def splitting_type_and_profile(e: BundleOnP1) -> Tuple[SplittingType, Dict[int, 
             return SplittingType(tuple(indices)), h
         pad *= 2
         extra = 2 * extra + n * (hi - lo + 1)
-    raise InternalSearchExhausted(
-        "section-count profile stayed inconsistent after widening; "
-        "this indicates a defect, not bad input"
-    )
+    raise InternalSearchExhausted("section-count profile stayed inconsistent after widening; "
+                                  "this indicates a defect, not bad input")
 
 
 # -- explicit factorization ---------------------------------------------
@@ -327,9 +311,7 @@ def birkhoff_factor(e: BundleOnP1) -> Factorization:
     factorization = Factorization(b=b, c=c, exponents=SplittingType(exponents))
     report = verify_factorization(e, factorization)
     if not report.valid:
-        raise InternalSearchExhausted(
-            f"factorization failed its own certificate: {report.detail}"
-        )
+        raise InternalSearchExhausted(f"factorization failed its own certificate: {report.detail}")
     return factorization
 
 
@@ -351,22 +333,15 @@ def verify_factorization(
         det = factor.det()
         unit = det.as_monomial()
         if unit is None or unit[1] != 0:
-            return VerificationReport(
-                False, f"det({name}) constant", f"det({name}) = {det} is not a nonzero constant"
-            )
+            return VerificationReport(False, f"det({name}) constant",
+                                      f"det({name}) = {det} is not a nonzero constant")
     if not b.is_polynomial():
-        return VerificationReport(
-            False, "B polynomial", "B has a negative exponent"
-        )
+        return VerificationReport(False, "B polynomial", "B has a negative exponent")
     if not c.is_antipolynomial():
-        return VerificationReport(
-            False, "C antipolynomial", "C has a positive exponent"
-        )
-    product = b @ a @ c
-    if product != factorization.diagonal():
-        return VerificationReport(
-            False, "product diagonal", "B*A*C differs from the claimed diagonal"
-        )
+        return VerificationReport(False, "C antipolynomial", "C has a positive exponent")
+    if b @ a @ c != factorization.diagonal():
+        return VerificationReport(False, "product diagonal",
+                                  "B*A*C differs from the claimed diagonal")
     return VerificationReport(True)
 
 
@@ -407,16 +382,11 @@ def h1_dim(e: BundleOnP1, k: int = 0) -> int:
 
 def riemann_roch_check(e: BundleOnP1, k: int = 0) -> RiemannRochReport:
     """h0 - h1 = deg + rank on E(k); holds for every bundle (self-test)."""
-    h0 = _h0_dimension(e, k)
-    h1 = h1_dim(e, k)
-    deg_k = e.det_exponent + e.rank * k
-    return RiemannRochReport(
-        h0=h0, h1=h1, degree=deg_k, rank=e.rank, holds=(h0 - h1 == deg_k + e.rank)
-    )
+    h0, h1, deg_k = _h0_dimension(e, k), h1_dim(e, k), e.det_exponent + e.rank * k
+    return RiemannRochReport(h0=h0, h1=h1, degree=deg_k, rank=e.rank,
+                             holds=(h0 - h1 == deg_k + e.rank))
 
 
 def is_isomorphic(e1: BundleOnP1, e2: BundleOnP1) -> bool:
     """Bundles are isomorphic iff ranks and splitting types agree."""
-    if e1.rank != e2.rank:
-        return False
-    return splitting_type(e1) == splitting_type(e2)
+    return e1.rank == e2.rank and splitting_type(e1) == splitting_type(e2)

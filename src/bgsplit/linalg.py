@@ -5,10 +5,11 @@ Both types carry ``numerator`` and ``denominator``, and every entry point
 clears denominators once through those two attributes, on one path for
 either type: row by row in ``sparse_int_rows``, matrix by matrix in
 ``integer_scaled``.  The sparse core (``echelon_insert``) runs an integer
-echelon reduction on rows kept dense from their first column: two rows
-combine after their leading entries are divided by their gcd, and a row
-loses its content only when it is stored, which bounds swell without
-leaving exact arithmetic.  Rank, kernels, ``solve``, section counts and
+echelon reduction on rows kept as dense runs, split only across long
+stretches of zeros (``Row``): two rows combine after their leading
+entries are divided by their gcd, and a row loses its content only when
+it is stored, which bounds swell without leaving exact arithmetic.
+Rank, kernels, ``solve``, section counts and
 the word-span closure use it; kernels and solutions share one integer
 back-substitution to reduced echelon form.  The dense fraction-free core
 (``eliminate``) serves ``det_q``, ``inverse_q`` and the Laurent and
@@ -18,9 +19,9 @@ rational-function matrices of ``lmatrix``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
@@ -29,8 +30,10 @@ from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 SparseRow = Dict[int, int]
-# A row of the echelon core: its first column c and its entries from c on.
-TailRow = Tuple[int, List[int]]
+# A row of the echelon core: runs (first column, entries), ascending and disjoint,
+# so that it costs the columns its runs cover; runs at most _GAP zeros apart merge.
+Row = List[Tuple[int, List[int]]]
+_GAP = 32
 
 
 def qmat(rows: Sequence[Sequence]) -> Matrix:
@@ -96,54 +99,87 @@ def is_identity(a: Matrix) -> bool:
 # -- integer echelon engine -------------------------------------------
 
 
-def sparse_int_rows(rows: Sequence[TailRow]) -> List[TailRow]:
-    """Clear denominators per row: each (first column, entries) row, with
-    int or Fraction entries, scaled by the lcm of its denominators."""
+def runs(entries: Iterable[Tuple[int, Any]]) -> Row:
+    """The row holding the (column, value) pairs, given in ascending column."""
+    row: Row = []
+    for c, v in entries:
+        gap = c - row[-1][0] - len(row[-1][1]) if row else _GAP + 1
+        if gap > _GAP:
+            row.append((c, [v]))
+        else:
+            row[-1][1].extend([0] * gap + [v])
+    return row
+
+
+def sparse_int_rows(rows: Sequence[Sequence[Tuple[int, Sequence]]]) -> List[Row]:
+    """Clear denominators per row: each row of runs with int or Fraction
+    entries, scaled by the lcm of its denominators."""
     out = []
-    for c, entries in rows:
-        mult = lcm(*(v.denominator for v in entries))
-        out.append((c, [v.numerator * (mult // v.denominator) for v in entries]))
+    for row in rows:
+        mult = lcm(*(v.denominator for _, entries in row for v in entries))
+        out.append([(c, [v.numerator * (mult // v.denominator) for v in entries])
+                    for c, entries in row])
     return out
 
 
-def echelon_insert(pivots: Dict[int, List[int]], c: int, row: List[int]) -> Optional[int]:
-    """Reduce an integer row, its entries from column c on, in place
-    against the echelon rows and keep what is left.
+def echelon_insert(pivots: Dict[int, Row], row: Row) -> Optional[int]:
+    """Reduce an integer row in place against the echelon rows; keep the rest.
 
-    ``pivots`` maps each pivot column to the tail of its row from that
-    column, primitive with a positive first entry; a nonzero remainder
+    ``pivots`` maps each pivot column to its row, primitive, whose first
+    run starts at that column with a positive entry; a nonzero remainder
     joins it under its own first nonzero column, which is returned (None
-    when the row reduces to zero).  Rows are combined fraction-free after
-    their leading entries are divided by their gcd, which is exact and
-    keeps entries as small minors.  The remainder is a multiple of the one
-    a reduction dividing out the content at every step would keep, so
-    dividing it out once, on storing, stores the same row.
+    when the row reduces to zero).  Rows combine fraction-free after their
+    leading entries are divided by their gcd, which keeps entries small
+    minors; the remainder is then a multiple of the one a reduction to
+    content 1 at every step keeps, so dividing it out once stores the same.
     """
-    s, end = 0, len(row)  # row[s] is the entry in column c + s
-    while True:
-        while s < end and not row[s]:
+    s = 0  # row[0][1][s] is the entry in column row[0][0] + s
+    while row:
+        c, lead = row[0]
+        while s < len(lead) and not lead[s]:
             s += 1
-        if s == end:
-            return None
+        if s == len(lead):
+            del row[0]
+            s = 0
+            continue
         p = pivots.get(c + s)
         if p is None:
-            while not row[-1]:
-                row.pop()
-            g = gcd(*row[s:]) if row[s] > 0 else -gcd(*row[s:])
-            pivots[c + s] = [v // g for v in row[s:]]
+            row[:] = [(c + s, lead[s:])] + [(col, run) for col, run in row[1:] if any(run)]
+            while not row[-1][1][-1]:
+                row[-1][1].pop()
+            g = gcd(*chain.from_iterable(run for _, run in row))
+            g = g if lead[s] > 0 else -g
+            pivots[c + s] = [(col, [v // g for v in run]) for col, run in row] if g != 1 else row
             return c + s
-        g = gcd(row[s], p[0])
-        a, b = row[s] // g, p[0] // g
-        stop = s + len(p)
-        if stop > end:
-            row += [0] * (stop - end)
-            end = stop
-        s += 1
-        if b == 1:
-            row[s:stop] = [x - a * y for x, y in zip(row[s:stop], islice(p, 1, None))]
-        else:
-            row[s:stop] = [b * x - a * y for x, y in zip(row[s:stop], islice(p, 1, None))]
-            row[stop:] = [b * x for x in row[stop:]]
+        g = gcd(lead[s], p[0][1][0])
+        a, b = lead[s] // g, p[0][1][0] // g
+        if b != 1:
+            row[:] = [(col, [b * x for x in run]) for col, run in row]
+        for col, run in p:
+            _subtract(row, col, a, run)
+    return None
+
+
+def _subtract(row: Row, col: int, a: int, entries: List[int]) -> None:
+    """row -= a * entries, placed from column col on, in place; the runs of
+    row within ``_GAP`` columns of that span merge with it into one run."""
+    end, i = col + len(entries), 0
+    while i < len(row) and row[i][0] + len(row[i][1]) + _GAP < col:
+        i += 1
+    j = i
+    while j < len(row) and row[j][0] <= end + _GAP:
+        j += 1
+    start = min(col, row[i][0]) if j > i else col
+    if j == i + 1 and start == row[i][0]:
+        run = row[i][1]
+        run += [0] * (end - start - len(run))
+    else:
+        run = [0] * (max(end, row[j - 1][0] + len(row[j - 1][1]) if j > i else end) - start)
+        for c, old in row[i:j]:
+            run[c - start:c - start + len(old)] = old
+        row[i:j] = [(start, run)]
+    o = col - start
+    run[o:o + len(entries)] = [x - a * y for x, y in zip(run[o:o + len(entries)], entries)]
 
 
 def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> Optional[int]:
@@ -163,14 +199,15 @@ def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> 
     return c
 
 
-def echelon_sparse(rows: Sequence[TailRow]) -> Dict[int, SparseRow]:
-    """Echelon form of integer rows given as (first column, entries): a map
-    {pivot column: integer row} where each row's minimal column is its
-    pivot (see ``echelon_insert``)."""
-    pivots: Dict[int, List[int]] = {}
-    for c, row in rows:
-        echelon_insert(pivots, c, row)
-    return {c: {c + i: v for i, v in enumerate(row) if v} for c, row in pivots.items()}
+def echelon_sparse(rows: Sequence[Row]) -> Dict[int, SparseRow]:
+    """Echelon form of integer rows given as runs: a map {pivot column:
+    integer row} where each row's minimal column is its pivot (see
+    ``echelon_insert``).  The rows are consumed: they are reduced in place."""
+    pivots: Dict[int, Row] = {}
+    for row in rows:
+        echelon_insert(pivots, row)
+    return {c: {col + i: v for col, entries in row for i, v in enumerate(entries) if v}
+            for c, row in pivots.items()}
 
 
 def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fraction]]:
@@ -197,9 +234,10 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fracti
             for c, (den, free) in reduced.items()}
 
 
-def sparse_kernel(rows: Sequence[TailRow], ncols: int) -> List[Dict[int, Fraction]]:
+def sparse_kernel(rows: Sequence[Row], ncols: int) -> List[Dict[int, Fraction]]:
     """Basis of the exact right kernel of an integer matrix with rows
-    given as (first column, entries), as sparse vectors {column: value}.
+    given as runs, as sparse vectors {column: value}; the rows are
+    consumed (see ``echelon_sparse``).
 
     The basis is in the reduced-echelon normal form parametrization: one
     vector per free column in ascending order, with a 1 in the free
@@ -217,11 +255,11 @@ def nullspace(matrix: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel of a dense rational matrix."""
     ncols = len(matrix[0]) if matrix else 0
     return [tuple(vec.get(j, Fraction(0)) for j in range(ncols))
-            for vec in sparse_kernel(sparse_int_rows([(0, row) for row in matrix]), ncols)]
+            for vec in sparse_kernel(sparse_int_rows([[(0, row)] for row in matrix]), ncols)]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    return len(echelon_sparse(sparse_int_rows([(0, row) for row in matrix])))
+    return len(echelon_sparse(sparse_int_rows([[(0, row)] for row in matrix])))
 
 
 def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
@@ -238,7 +276,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     if not columns:
         b = [[v] for v in b]
     width = _width(b)
-    pivots = echelon_sparse(sparse_int_rows([(0, (*arow, *brow)) for arow, brow in zip(a, b)]))
+    pivots = echelon_sparse(sparse_int_rows([[(0, (*arow, *brow))] for arow, brow in zip(a, b)]))
     if pivots and max(pivots) >= ncols:
         return None
     x = [[Fraction(0)] * width for _ in range(ncols)]
@@ -407,11 +445,6 @@ def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
     if n == 0:
         return q.coeff(0) ** m
     size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([p.coeff(m - (j - i)) if 0 <= j - i <= m else Fraction(0)
-                     for j in range(size)])
-    for i in range(m):
-        rows.append([q.coeff(n - (j - i)) if 0 <= j - i <= n else Fraction(0)
-                     for j in range(size)])
+    rows = [[f.coeff(d - (j - i)) if 0 <= j - i <= d else Fraction(0) for j in range(size)]
+            for f, d, count in ((p, m, n), (q, n, m)) for i in range(count)]
     return det_q(rows)

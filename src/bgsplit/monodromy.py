@@ -29,6 +29,7 @@ from .laurent import LaurentPoly
 from .linalg import (
     IntMatrix,
     Matrix,
+    Row,
     charpoly,
     det_q,
     echelon_insert,
@@ -180,7 +181,7 @@ def _word_span_dimension(
         if prime:
             kept = echelon_insert_mod(pivots, [v for r in mat for v in r], prime)
         else:
-            kept = echelon_insert(pivots, 0, [v for r in mat for v in r])
+            kept = echelon_insert(pivots, [(0, [v for r in mat for v in r])])
         if kept is not None:
             frontier.append((word, mat))
             if words is not None:
@@ -200,51 +201,54 @@ def _spin(seed: Sequence[int], gens: Sequence[IntMatrix]) -> Tuple[Tuple[int, ..
     that every generator maps into itself, exact over Z.  The spin stops
     as soon as it is all of Q^n."""
     n = len(seed)
-    pivots: Dict[int, List[int]] = {}
+    pivots: Dict[int, Row] = {}
     queue: List[int] = []
 
     def add(vec) -> None:
-        c = echelon_insert(pivots, 0, list(vec))
+        c = echelon_insert(pivots, [(0, list(vec))])
         if c is not None:
             queue.append(c)
+
+    def dense(row: Row) -> Tuple[int, ...]:
+        out = [0] * n
+        for c, entries in row:
+            out[c:c + len(entries)] = entries
+        return tuple(out)
 
     add(seed)
     for c in queue:
         if len(pivots) == n:
             break
-        row = pivots[c]
+        row = dense(pivots[c])
         for g in gens:
-            add(sum(g[i][c + t] * v for t, v in enumerate(row)) for i in range(n))
-    return tuple((0,) * c + tuple(row) + (0,) * (n - c - len(row))
-                 for c, row in sorted(pivots.items()))
+            add(sum(w * v for w, v in zip(g[i], row)) for i in range(n))
+    return tuple(dense(row) for _, row in sorted(pivots.items()))
 
 
 def _invariant_subspace(
-    rep: MonodromyRep, charpolys: Optional[Sequence[LaurentPoly]] = None
+    rep: MonodromyRep, charpolys: Sequence[LaurentPoly]
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Integer basis of a proper invariant subspace spun from a rational
     eigenvector, or None.
 
     For each generator's integer form N = d*M and each rational (hence
     integer) eigenvalue lam = d*mu of N, mu a rational root of the
-    characteristic polynomial of M (``charpolys[k]`` for generator k, when
-    given), each basis vector of ker(N - lam) is spun under the integer
-    generators and each basis vector of ker(N^T - lam) under their
-    transposes.  A spin short of Q^n is invariant; for the transposes its
-    annihilator is.  Absence of a witness proves nothing, but the search
-    stops at a one-dimensional kernel whose two spins are both full,
-    because then no invariant subspace exists even over C (Norton's
-    argument): a proper invariant U either contains the kernel vector of
-    N - lam, or N - lam is invertible on U and the kernel vector of
-    N^T - lam annihilates U.
+    characteristic polynomial ``charpolys[k]`` of M, generator k, each
+    basis vector of ker(N - lam) is spun under the integer generators and
+    each basis vector of ker(N^T - lam) under their transposes.  A spin
+    short of Q^n is invariant; for the transposes its annihilator is.
+    Absence of a witness proves nothing, but the search stops at a
+    one-dimensional kernel whose two spins are both full, because then no
+    invariant subspace exists even over C (Norton's argument): a proper
+    invariant U either contains the kernel vector of N - lam, or N - lam
+    is invertible on U and the kernel vector of N^T - lam annihilates U.
     """
     n = rep.size
     scaled = [integer_scaled(m) for m in rep.matrices]
     gens = [g for _, g in scaled]
     sides = (gens, [transpose(g) for g in gens])
     for k, (d, _) in enumerate(scaled):
-        char = charpoly(rep.matrices[k]) if charpolys is None else charpolys[k]
-        for mu, _ in rational_roots(char):
+        for mu, _ in rational_roots(charpolys[k]):
             lam = int(d * mu)
             for side, act in enumerate(sides):
                 shifted = [[v - lam if i == j else v for j, v in enumerate(row)]
@@ -259,13 +263,16 @@ def _invariant_subspace(
     return None
 
 
-def irreducibility_certificate(
-    rep: MonodromyRep, charpolys: Optional[Sequence[LaurentPoly]] = None
-) -> IrreducibilityCertificate:
+def irreducibility_certificate(rep: MonodromyRep) -> IrreducibilityCertificate:
     """Decide irreducibility over C by the cheapest certificate: a
     rational invariant subspace, then n^2 words independent modulo
-    ``WORD_SPAN_PRIME``, then the exact word-span closure.  ``charpolys``
-    are the generators' characteristic polynomials, when already known."""
+    ``WORD_SPAN_PRIME``, then the exact word-span closure."""
+    return _certificate(rep, [charpoly(m) for m in rep.matrices])
+
+
+def _certificate(rep: MonodromyRep, charpolys: Sequence[LaurentPoly]) -> IrreducibilityCertificate:
+    """``irreducibility_certificate``, given the generators' characteristic
+    polynomials."""
     subspace = _invariant_subspace(rep, charpolys)
     if subspace is not None:
         return IrreducibilityCertificate(irreducible=False, subspace=subspace)
@@ -337,7 +344,7 @@ def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
     """
     product_ok = check_product_identity(rep)
     charpolys = [charpoly(m) for m in rep.matrices]
-    certificate = irreducibility_certificate(rep, charpolys)
+    certificate = _certificate(rep, charpolys)
     reducible = not certificate.irreducible
     witness = coordinate_invariant_subspace(rep) if reducible else None
     profiles = [jordan_profile(m, char) for m, char in zip(rep.matrices, charpolys)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
-from .errors import NotInvertible, WorkBudgetExceeded
+from .errors import NotInvertible, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly, Scalar, _coerce, _long_division, _trusted
 
 
@@ -80,7 +80,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     for p in (a, b):
         if p.deg() - p.ord() > GCD_DEGREE_BUDGET:
             raise WorkBudgetExceeded(
-                f"polynomial gcd on degree {p.deg() - p.ord()} exceeds the work budget "
+                f"polynomial gcd on degree {decimal(p.deg() - p.ord())} exceeds the work budget "
                 f"of degree {GCD_DEGREE_BUDGET}"
             )
     f, g = _primitive_coeffs(a), _primitive_coeffs(b)

@@ -418,3 +418,20 @@ def test_factor_inside_the_work_budget_still_runs(tmp_path):
     code, out, err = _run_process("factor", path)
     assert code == 0, err
     assert json.loads(out)["result"]["exponents"] == [6000, -6000]
+
+
+@pytest.mark.parametrize("power", (1000, 6000))
+def test_section_route_answers_wide_sparse_bundles(tmp_path, power):
+    # Each section row holds two entries 2 * power columns apart; the rows
+    # must cost their entries, not that span, for both section commands
+    # to reach every bundle that factor reaches.
+    path = write(tmp_path, "wide.txt",
+                 f"kind = laurent_matrix, n = 2\nx^{power}, 1\n0, x^-{power}\n")
+    start = time.monotonic()
+    code, out, err = _run_process("split", path)
+    assert code == 0, err
+    assert json.loads(out)["result"]["indices"] == [power, -power]
+    code, out, err = _run_process("h0", path)
+    assert code == 0, err
+    assert json.loads(out)["result"]["dimension"] == power + 1
+    assert time.monotonic() - start < 30

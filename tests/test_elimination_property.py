@@ -16,9 +16,11 @@ rational points (``is_singular``).
 ``solve`` runs on rectangular systems with a vector right-hand side or
 one of 1-3 columns; sympy gives the ranks and the pivot columns of A.
 
-The sparse integer echelon core runs on row sets given as (first column,
-entries), with integer or rational entries, some in a band whose first
-column shifts from row to row as in a section system.  Its pivot map must
+The sparse integer echelon core runs on row sets given as runs (first
+column, entries), with integer or rational entries, some in a band whose
+first column shifts from row to row as in a section system, and some
+with stretches of zeros longer than ``linalg._GAP`` between their runs,
+which combinations must keep or fill in.  Its pivot map must
 equal that of the per-step-gcd insertion it replaced
 (``oracles.echelon_reference``), and ``sparse_kernel`` and ``solve`` must
 give the vectors read off sympy's ``rref``.
@@ -38,7 +40,7 @@ from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
 from bgsplit.fuchsian import rf_mat_inverse, rf_mat_mul
 from bgsplit.laurent import LaurentPoly
-from bgsplit.linalg import echelon_sparse, solve, sparse_int_rows, sparse_kernel
+from bgsplit.linalg import _GAP, echelon_sparse, solve, sparse_int_rows, sparse_kernel
 from bgsplit.ratfunc import RatFunc
 
 from oracles import echelon_reference
@@ -187,15 +189,20 @@ def test_solve_rectangular_systems(data):
 
 
 @st.composite
-def tail_rows(draw):
-    """(rows, ncols) with rows (first column, entries).  A banded set keeps
-    one width and moves its first column by a fixed step per row; the
-    other rows start and end anywhere.  Entries are all int or all
-    rational, and a row may carry a common factor."""
+def run_rows(draw):
+    """(rows, ncols) with rows given as runs (first column, entries).  A
+    banded set keeps one width and moves its first column by a fixed step
+    per row; the other rows start and end anywhere.  Entries are all int
+    or all rational, and a row may carry a common factor.  The columns are
+    then spread apart at up to three cuts, by 1 to 2 * _GAP columns, and
+    each row is split into runs at the cuts it spans."""
     ncols = draw(st.integers(1, 12))
     entry = draw(st.sampled_from((st.integers(-9, 9), SPARSE_ENTRY)))
     banded = draw(st.booleans())
     width, step = draw(st.integers(1, ncols)), draw(st.integers(0, 2))
+    cuts = {c: draw(st.sampled_from((1, _GAP, _GAP + 1, 2 * _GAP)))
+            for c in draw(st.sets(st.integers(1, max(1, ncols - 1)), max_size=3))}
+    spread = [j + sum(gap for c, gap in cuts.items() if c <= j) for j in range(ncols)]
     rows = []
     for i in range(draw(st.integers(0, 10))):
         if banded:
@@ -204,15 +211,17 @@ def tail_rows(draw):
             start = draw(st.integers(0, ncols - 1))
             length = draw(st.integers(1, ncols - start))
         factor = draw(st.sampled_from((1, 1, 6, -4)))
-        rows.append((start, [factor * v for v in draw(
-            st.lists(entry, min_size=length, max_size=length))]))
-    return rows, ncols
+        entries = [factor * v for v in draw(st.lists(entry, min_size=length, max_size=length))]
+        ends = [start, *sorted(c for c in cuts if start < c < start + length), start + length]
+        rows.append([(spread[a], entries[a - start:b - start]) for a, b in zip(ends, ends[1:])])
+    return rows, spread[-1] + 1
 
 
 def _dense(rows, ncols):
     out = [[0] * ncols for _ in rows]
-    for dense, (start, entries) in zip(out, rows):
-        dense[start:start + len(entries)] = entries
+    for dense, row in zip(out, rows):
+        for start, entries in row:
+            dense[start:start + len(entries)] = entries
     return out
 
 
@@ -221,15 +230,16 @@ def _fraction(v):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(tail_rows())
+@given(run_rows())
 def test_echelon_pivots_match_the_per_step_gcd_reference(drawn):
     rows, _ = drawn
-    as_dicts = [{c + i: Fraction(v) for i, v in enumerate(entries)} for c, entries in rows]
+    as_dicts = [{c + i: Fraction(v) for c, entries in row for i, v in enumerate(entries)}
+                for row in rows]
     assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(tail_rows())
+@given(run_rows())
 def test_sparse_kernel_matches_sympy_rref(drawn):
     rows, ncols = drawn
     m = sp.Matrix(_dense(rows, ncols) or [[0] * ncols])
@@ -240,7 +250,7 @@ def test_sparse_kernel_matches_sympy_rref(drawn):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(tail_rows(), st.data())
+@given(run_rows(), st.data())
 def test_solve_matches_sympy_rref(drawn, data):
     rows, ncols = drawn
     a = _dense(rows, ncols)

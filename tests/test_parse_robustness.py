@@ -100,13 +100,16 @@ def test_sum_of_16000_terms_parses_in_linear_time():
 
 # 1 x 1 entries whose value holds an integer past the 4,300-digit limit of
 # str(): a product of two 4,300-digit numerals (its coefficient), a power of
-# a power with two 4,000-digit numerals (its exponent), and an exponent of
-# 4,300 digits, which the section work-budget message has to print.
+# a power with two 4,000-digit numerals (its exponent), an exponent of 4,300
+# digits, which the section work-budget message has to print, and such a
+# power inside a rational function, whose gcd budget message prints its degree.
 OVERLONG = {
     "coefficient": ("7" * 4300 + "*" + "7" * 4300, 3, "domain error: result holds an integer"),
     "exponent": (f"(x^{'3' * 4000})^{'3' * 4000}", 2,
                  "parse error: exponent longer than 4300 digits"),
     "budget_message": (f"x^{'9' * 4300}", 3, "domain error: section system of twist about"),
+    "gcd_message": (f"((x^{'3' * 4000})^{'3' * 4000} + 1)/(x + 1)", 3,
+                    "domain error: polynomial gcd on degree about"),
 }
 
 

@@ -61,13 +61,13 @@ def test_profile_window_inside_the_scan(kmin, width):
     assert profile == {k: max(0, k + 2) + max(0, k) for k in range(kmin, kmin + width + 1)}
 
 
-int_rows = st.lists(
-    st.tuples(st.integers(0, 12), st.lists(st.integers(-50, 50), max_size=6)), max_size=5
-)
+int_rows = st.lists(st.lists(
+    st.tuples(st.integers(0, 12), st.lists(st.integers(-50, 50), max_size=6)), max_size=3
+), max_size=5)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(int_rows)
 def test_sparse_int_rows_same_for_int_and_fraction_input(rows):
-    as_fractions = [(c, [Fraction(v) for v in entries]) for c, entries in rows]
+    as_fractions = [[(c, [Fraction(v) for v in entries]) for c, entries in row] for row in rows]
     assert sparse_int_rows(rows) == sparse_int_rows(as_fractions) == rows
