@@ -140,14 +140,25 @@ class RiemannRochReport:
 
 # Most unknowns n*(bound+1), or target exponents, of a section system, and most
 # n*(span+1) of a factorization, whose order-basis loop takes about that many
-# steps.  Tests and benchmark need under 10^3, a planted rank-24 bundle 10^4,
-# x^99999999999 10^11.
+# steps.  On the proven degree bound the benchmark's systems have under 10^2
+# unknowns, a planted rank-24 bundle's 5*10^3 and h0 on x^20000 2*10^4; h0 on
+# x^99999999999 would need 10^11, split on it 2.  [[x^N, 1], [0, x^-N]] fits
+# up to N = 16,383 for split and factor and up to N = 32,767 for h0.
 SECTION_BUDGET = 1 << 16
 
 
 def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
-    lo, hi = e.transition.exponent_range()
-    return e.rank * (max(0, -lo) + max(0, hi)) + abs(k) + e.rank + extra
+    """Most 1/x-degree of s1 in a section of E(k), plus ``extra``.
+
+    With det A = c*x^t, s0 = x^k*A*s1 gives s1 = c^-1*x^(-k-t)*adj(A)*s0.
+    Every adjugate entry is a sum of products of n - 1 entries of A, so
+    its exponents are at least (n - 1)*lo, lo the lowest entry exponent;
+    s0 has no negative exponent.  So s1 has 1/x-degree at most
+    k + t - (n - 1)*lo.  The bound grows with k, and diag(x^a, x^b)
+    attains it: its top section has degree k + max(a, b).
+    """
+    lo = e.transition.exponent_range()[0]
+    return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
 
 
 def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]], int]:
@@ -201,7 +212,7 @@ def section_profile(
     rows are inserted into one echelon form in ascending target exponent,
     and the nullity is read off each time the prefix reaches a cutoff.
     """
-    bound = max(_degree_bound(e, kmin, extra), _degree_bound(e, kmax, extra))
+    bound = _degree_bound(e, kmax, extra)  # it grows with k
     groups, ncols = _section_rows(e.transition, kmin, bound)
     pivots: Dict[int, Row] = {}
     done = 0

@@ -83,7 +83,7 @@ def _cmd_split(args, inputs: _Inputs):
     lo, hi = e.transition.exponent_range()
     certificate = {
         "determinant": LaurentPoly({e.det_exponent: e.det_coeff}),
-        "section_counts": {str(k): profile[k] for k in range(-hi - 2, -lo + 2)},
+        "section_counts": {k: profile[k] for k in range(-hi - 2, -lo + 2)},
     }
     return {"indices": st.indices}, certificate
 

@@ -98,26 +98,31 @@ def test_sum_of_16000_terms_parses_in_linear_time():
     assert len(value.terms) == 16000 and value.coeff(-8000) == 1
 
 
-# 1 x 1 entries whose value holds an integer past the 4,300-digit limit of
-# str(): a product of two 4,300-digit numerals (its coefficient), a power of
-# a power with two 4,000-digit numerals (its exponent), an exponent of 4,300
-# digits, which the section work-budget message has to print, and such a
+# Matrices whose value holds an integer past the 4,300-digit limit of str():
+# a product of two 4,300-digit numerals (its coefficient), a power of a power
+# with two 4,000-digit numerals (its exponent), x^N with N of 4,300 nines,
+# whose split certificate is keyed by twists of 4,301 digits, a rank-2 bundle
+# on x^N, whose section work-budget message has to print its twist, and such a
 # power inside a rational function, whose gcd budget message prints its degree.
+N = "9" * 4300
 OVERLONG = {
-    "coefficient": ("7" * 4300 + "*" + "7" * 4300, 3, "domain error: result holds an integer"),
-    "exponent": (f"(x^{'3' * 4000})^{'3' * 4000}", 2,
+    "coefficient": (["7" * 4300 + "*" + "7" * 4300], 3, "domain error: result holds an integer"),
+    "exponent": ([f"(x^{'3' * 4000})^{'3' * 4000}"], 2,
                  "parse error: exponent longer than 4300 digits"),
-    "budget_message": (f"x^{'9' * 4300}", 3, "domain error: section system of twist about"),
-    "gcd_message": (f"((x^{'3' * 4000})^{'3' * 4000} + 1)/(x + 1)", 3,
+    "twist_key": ([f"x^{N}"], 3, "domain error: result holds an integer"),
+    "budget_message": ([f"x^{N}, 1", f"0, x^-{N}"], 3,
+                       "domain error: section system of twist about -10^4300"),
+    "gcd_message": ([f"((x^{'3' * 4000})^{'3' * 4000} + 1)/(x + 1)"], 3,
                     "domain error: polynomial gcd on degree about"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERLONG))
 def test_overlong_integers_are_refused_not_rendered(tmp_path, case):
-    entry, code, message = OVERLONG[case]
+    rows, code, message = OVERLONG[case]
     path = tmp_path / "long.txt"
-    path.write_text(f"kind = laurent_matrix, n = 1\n{entry}\n", encoding="utf-8")
+    path.write_text(f"kind = laurent_matrix, n = {len(rows)}\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
     got, err = _cli("split", str(path))
     assert got == code and err.startswith(message), err[:200]
     assert "Traceback" not in err

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgsplit.bundles import _h0_dimension, bundle, section_profile
+from bgsplit.bundles import _degree_bound, _h0_dimension, bundle, dual, h0_dim, section_profile
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import sparse_int_rows
 from bgsplit.lmatrix import LaurentMatrix
@@ -22,10 +22,10 @@ def _elementary(n, i, j, term):
 
 
 @st.composite
-def planted_bundles(draw):
+def planted_bundles(draw, max_rank=4):
     """(A, d) with A = U diag(x^d) V, U polynomial and V antipolynomial
     products of elementary factors, as in the acceptance suite."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_rank))
     d = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     a = LaurentMatrix.diagonal_powers(d)
     if n > 1:
@@ -59,6 +59,45 @@ def test_profile_window_inside_the_scan(kmin, width):
     e = bundle([[LaurentPoly({1: 1}), 1], [0, LaurentPoly({-1: 1})]])
     profile = section_profile(e, kmin, kmin + width)
     assert profile == {k: max(0, k + 2) + max(0, k) for k in range(kmin, kmin + width + 1)}
+
+
+def _old_bound(e, k):
+    """The static bound the proven one replaced; it had room to spare."""
+    lo, hi = e.transition.exponent_range()
+    return e.rank * (max(0, -lo) + max(0, hi)) + abs(k) + e.rank
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(planted_bundles(max_rank=5))
+def test_proven_degree_bound_loses_no_section(planted):
+    # On a planted bundle and on its dual, whose indices are -d: the profile
+    # equals the planted counts and the one on the bound padded by the old
+    # formula, and every basis section stays within the bound.
+    a, d = planted
+    e = bundle(a)
+    for bundle_, indices in ((e, d), (dual(e), [-di for di in d])):
+        lo, hi = bundle_.transition.exponent_range()
+        kmin, kmax = -hi - 2, -lo + 1
+        profile = section_profile(bundle_, kmin, kmax)
+        padded = max(_old_bound(bundle_, kmin), _old_bound(bundle_, kmax))
+        assert profile == section_profile(bundle_, kmin, kmax, padded)
+        assert profile == {k: sum(max(0, di + k + 1) for di in indices)
+                           for k in range(kmin, kmax + 1)}
+        for k in (kmin, -min(indices) - 1, kmax):
+            bound = _degree_bound(bundle_, k, 0)
+            for _, s1 in h0_dim(bundle_, k).basis:
+                assert all(-p.ord() <= bound for p in s1 if not p.is_zero)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-6, 6))
+def test_degree_bound_is_attained_on_a_diagonal_bundle(a, b, k):
+    a, b = min(a, b), max(a, b)
+    e = bundle([[LaurentPoly({a: 1}), 0], [0, LaurentPoly({b: 1})]])
+    assert _degree_bound(e, k, 0) == max(0, k + b)
+    top = max((-p.ord() for _, s1 in h0_dim(e, k).basis for p in s1 if not p.is_zero),
+              default=0)
+    assert top == max(0, k + b)
 
 
 int_rows = st.lists(st.lists(
