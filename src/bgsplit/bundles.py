@@ -161,21 +161,24 @@ def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
 
 
-def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]], int]:
+def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]], int, int]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
     0 <= b <= bound, laid out so the system is banded: column index
     (bound - b) * n + j.  Rows are indexed by (target exponent e < 0,
-    component i) and grouped by e in ascending order, so the last group
-    holds e = -1; rows without an entry are left out.  Each row is a
-    window of row i of the generator, which holds the x^t coefficient of
-    A[i, j] at (hi - t) * n + j and is scaled by the lcm of its
-    denominators, and is given as integer runs (see ``linalg.Row``).
+    component i) and grouped by e in ascending order, from k + lo - bound
+    up to min(-1, k + hi), above which x^k*A*s1 has no term; rows without
+    an entry are left out.  Each row is a window of row i of the
+    generator, which holds the x^t coefficient of A[i, j] at
+    (hi - t) * n + j and is scaled by the lcm of its denominators, and is
+    given as integer runs (see ``linalg.Row``).  Returns the groups, the
+    number of unknowns and the target exponent of the first group.
     """
     n = a.n
     lo, hi = a.exponent_range()
-    if max(n * (bound + 1), bound - k - lo) > SECTION_BUDGET:
+    low, top = k + lo - bound, min(0, k + hi + 1)  # top: past the last target exponent
+    if max(n * (bound + 1), top - low) > SECTION_BUDGET:
         raise WorkBudgetExceeded(f"section system of twist {decimal(k)} needs degree bound "
                                  f"{decimal(bound)} in rank {n}, over the work budget of "
                                  f"{SECTION_BUDGET}")
@@ -184,7 +187,7 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]]
         for i in range(n)])
     ncols = n * (bound + 1)
     groups: List[List[Row]] = []
-    for e in range(k + lo - bound, 0):
+    for e in range(low, top):
         base = (bound - k + e - hi) * n  # the column of generator offset 0
         first, stop = -base, ncols - base  # the generator offsets of columns 0 and ncols
         group = []
@@ -194,11 +197,11 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]]
             if row:
                 group.append(row)
         groups.append(group)
-    return groups, ncols
+    return groups, ncols, low
 
 
-def _h0_dimension(e: BundleOnP1, k: int, extra: int = 0) -> int:
-    return section_profile(e, k, k, extra)[k]
+def _h0_dimension(e: BundleOnP1, k: int) -> int:
+    return section_profile(e, k, k)[k]
 
 
 def section_profile(
@@ -213,12 +216,12 @@ def section_profile(
     and the nullity is read off each time the prefix reaches a cutoff.
     """
     bound = _degree_bound(e, kmax, extra)  # it grows with k
-    groups, ncols = _section_rows(e.transition, kmin, bound)
+    groups, ncols, low = _section_rows(e.transition, kmin, bound)
     pivots: Dict[int, Row] = {}
     done = 0
     profile = {}
     for k in range(kmax, kmin - 1, -1):
-        cutoff = max(done, len(groups) + kmin - k)
+        cutoff = min(len(groups), kmin - k - low)  # the groups below kmin - k
         for group in groups[done:cutoff]:
             for row in group:
                 echelon_insert(pivots, row)
@@ -238,7 +241,7 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     a = e.transition
     n = e.rank
     bound = _degree_bound(e, k, 0)
-    groups, ncols = _section_rows(a, k, bound)
+    groups, ncols, _ = _section_rows(a, k, bound)
     columns = []
     for vec in sparse_kernel([row for group in groups for row in group], ncols):
         # column (bound - b) * n + j holds the x^-b coefficient of s1_j

@@ -8,17 +8,20 @@ residue at infinity being -sum R_p.
 
 All charts are handled by exact substitutions: a finite point p moves to
 the origin by z -> z + p, and infinity by z = 1/t, under which d/dz
-becomes -t^2 d/dt.  Exponents are reported through characteristic or
+becomes -t^2 d/dt.  Scalar charts keep each coefficient as an unreduced
+numerator/denominator pair, the chart at infinity in closed form, so no
+gcd runs there.  Exponents are reported through characteristic or
 indicial polynomials (with rational roots factored out when present)
 rather than through algebraic numbers, so every check stays in Q.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -206,54 +209,61 @@ class FuchsRelationReport:
         return self.holds
 
 
-# -- chart changes -------------------------------------------------------
+# -- local charts ---------------------------------------------------------
+
+Pair = Tuple[LaurentPoly, LaurentPoly]
 
 
-def _shift_ode(ode: ScalarODE, p: Fraction) -> ScalarODE:
-    """Coefficients of the same equation in the coordinate centered at p."""
-    if p == 0:
-        return ode
-    return ScalarODE(ode.order, tuple(c.shift(p) for c in ode.coeffs))
+def _lah(j: int, i: int) -> int:
+    """Unsigned Lah number L(j, i) = C(j-1, i-1) j!/i!, with L(0, 0) = 1
+    and L(j, 0) = L(0, i) = 0 otherwise."""
+    if i == 0 or j == 0:
+        return int(i == j)
+    return comb(j - 1, i - 1) * factorial(j) // factorial(i)
 
 
-def _infinity_chart_ode(ode: ScalarODE) -> ScalarODE:
-    """The equation in the chart t = 1/z, monic in d/dt.
+def _local_pairs(ode: ScalarODE, point: Point) -> List[Pair]:
+    """Unreduced (num, den) with a_(n-k) = num/den in the local coordinate t
+    of the point, for k = 1..n; no gcd runs.
 
-    d/dz = -t^2 d/dt, so each (d/dz)^j expands into a differential
-    operator sum_i q_i(t) (d/dt)^i computed by exact composition; the
-    transformed equation is normalized by its leading coefficient
-    (-1)^n t^(2n), which never vanishes identically.
+    At a finite p, t = z - p and both parts are shifted.  At infinity,
+    t = 1/z and d/dz = -t^2 d/dt, so
+
+        (d/dz)^j = (-1)^j sum_i L(j, i) t^(j+i) (d/dt)^i,
+
+    by induction on j: -t^2 d/dt maps t^(j+i) (d/dt)^i to
+    -(j+i) t^(j+i+1) (d/dt)^i - t^(j+i+2) (d/dt)^(i+1), which is
+    L(j+1, i) = (j+i) L(j, i) + L(j, i-1).  Divided by its leading
+    coefficient (-1)^n t^(2n), the equation has (d/dt)^i coefficient
+
+        c_i = sum_k (-1)^k L(n-k, i) t^(i-n-k) a_(n-k)(1/t),  a_n = 1,
+
+    here summed over the product of the denominators, as Laurent
+    polynomials in t.
     """
-    n = ode.order
-    # ops[j] = coefficient list of (d/dz)^j as polynomials in t: index i -> q_i
-    ops: List[List[RatFunc]] = [[RatFunc.one()]]
-    minus_t2 = RatFunc.from_laurent(LaurentPoly({2: -1}))
-    for _ in range(n):
-        prev = ops[-1]
-        cur = [RatFunc.zero()] * (len(prev) + 1)
-        for i, q in enumerate(prev):
-            if q.is_zero:
-                continue
-            cur[i] = cur[i] + minus_t2 * q.derivative()
-            cur[i + 1] = cur[i + 1] + minus_t2 * q
-        ops.append(cur)
-    total = [RatFunc.zero()] * (n + 1)
-    for k in range(n + 1):
-        a = RatFunc.one() if k == 0 else ode.coeffs[k - 1]
-        if a.is_zero:
-            continue
-        a_inf = a.reciprocal_substitution()
-        for i, q in enumerate(ops[n - k]):
-            if not q.is_zero:
-                total[i] = total[i] + a_inf * q
-    lead = total[n]
-    return ScalarODE(n, tuple(total[n - 1 - i] / lead for i in range(n)))
+    pairs = [(a.num, a.den) for a in ode.coeffs]
+    if not isinstance(point, Infinity):
+        p = Fraction(point)
+        return pairs if p == 0 else [(poly_shift(u, p), poly_shift(v, p)) for u, v in pairs]
+    n, one = ode.order, LaurentPoly.one()
+    recip = [(one, one)] + [(u.reciprocal_substitution(), v.reciprocal_substitution())
+                            for u, v in pairs]  # index k: a_(n-k)(1/t)
+    den = reduce(operator.mul, (v for _, v in recip))
+    nums = [u * (den // v) for u, v in recip]
+    return [(sum((nums[k].shift(i - n - k).scale((-1) ** k * _lah(n - k, i))
+                  for k in range(n - i + 1)), LaurentPoly.zero()), den)
+            for i in range(n - 1, -1, -1)]
 
 
-def _localize_ode(ode: ScalarODE, point: Point) -> ScalarODE:
-    if isinstance(point, Infinity):
-        return _infinity_chart_ode(ode)
-    return _shift_ode(ode, Fraction(point))
+def _pole(pair: Pair) -> int:
+    num, den = pair
+    return 0 if num.is_zero else max(0, den.ord() - num.ord())
+
+
+def _lowest(pair: Pair, k: int) -> Fraction:
+    """b(0) for b = t^k num/den with a pole of num/den of order at most k."""
+    num, den = pair
+    return num.coeff(den.ord() - k) / den.coeff(den.ord())
 
 
 # -- classification ------------------------------------------------------
@@ -266,24 +276,17 @@ def classify_singularity_scalar(ode: ScalarODE, point: Point) -> SingularityRepo
     every a is finite, first kind means every b is finite, and the rank
     is the highest pole order among the b's (0 for the first two kinds).
     """
-    return _classify_local(_localize_ode(ode, point), point)
+    return _classify_local(_local_pairs(ode, point), point)
 
 
-def _classify_local(local: ScalarODE, point: Point) -> SingularityReport:
-    """classify_singularity_scalar on the equation already in the local
-    coordinate of the point."""
-    n = local.order
-    ordinary = True
-    rank = 0
-    for k in range(1, n + 1):
-        a = local.coeffs[k - 1]  # a_(n-k)
-        pole = a.pole_order(Fraction(0))
-        if pole > 0:
-            ordinary = False
-        rank = max(rank, pole - k)
-    if ordinary:
+def _classify_local(pairs: Sequence[Pair], point: Point) -> SingularityReport:
+    """classify_singularity_scalar on the coefficient pairs already in the
+    local coordinate of the point."""
+    poles = [_pole(pair) for pair in pairs]  # of a_(n-k), k = 1..n
+    rank = max(0, *(pole - k for k, pole in enumerate(poles, start=1)))
+    if not any(poles):
         return SingularityReport(point, ORDINARY, 0)
-    if rank <= 0:
+    if rank == 0:
         return SingularityReport(point, FIRST_KIND, 0)
     return SingularityReport(point, SECOND_KIND, rank)
 
@@ -294,19 +297,14 @@ def classify_singularity_system(matrix: Sequence[Sequence], point: Point) -> Sin
     Pole order 0 is an ordinary point, 1 a first-kind singularity, and
     otherwise the rank is the pole order of (local coordinate) * A,
     i.e. pole order minus one.  At infinity the matrix in the chart
-    t = 1/z is -A(1/t)/t^2.
+    t = 1/z is -A(1/t)/t^2, whose entries have poles of order
+    2 - (order of A's entry at infinity).
     """
     a = rfmat(matrix)
     if isinstance(point, Infinity):
-        minus_t2 = RatFunc.from_laurent(LaurentPoly({-2: -1}))
-        local = tuple(
-            tuple(minus_t2 * v.reciprocal_substitution() for v in row) for row in a
-        )
-        at = Fraction(0)
+        pole = max((max(0, 2 - v.order_at(INF)) for row in a for v in row if v), default=0)
     else:
-        local = a
-        at = Fraction(point)
-    pole = max((v.pole_order(at) for row in local for v in row), default=0)
+        pole = max((v.pole_order(Fraction(point)) for row in a for v in row), default=0)
     if pole == 0:
         return SingularityReport(point, ORDINARY, 0)
     if pole == 1:
@@ -375,27 +373,20 @@ def indicial_polynomial(ode: ScalarODE, point: Point) -> IndicialData:
     in the local coordinate; the exponent sum is n(n-1)/2 - b_(n-1)(0),
     which matches the negated subleading coefficient (Vieta).
     """
-    local = _localize_ode(ode, point)
+    local = _local_pairs(ode, point)
     report = _classify_local(local, point)
     if report.kind == SECOND_KIND:
         raise NotFirstKind(f"irregular singularity at {point} (rank {report.rank})")
-    n = local.order
-    xk = RatFunc.from_laurent(LaurentPoly({1: 1}))
+    n = ode.order
     poly = _falling_factorial(n)
-    b1_at_0 = Fraction(0)
-    power = RatFunc.one()
-    for k in range(1, n + 1):
-        power = power * xk
-        b = local.coeffs[k - 1] * power  # b_(n-k) = z^k a_(n-k)
-        beta = b.evaluate(Fraction(0))
-        if k == 1:
-            b1_at_0 = beta
+    for k, pair in enumerate(local, start=1):
+        beta = _lowest(pair, k)  # b_(n-k)(0), b_(n-k) = t^k a_(n-k)
         if beta:
             poly = poly + _falling_factorial(n - k).scale(beta)
     return IndicialData(
         point=point,
         polynomial=poly,
-        exponent_sum=Fraction(n * (n - 1), 2) - b1_at_0,
+        exponent_sum=Fraction(n * (n - 1), 2) - _lowest(local[0], 1),
     )
 
 
@@ -442,7 +433,7 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
         locus = poly_lcm(locus, rad)
     num_finite = locus.deg() if not locus.is_zero else 0
 
-    local_inf = _infinity_chart_ode(ode)
+    local_inf = _local_pairs(ode, INF)
     at_inf = _classify_local(local_inf, INF)
     if at_inf.kind == SECOND_KIND:
         raise NotFuchsian(f"irregular singularity at infinity (rank {at_inf.rank})")
@@ -451,8 +442,7 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
     half = Fraction(n * (n - 1), 2)
     lhs = num_finite * half - _sum_of_finite_residues(ode.coeffs[0])
     if infinity_singular:  # plus the exponent sum n(n-1)/2 - b_(n-1)(0) at infinity
-        b1 = local_inf.coeffs[0] * RatFunc.from_laurent(LaurentPoly({1: 1}))
-        lhs += half - b1.evaluate(Fraction(0))
+        lhs += half - _lowest(local_inf[0], 1)
     num_sing = num_finite + (1 if infinity_singular else 0)
     rhs = half * (num_sing - 2)
     return FuchsRelationReport(

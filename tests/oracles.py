@@ -9,6 +9,12 @@ symbolic coefficients for s1, symbolic expansion of x^k * A(x) * s1(1/x),
 and a sympy rank computation for the vanishing conditions.  It shares no
 code path with the package, so agreement is meaningful evidence.
 
+The scalar chart oracle re-derives the local data of a Fuchsian equation
+with sympy: at a finite point p it takes b_(n-k) = lim (z - p)^k a_(n-k),
+and at infinity it differentiates W(1/z) symbolically and collects the
+coefficients of the derivatives of W, so it uses neither the package's
+chart code nor the Lah-number form of the chain rule.
+
 The echelon oracle is the package's sparse integer echelon insertion as
 it was before the lazy, dense-row core: dict rows, and the gcd of the
 whole row divided out after every combination.  It is kept verbatim, so
@@ -16,6 +22,7 @@ the pivot rows of the two can be compared exactly.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Optional
 
@@ -389,3 +396,83 @@ def residual_oracle(r, tail, series):
         if nonzero(k):
             return cap
     return cap + 1
+
+
+# -- scalar Fuchsian charts: limits and the chain rule in sympy ----------
+
+_Z, _T, _RHO = sp.symbols("z t rho")
+
+
+@lru_cache(maxsize=None)
+def _chain_rule(m):
+    """[g_0, ..., g_m] with (d/dz)^m W(1/z) = sum_i g_i(t) W^(i)(t), t = 1/z,
+    from sympy's own differentiation of the composite."""
+    w = sp.Function("W")
+    d = sp.expand(sp.diff(w(1 / _Z), _Z, m).subs(_Z, 1 / _T).doit())
+    return [d.coeff(w(_T)) if i == 0 else d.coeff(sp.Derivative(w(_T), (_T, i)))
+            for i in range(m + 1)]
+
+
+def _local_coefficients(coeffs, point):
+    """[a_(n-1), ..., a_0] as functions of the local coordinate t at the point
+    (None for infinity); coeffs are ({exp: Fraction}, {exp: Fraction})
+    numerator/denominator pairs in z."""
+    n = len(coeffs)
+    a = [_to_sympy_entry(num, _Z) / _to_sympy_entry(den, _Z) for num, den in coeffs]
+    if point is not None:
+        return [sp.cancel(f.subs(_Z, sp.Rational(point.numerator, point.denominator) + _T))
+                for f in a]
+    on_t = [sp.Integer(1)] + [f.subs(_Z, 1 / _T) for f in a]  # index k: a_(n-k)(1/t)
+    total = [sum(on_t[k] * _chain_rule(n - k)[i] for k in range(n - i + 1)) for i in range(n + 1)]
+    return [sp.cancel(total[n - k] / total[n]) for k in range(1, n + 1)]
+
+
+def _pole_at_zero(f):
+    if f == 0:
+        return 0
+    num, den = sp.fraction(sp.cancel(f))
+    low = [min(sp.Poly(p, _T).monoms())[0] for p in (num, den)]
+    return max(0, low[1] - low[0])
+
+
+def scalar_chart_oracle(coeffs, point):
+    """(kind, rank, indicial) of w^(n) + a_(n-1) w^(n-1) + ... + a_0 w = 0 at
+    the point (a Fraction, or None for infinity).  indicial is the
+    indicial polynomial's coefficients, lowest first, and the exponent sum;
+    at an irregular point it is the class name and message of the error
+    the package raises."""
+    n = len(coeffs)
+    local = _local_coefficients(coeffs, point)
+    poles = [_pole_at_zero(f) for f in local]
+    rank = max(0, *(pole - k for k, pole in enumerate(poles, start=1)))
+    kind = "ordinary" if not any(poles) else "first_kind" if rank == 0 else "second_kind"
+    if kind == "second_kind":
+        where = "oo" if point is None else point
+        return kind, rank, ("NotFirstKind", f"irregular singularity at {where} (rank {rank})")
+    b = [sp.limit(_T**k * f, _T, 0) for k, f in enumerate(local, start=1)]
+    poly = sp.ff(_RHO, n) + sum(b[k - 1] * sp.ff(_RHO, n - k) for k in range(1, n + 1))
+    coeffs_low = [Fraction(int(c.p), int(c.q)) for c in reversed(sp.Poly(poly, _RHO).all_coeffs())]
+    return kind, rank, (coeffs_low, -coeffs_low[n - 1])
+
+
+def fuchs_relation_oracle(coeffs):
+    """(holds, lhs, rhs, number of singular points, infinity singular) of
+    the Fuchs relation, summing exponent sums point by point over the roots
+    of the denominators and infinity; ("NotFuchsian", the package's
+    message) on an irregular point."""
+    n = len(coeffs)
+    dens = [sp.fraction(sp.cancel(_to_sympy_entry(num, _Z) / _to_sympy_entry(den, _Z)))[1]
+            for num, den in coeffs]
+    points = sorted({Fraction(int(r.p), int(r.q)) for d in dens for r in sp.roots(sp.Poly(d, _Z))})
+    local = {p: _local_coefficients(coeffs, p) for p in points}
+    for k in range(1, n + 1):
+        if any(_pole_at_zero(local[p][k - 1]) > k for p in points):
+            return "NotFuchsian", f"coefficient of derivative order {n - k} has a pole of order > {k}"
+    kind, rank, at_inf = scalar_chart_oracle(coeffs, None)
+    if kind == "second_kind":
+        return "NotFuchsian", f"irregular singularity at infinity (rank {rank})"
+    singular = [scalar_chart_oracle(coeffs, p)[2][1] for p in points]
+    if kind == "first_kind":
+        singular.append(at_inf[1])
+    lhs, rhs = sum(singular, Fraction(0)), Fraction(n * (n - 1), 2) * (len(singular) - 2)
+    return lhs == rhs, lhs, rhs, len(singular), kind != "ordinary"

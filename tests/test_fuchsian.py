@@ -1,10 +1,12 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
 from bgsplit.errors import NotFirstKind, NotFuchsian, NotInvertible, ResonantExponents
 from bgsplit.fuchsian import (
+    _lah,
     FIRST_KIND,
     INF,
     ORDINARY,
@@ -28,6 +30,7 @@ from bgsplit.fuchsian import (
 )
 from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.ratfunc import RatFunc
+from oracles import fuchs_relation_oracle, scalar_chart_oracle
 
 F = Fraction
 
@@ -246,6 +249,58 @@ def test_fuchs_relation_lhs_matches_per_point_indicial_sums():
             count += 1
         assert direct == rep.lhs
         assert count == rep.num_singularities
+
+
+def test_lah_numbers_satisfy_their_recurrence():
+    # L(j + 1, i) = (j + i) L(j, i) + L(j, i - 1), from L(0, 0) = 1
+    for j in range(8):
+        assert _lah(j + 1, 0) == 0
+        for i in range(1, j + 2):
+            assert _lah(j + 1, i) == (j + i) * _lah(j, i) + _lah(j, i - 1)
+        assert _lah(j, j + 1) == 0
+    assert _lah(0, 0) == 1
+
+
+def _indicial(data, n):
+    return [data.polynomial.coeff(e) for e in range(n + 1)], data.exponent_sum
+
+
+def _outcome(call):
+    """The call's value, or the (class name, message) of the error it raises."""
+    try:
+        return call()
+    except (NotFirstKind, NotFuchsian) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_scalar_charts_agree_with_the_sympy_oracle():
+    # a_(n-k) has poles at up to three of 0, 1, 1/3 and -2, of order up to
+    # k (up to k + 1 one time in five), and a numerator of degree up to
+    # deg den - k (one more one time in five), so every kind occurs at
+    # every point; one coefficient in five, and any with deg den < k, is 0.
+    rng = random.Random(1515)
+    poles = (F(0), F(1), F(1, 3), F(-2))
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        coeffs = []
+        for k in range(1, n + 1):
+            den = LaurentPoly.one()
+            for p in rng.sample(poles, rng.randint(0, 3)):
+                den = den * lp({1: 1, 0: -p}) ** rng.randint(1, k + (rng.random() < 0.2))
+            top = den.deg() - k + (rng.random() < 0.2) if rng.random() < 0.8 else -1
+            num = {e: F(rng.randint(-3, 3)) for e in range(top + 1)}
+            coeffs.append(({e: c for e, c in num.items() if c}, dict(den.terms)))
+        ode = scalar_ode([RatFunc(LaurentPoly(num), LaurentPoly(den)) for num, den in coeffs])
+        for point in poles + (INF,):
+            kind, rank, indicial = scalar_chart_oracle(coeffs, None if point is INF else point)
+            kinds.add((point is INF, kind))
+            report = classify_singularity_scalar(ode, point)
+            assert (report.kind, report.rank) == (kind, rank), (coeffs, point)
+            assert _outcome(lambda: _indicial(indicial_polynomial(ode, point), n)) == indicial
+        assert _outcome(lambda: astuple(fuchs_relation_scalar(ode))) == fuchs_relation_oracle(coeffs)
+    assert kinds == {(at_inf, kind) for at_inf in (False, True)
+                     for kind in (ORDINARY, FIRST_KIND, SECOND_KIND)}
 
 
 # -- Frobenius series ------------------------------------------------------

@@ -4,8 +4,8 @@ The files under ``tests/data/golden/`` are the exact stdout of
 ``split``, ``h0 -k 1``, ``rr -k -1``, ``iso`` (a file against itself),
 ``factor`` and ``verify`` (against the pinned ``factor`` document) on the
 demo extension and on a planted rank-4 bundle, and of the commands that
-read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p oo``,
-``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
+read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p`` at 0,
+1 and oo, ``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
 -N 8`` on the non-triangular 4 x 4 residue with denominators 2, 3 and 7
 and two tail terms in ``tests/data/local_system4.txt``, of ``bolibrukh``
 on five tuples with non-integer entries under ``tests/data/`` (reducible
@@ -56,9 +56,12 @@ FIELD_CASES = {
                      "monodromy_gaussian4", "monodromy_irreducible5_wide")
     },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
-    "hypergeometric.indicial_oo": [
-        "indicial", os.path.join(DEMOS, "hypergeometric.txt"), "-p", "oo"
-    ],
+    **{
+        f"hypergeometric.indicial_{point}": [
+            "indicial", os.path.join(DEMOS, "hypergeometric.txt"), "-p", point
+        ]
+        for point in ("0", "1", "oo")
+    },
     "residue_system.fuchs_system": [
         "fuchs-system", os.path.join(DEMOS, "residue_system.txt")
     ],
