@@ -31,6 +31,8 @@ from .errors import (
     NotFuchsian,
     NotInvertible,
     ResonantExponents,
+    WorkBudgetExceeded,
+    decimal,
 )
 from .laurent import LaurentPoly
 from .linalg import (
@@ -57,6 +59,11 @@ from .ratfunc import (
     poly_radical,
     poly_shift,
 )
+
+# Most coefficients (order + 1)*n^2 of a Frobenius series.  Each order is one
+# n x n solve whose entries grow with the order, so a 2 x 2 series to order
+# 1,000 takes under a second; past the budget it is refused before any work.
+FROBENIUS_BUDGET = 1 << 12
 
 ORDINARY = "ordinary"
 FIRST_KIND = "first_kind"
@@ -467,7 +474,9 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     each solved exactly.  Requires that no two eigenvalues of R differ
     by a positive integer k <= order, verified exactly by resultants of
     the characteristic polynomial g of N = d*R below against its shifts
-    g(t - k*d); violation raises ResonantExponents.
+    g(t - k*d); violation raises ResonantExponents.  More than
+    FROBENIUS_BUDGET coefficients (order + 1)*n^2 raise WorkBudgetExceeded
+    before any work.
 
     Each step is one n x n solve (Jameson, SIAM J. Appl. Math. 1968).
     The step reads A S - S R = -C_k with A = R - k; for any polynomial
@@ -487,6 +496,10 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     n = local.size
+    if (order + 1) * n * n > FROBENIUS_BUDGET:
+        raise WorkBudgetExceeded(f"Frobenius series to order {decimal(order)} in rank {n} has "
+                                 f"{decimal((order + 1) * n * n)} coefficients, over the work "
+                                 f"budget of {FROBENIUS_BUDGET}")
     d, big_n = integer_scaled(local.r)
     g = charpoly(big_n)
     shifted = []
@@ -602,33 +615,34 @@ def rf_mat_mul(a: RFMatrix, b: RFMatrix) -> RFMatrix:
     )
 
 
-def rf_mat_inverse(a: RFMatrix) -> RFMatrix:
-    """Inverse over the rational-function field: A^-1 = (L*A)^-1 * L, where L
-    scales each row by the lcm of its denominators, and the polynomial matrix
-    L*A is inverted by the Z[x] Gauss-Jordan of ``lmatrix``."""
-    lcms, rows = _over_denominator_lcms(a)
-    f, s, q = _gauss_jordan(rows)
-    if not q:
-        raise NotInvertible("matrix is singular over the rational functions")
-    # L*A = x^lo * D^-1 * N(x^g) and N^-1 = S/q: A^-1_ij = S_ij(x^g) D_j L_j / (x^lo q(x^g)).
-    den = _laurent(f.decode(q), f.g, f.lows[0], 1, 1)
-    return tuple(tuple(RatFunc(_laurent(f.decode(v), f.g, 0, f.scales[0][j], 1) * lcms[j], den)
-                       for j, v in enumerate(row)) for row in s)
-
-
 def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     """System matrix after the substitution w = P v:
 
         A  ->  P^-1 (A P - P')   (exact rational arithmetic).
 
+    P^-1 is never formed.  With L the row denominator lcms of P, N = L*P
+    is polynomial and the Z[x] Gauss-Jordan of ``lmatrix`` gives
+    N^-1 = S/q, so the result is S*(L*(A P - P'))/q: one product with the
+    columns of L*(A P - P') over their lcms, reduced once per entry.
     Raises NotInvertible when P is singular over the rational functions.
     """
     am = rfmat(a)
     pm = rfmat(p)
     if len(am) != len(pm):
         raise DimensionMismatch("gauge and system sizes disagree")
-    p_inv = rf_mat_inverse(pm)
+    if not pm:
+        return ()
+    lcms, rows = _over_denominator_lcms(pm)
+    f, s, q = _gauss_jordan(rows)
+    if not q:
+        raise NotInvertible("matrix is singular over the rational functions")
     ap = rf_mat_mul(am, pm)
-    return rf_mat_mul(p_inv, tuple(
-        tuple(x - v.derivative() for x, v in zip(r1, r2)) for r1, r2 in zip(ap, pm)
-    ))
+    col_lcms, cols = _over_denominator_lcms(tuple(zip(*(
+        [(x - v.derivative()) * m for x, v in zip(r1, r2)] for r1, r2, m in zip(ap, pm, lcms)))))
+    # N = x^lo * D^-1 * M(x^g) for its kernel form M, and M^-1 = S/q, so
+    # N^-1_ij = S_ij(x^g) * D_j / (x^lo * q(x^g)).
+    den = _laurent(f.decode(q), f.g, f.lows[0], 1, 1)
+    left = [[_laurent(f.decode(v), f.g, 0, f.scales[0][j], 1) for j, v in enumerate(row)]
+            for row in s]
+    return tuple(tuple(RatFunc(v, den * k) for v, k in zip(row, col_lcms))
+                 for row in _product(left, cols))

@@ -105,17 +105,13 @@ class _Tokenizer:
         return int(tok)
 
 
-def _as_ratfunc(value: Value) -> RatFunc:
-    return value if isinstance(value, RatFunc) else RatFunc.from_laurent(value)
-
-
 def _divide(num: Value, den: Value) -> Value:
     """num/den, staying in Q[x, x^-1] when den is a nonzero monomial."""
     mono = den.as_monomial() if isinstance(den, LaurentPoly) else None
     if mono is not None and isinstance(num, LaurentPoly):
         c, t = mono
         return num.scale(1 / c).shift(-t)
-    return _as_ratfunc(num) / _as_ratfunc(den)
+    return RatFunc._lift(num) / den
 
 
 def _check_power(p: LaurentPoly, exp: int) -> None:
@@ -168,7 +164,7 @@ def _power(base: Value, exp: int) -> Value:
             c = c**exp
         return _trusted({t * exp: c})
     _check_power(base, abs(exp))
-    return base**exp if exp >= 0 else _as_ratfunc(base) ** exp
+    return base**exp if exp >= 0 else RatFunc._lift(base) ** exp
 
 
 def _parse_expression(tok: _Tokenizer) -> Value:
@@ -282,7 +278,7 @@ def _as_laurent(value: Value) -> Optional[LaurentPoly]:
 
 
 def parse_ratfunc(text: str, line: int = 1, col_offset: int = 0) -> RatFunc:
-    return _as_ratfunc(_evaluate(text, line, col_offset))
+    return RatFunc._lift(_evaluate(text, line, col_offset))
 
 
 def parse_laurent(text: str, line: int = 1, col_offset: int = 0) -> LaurentPoly:

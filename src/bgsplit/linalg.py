@@ -9,10 +9,10 @@ echelon reduction on rows kept as dense runs, split only across long
 stretches of zeros (``Row``): two rows combine after their leading
 entries are divided by their gcd, and a row loses its content only when
 it is stored, which bounds swell without leaving exact arithmetic.
-Rank, kernels, ``solve``, section counts and
-the word-span closure use it; kernels and solutions share one integer
-back-substitution to reduced echelon form.  The dense fraction-free core
-(``eliminate``) serves ``det_q``, ``inverse_q`` and the Laurent and
+Rank, kernels, ``solve`` (and ``inverse_q``, which solves A X = I),
+section counts and the word-span closure use it; kernels and solutions
+share one integer back-substitution to reduced echelon form.  The dense
+fraction-free core (``eliminate``) serves ``det_q`` and the Laurent and
 rational-function matrices of ``lmatrix``.
 """
 
@@ -87,13 +87,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def is_identity(a: Matrix) -> bool:
-    n = len(a)
-    return all(
-        a[i][j] == (1 if i == j else 0) for i in range(n) for j in range(len(a[i]))
-    ) and all(len(r) == n for r in a)
 
 
 # -- integer echelon engine -------------------------------------------
@@ -336,18 +329,15 @@ def det_q(a: Sequence[Sequence]) -> Fraction:
 
 
 def inverse_q(a: Sequence[Sequence]) -> Matrix:
-    """Exact inverse by fraction-free Gauss-Jordan on [d*A | I]; raises
-    NotInvertible when singular."""
+    """Exact inverse, the solution X of A X = I on the echelon core;
+    raises NotInvertible when singular."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    mult, scaled = integer_scaled(a)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(scaled)]
-    _, pivot = eliminate(work, n, jordan=True)
-    if not pivot:
+    inverse = solve(a, identity_q(n))
+    if inverse is None:
         raise NotInvertible("singular rational matrix")
-    # (d*A)^-1 = R/p, so A^-1 = d*R/p
-    return tuple(tuple(Fraction(mult * v, pivot) for v in row[n:]) for row in work)
+    return inverse
 
 
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:

@@ -6,7 +6,8 @@ invertible over the ring exactly when its determinant is a monomial
 c*x^t.
 
 ``det``, ``inverse``, ``__matmul__``, ``apply`` and the rational-function
-inverse ``fuchsian.rf_mat_inverse`` share one exact kernel over Z[x].
+matrices of ``fuchsian`` (``rf_mat_mul``, ``gauge_transform``) share one
+exact kernel over Z[x].
 An operand is converted once: shifted by x^-lo (lo its lowest
 exponent), written in y = x^g (g the gcd of the shifted exponents) and
 scaled per row, or per column for a right factor, by the lcm of the
@@ -50,7 +51,7 @@ def _coerce_entry(value: Entry) -> LaurentPoly:
 class LaurentMatrix:
     """Immutable square matrix of LaurentPoly entries."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_range")
 
     def __init__(self, rows: Sequence[Sequence[Entry]]):
         entries = tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
@@ -61,6 +62,7 @@ class LaurentMatrix:
             raise DimensionMismatch("matrix must be square")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_range", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentMatrix is immutable")
@@ -122,8 +124,12 @@ class LaurentMatrix:
         return all(v.is_antipolynomial() for row in self.entries for v in row)
 
     def exponent_range(self) -> Tuple[int, int]:
-        """(min, max) exponent over all nonzero entries."""
-        return exponent_range(v for row in self.entries for v in row)
+        """(min, max) exponent over all nonzero entries, found on the first
+        call and kept."""
+        if self._range is None:
+            object.__setattr__(self, "_range",
+                               exponent_range(v for row in self.entries for v in row))
+        return self._range
 
     # -- arithmetic ----------------------------------------------------
 

@@ -36,7 +36,7 @@ from .linalg import (
     echelon_insert_mod,
     identity_q,
     integer_scaled,
-    is_identity,
+    inverse_q,
     mat_mul,
     nullspace,
     qmat,
@@ -80,8 +80,6 @@ class MonodromyRep:
 
     def conjugated(self, s: Sequence[Sequence]) -> "MonodromyRep":
         """The isomorphic representation S^-1 M S, matrix by matrix."""
-        from .linalg import inverse_q
-
         sm = qmat(s)
         s_inv = inverse_q(sm)
         return MonodromyRep(
@@ -148,11 +146,15 @@ class CriterionReport:
 
 
 def check_product_identity(rep: MonodromyRep) -> bool:
-    """Exact test M_1 M_2 ... M_N = identity, in stored order."""
-    out = identity_q(rep.size)
+    """Exact test M_1 M_2 ... M_N = identity, in stored order, on the
+    integer forms N_i = d_i*M_i: N_1 N_2 ... N_N = (d_1 d_2 ... d_N)*I."""
+    n = rep.size
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    scale, out = 1, identity
     for m in rep.matrices:
-        out = mat_mul(out, m)
-    return is_identity(out)
+        d, big_n = integer_scaled(m)
+        scale, out = scale * d, mat_mul(out, big_n)
+    return out == tuple(tuple(scale * v for v in row) for row in identity)
 
 
 def _word_span_dimension(

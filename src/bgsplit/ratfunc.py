@@ -4,8 +4,8 @@ Polynomials are :class:`~bgsplit.laurent.LaurentPoly` values with only
 nonnegative exponents.  A :class:`RatFunc` is a reduced fraction num/den
 with den monic, so equality is plain structural equality.  Rational
 functions are the coefficient domain for differential operators; the
-helpers here (division, gcd, radical, shifts, reversal) are the exact
-plumbing those computations need.
+helpers here (division, gcd, radical, shifts) are the exact plumbing
+those computations need.
 """
 
 from __future__ import annotations
@@ -157,15 +157,6 @@ def poly_shift(p: LaurentPoly, c: Scalar) -> LaurentPoly:
     for e in range(p.deg(), -1, -1):
         result = result * xc + LaurentPoly.constant(p.coeff(e))
     return result
-
-
-def poly_reverse(p: LaurentPoly) -> LaurentPoly:
-    """x^deg(p) * p(1/x); zero maps to zero."""
-    _require_poly(p)
-    if p.is_zero:
-        return p
-    d = p.deg()
-    return LaurentPoly({d - e: c for e, c in p.terms.items()})
 
 
 def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:
@@ -339,11 +330,6 @@ class RatFunc:
         object.__setattr__(power, "den", self.den**n)
         return power
 
-    def inverse(self) -> "RatFunc":
-        if self.is_zero:
-            raise NotInvertible("zero rational function has no inverse")
-        return RatFunc(self.den, self.num)
-
     def derivative(self) -> "RatFunc":
         return RatFunc(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -353,19 +339,6 @@ class RatFunc:
     def shift(self, c: Scalar) -> "RatFunc":
         """The function f(x + c)."""
         return RatFunc(poly_shift(self.num, c), poly_shift(self.den, c))
-
-    def reciprocal_substitution(self) -> "RatFunc":
-        """The function f(1/x), again as a reduced rational function."""
-        if self.is_zero:
-            return self
-        dn, dd = self.num.deg(), self.den.deg()
-        num = poly_reverse(self.num)
-        den = poly_reverse(self.den)
-        if dd >= dn:
-            num = num.shift(dd - dn)
-        else:
-            den = den.shift(dn - dd)
-        return RatFunc(num, den)
 
     # -- comparison and display ---------------------------------------
 

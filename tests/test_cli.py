@@ -8,7 +8,7 @@ import time
 import pytest
 
 import bgsplit
-from bgsplit import bundles
+from bgsplit import bundles, lmatrix
 from bgsplit.cli import main
 from bgsplit.errors import InternalSearchExhausted
 
@@ -296,6 +296,20 @@ def test_h0_basis_memory_grows_with_its_terms_not_nullity_times_columns(tmp_path
     assert json.loads(proc.stdout)["result"]["dimension"] == 20001
 
 
+@pytest.mark.parametrize("order", ("1024", "100000"))
+def test_frobenius_order_over_the_budget_is_refused_up_front(tmp_path, order):
+    # (order + 1) * n^2 coefficients past FROBENIUS_BUDGET = 4096 in rank 2;
+    # order 100000 ran past 30 s before the budget, order 1023 answers
+    path = write(tmp_path, "frob.txt",
+                 "kind = rat_matrix_list, n = 2, count = 2\n1/2, 0\n0, 0\n0, 1\n1, 0\n")
+    start = time.monotonic()
+    code, out, err = _run_process("frobenius", path, "-N", order)
+    assert time.monotonic() - start < 5
+    assert code == 3 and out == ""
+    assert err.startswith(f"domain error: Frobenius series to order {order} in rank 2")
+    assert "work budget" in err and "Traceback" not in err
+
+
 def test_split_eliminates_the_section_system_once(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ext.txt", EXT)
     calls = []
@@ -309,6 +323,23 @@ def test_split_eliminates_the_section_system_once(tmp_path, capsys, monkeypatch)
     code, out, _ = run(capsys, "split", path)
     assert code == 0 and json.loads(out)["result"]["indices"] == [1, -1]
     assert len(calls) == 1
+
+
+def test_split_walks_the_transition_once_for_its_exponent_range(tmp_path, capsys, monkeypatch):
+    # the degree bound, the section rows, the scan and the certificate all
+    # read the range; the transition matrix keeps it after the first walk
+    path = write(tmp_path, "ext.txt", EXT)
+    walks = []
+    walk = lmatrix.exponent_range
+
+    def counted(polys):
+        walks.append(polys)
+        return walk(polys)
+
+    monkeypatch.setattr(lmatrix, "exponent_range", counted)
+    code, out, _ = run(capsys, "split", path)
+    assert code == 0 and json.loads(out)["result"]["indices"] == [1, -1]
+    assert len(walks) == 1
 
 
 MALFORMED_FACTORIZATIONS = {

@@ -1,17 +1,21 @@
-"""Property tests of ``fuchsian.rf_mat_inverse``, ``rf_mat_mul`` and
+"""Property tests of ``fuchsian.gauge_transform``, ``rf_mat_mul`` and
 ``linalg.solve``.
 
-``rf_mat_inverse`` scales each row of a rational-function matrix by the
-lcm of its denominators and inverts the polynomial matrix on the Z[x]
-Gauss-Jordan of ``lmatrix``; ``rf_mat_mul`` puts the rows of the left and
-the columns of the right factor over their lcms and forms one Z[x]
-product.  Inputs have rank <= 4, nonzero entries and denominators with a
-root other than 0, so none is a monomial; one in three matrices is made
-singular by a row that is a rational-function multiple of another.  Each
-property runs on the packed and on the sparse route of the kernel.
-``rf_mat_mul`` is checked against sums of ``RatFunc`` products and then
-forms A * A^-1; singularity is decided exactly by Leibniz determinants at
-rational points (``is_singular``).
+``gauge_transform`` scales each row of the gauge P by the lcm of its
+denominators, inverts the polynomial matrix on the Z[x] Gauss-Jordan of
+``lmatrix`` and multiplies the result into A P - P' without forming
+P^-1; ``rf_mat_mul`` puts the rows of the left and the columns of the
+right factor over their lcms and forms one Z[x] product.  Inputs have
+rank <= 4, nonzero entries and denominators with a root other than 0, so
+none is a monomial; one in three matrices is made singular by a row that
+is a rational-function multiple of another.  Each property runs on the
+packed and on the sparse route of the kernel.  ``rf_mat_mul`` is checked
+against sums of ``RatFunc`` products, and the gauge B against
+P B = A P - P', an oracle with no inverse: A P - P' is summed in
+``RatFunc`` arithmetic and P B is formed by ``rf_mat_mul``, since B's
+denominators make ``RatFunc`` sums of P B take over a minute at rank 4.
+Singularity is decided exactly by Leibniz determinants at rational
+points (``is_singular``).
 
 ``solve`` runs on rectangular systems with a vector right-hand side or
 one of 1-3 columns; sympy gives the ranks and the pivot columns of A.
@@ -38,7 +42,7 @@ from hypothesis import strategies as st
 
 from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
-from bgsplit.fuchsian import rf_mat_inverse, rf_mat_mul
+from bgsplit.fuchsian import gauge_transform, rf_mat_mul
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import _GAP, echelon_sparse, solve, sparse_int_rows, sparse_kernel
 from bgsplit.ratfunc import RatFunc
@@ -125,20 +129,20 @@ SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
-@SETTINGS
+@settings(max_examples=10, deadline=None, derandomize=True)  # a rank-4 example takes ~1 s
 @given(data=st.data())
-def test_rf_mat_inverse_round_trips_or_raises(route, n, data):
+def test_gauge_transform_solves_its_defining_equation_or_raises(route, n, data):
     a = tuple(tuple(row) for row in data.draw(matrices(n)))
+    p = tuple(tuple(row) for row in data.draw(matrices(n)))
     with mock.patch.object(lmatrix_module, "_PACKED_SPAN", ROUTES[route]):
-        if is_singular(a):
+        if is_singular(p):
             with pytest.raises(NotInvertible):
-                rf_mat_inverse(a)
+                gauge_transform(a, p)
             return
-        inv = rf_mat_inverse(a)
-    identity = tuple(
-        tuple(RatFunc.one() if i == j else RatFunc.zero() for j in range(n)) for i in range(n)
-    )
-    assert rf_mat_mul(a, inv) == identity
+        b = gauge_transform(a, p)
+    rhs = tuple(tuple(x - v.derivative() for x, v in zip(r1, r2))
+                for r1, r2 in zip(ratfunc_product(a, p), p))
+    assert rf_mat_mul(p, b) == rhs
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))

@@ -1,13 +1,21 @@
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from bgsplit.errors import NotFirstKind, NotFuchsian, NotInvertible, ResonantExponents
+from bgsplit.errors import (
+    NotFirstKind,
+    NotFuchsian,
+    NotInvertible,
+    ResonantExponents,
+    WorkBudgetExceeded,
+)
 from bgsplit.fuchsian import (
     _lah,
     FIRST_KIND,
+    FROBENIUS_BUDGET,
     INF,
     ORDINARY,
     SECOND_KIND,
@@ -23,7 +31,6 @@ from bgsplit.fuchsian import (
     indicial_polynomial,
     local_system,
     ode_residual,
-    rf_mat_inverse,
     rf_mat_mul,
     rfmat,
     scalar_ode,
@@ -355,6 +362,16 @@ def test_frobenius_residual_certificate_random():
         assert ode_residual(loc, series) >= order
 
 
+def test_frobenius_budget_admits_its_last_order_and_refuses_the_next():
+    # w' = w in rank 1: S_k = 1/k!, with (order + 1) * 1 coefficients
+    series = frobenius_series(local_system([[0]], [[[1]]]), FROBENIUS_BUDGET - 1)
+    assert series.s[-1] == ((F(1, factorial(FROBENIUS_BUDGET - 1)),),)
+    with pytest.raises(WorkBudgetExceeded, match="over the work budget of 4096"):
+        frobenius_series(local_system([[0]]), FROBENIUS_BUDGET)
+    with pytest.raises(WorkBudgetExceeded):
+        frobenius_series(local_system([[0, 0], [0, 0]]), FROBENIUS_BUDGET // 4)
+
+
 def test_residual_detects_corruption():
     loc = local_system([[F(1, 2), 0], [0, 0]], [[[0, 1], [1, 0]]])
     series = frobenius_series(loc, 1)
@@ -385,5 +402,6 @@ def test_gauge_round_trip_and_composition():
     p = rfmat([[lp({1: 1}), 1], [0, 1]])
     q = rfmat([[1, 0], [lp({1: 1, 0: -1}), 1]])
     once = gauge_transform(a, p)
-    assert gauge_transform(once, rf_mat_inverse(p)) == a
+    p_inv = rfmat([[rf({0: 1}, {1: 1}), rf({0: -1}, {1: 1})], [0, 1]])  # 1/x, -1/x
+    assert gauge_transform(once, p_inv) == a
     assert gauge_transform(once, q) == gauge_transform(a, rf_mat_mul(p, q))

@@ -1,7 +1,8 @@
 """Property tests for the integer monodromy paths on rational input.
 
 Every benchmark tuple is integral, so only these tests reach the
-denominator scaling in the word-span closure and in ``charpoly``.
+denominator scaling in the word-span closure, in ``charpoly`` and in
+``check_product_identity``.
 """
 
 from fractions import Fraction
@@ -10,8 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bgsplit.linalg import charpoly, det_q
-from bgsplit.monodromy import _word_span_dimension, coordinate_invariant_subspace, monodromy_rep
+from bgsplit.linalg import charpoly, det_q, identity_q, inverse_q, mat_mul, qmat
+from bgsplit.monodromy import (
+    _word_span_dimension,
+    check_product_identity,
+    coordinate_invariant_subspace,
+    monodromy_rep,
+)
 
 from oracles import (
     charpoly_oracle,
@@ -62,3 +68,25 @@ def test_charpoly_matches_sympy(matrix):
     p = charpoly(matrix)
     n = len(matrix)
     assert [p.coeff(e) for e in range(n, -1, -1)] == charpoly_oracle(matrix)
+
+
+def fraction_product(mats):
+    """M_1 M_2 ... M_N multiplied as Fraction matrices."""
+    out = identity_q(len(mats[0]))
+    for m in mats:
+        out = mat_mul(out, qmat(m))
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_identity_matches_the_fraction_product(n, data):
+    """Half the tuples are closed by a last factor c * (M_1 ... M_N)^-1,
+    which is the identity exactly when c = 1."""
+    mats = data.draw(st.lists(square(n), min_size=1, max_size=3))
+    assume(all(det_q(m) != 0 for m in mats))
+    if data.draw(st.booleans()):
+        c = data.draw(st.sampled_from((1, 1, 2, -1)))
+        mats.append([[c * v for v in row] for row in inverse_q(fraction_product(mats))])
+    assert check_product_identity(monodromy_rep(mats)) == (fraction_product(mats) == identity_q(n))

@@ -16,7 +16,6 @@ from bgsplit.ratfunc import (
     poly_gcd,
     poly_lcm,
     poly_radical,
-    poly_reverse,
     poly_shift,
     root_multiplicity,
 )
@@ -64,7 +63,6 @@ def test_radical_and_lcm():
 def test_shift_reverse_multiplicity():
     p = lp({2: 1, 0: -1})  # x^2 - 1
     assert poly_shift(p, 1) == lp({2: 1, 1: 2})  # (x+1)^2 - 1 = x^2 + 2x
-    assert poly_reverse(lp({3: 2, 1: 1})) == lp({0: 2, 2: 1})
     assert root_multiplicity(lp({1: 1}) ** 4 * lp({0: 1, 1: 3}), 0) == 4
 
 
@@ -114,16 +112,6 @@ def test_orders_and_infinity():
     g = RatFunc(lp({2: 1}), lp({0: 1}))  # x^2
     assert g.order_at(INF) == -2
     assert g.order_at(0) == 2
-
-
-def test_reciprocal_substitution_involution():
-    rng = random.Random(35)
-    for _ in range(40):
-        fd = rand_poly(rng)
-        if fd.is_zero:
-            continue
-        f = RatFunc(rand_poly(rng), fd)
-        assert f.reciprocal_substitution().reciprocal_substitution() == f
 
 
 def test_evaluate_and_shift():

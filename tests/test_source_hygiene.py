@@ -2,6 +2,8 @@
 
 * Every name a module of ``src/bgsplit`` imports is read in that module;
   ``__init__.py`` imports to re-export and is exempt.
+* Every import of the package sits in its module's top-level import
+  block, never inside a function or class body.
 * Every top-level def, class or assignment of the package is referenced
   somewhere in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``: as a
   name read in a ``Load`` context, as an attribute, or in a
@@ -64,6 +66,16 @@ def test_every_import_is_used():
                 continue
             unused.extend(f"{path.name}: {name}" for name in bound if name not in read)
     assert unused == []
+
+
+def test_no_import_inside_a_function_or_class():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested.extend(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                              if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    assert nested == []
 
 
 def test_every_top_level_definition_is_referenced():
