@@ -48,7 +48,7 @@ from .linalg import (
     solve,
     trace,
 )
-from .lmatrix import _gauss_jordan, _laurent, _product
+from .lmatrix import _gauss_jordan, _product
 from .ratfunc import (
     INF,
     Infinity,
@@ -633,16 +633,11 @@ def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     if not pm:
         return ()
     lcms, rows = _over_denominator_lcms(pm)
-    f, s, q = _gauss_jordan(rows)
+    s, q = _gauss_jordan(rows)
     if not q:
         raise NotInvertible("matrix is singular over the rational functions")
     ap = rf_mat_mul(am, pm)
     col_lcms, cols = _over_denominator_lcms(tuple(zip(*(
         [(x - v.derivative()) * m for x, v in zip(r1, r2)] for r1, r2, m in zip(ap, pm, lcms)))))
-    # N = x^lo * D^-1 * M(x^g) for its kernel form M, and M^-1 = S/q, so
-    # N^-1_ij = S_ij(x^g) * D_j / (x^lo * q(x^g)).
-    den = _laurent(f.decode(q), f.g, f.lows[0], 1, 1)
-    left = [[_laurent(f.decode(v), f.g, 0, f.scales[0][j], 1) for j, v in enumerate(row)]
-            for row in s]
-    return tuple(tuple(RatFunc(v, den * k) for v, k in zip(row, col_lcms))
-                 for row in _product(left, cols))
+    return tuple(tuple(RatFunc(v, q * k) for v, k in zip(row, col_lcms))
+                 for row in _product(s, cols))

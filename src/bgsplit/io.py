@@ -111,7 +111,28 @@ def _divide(num: Value, den: Value) -> Value:
     if mono is not None and isinstance(num, LaurentPoly):
         c, t = mono
         return num.scale(1 / c).shift(-t)
+    _check_product(_sizes(num), _sizes(den)[::-1])  # num's numerator by den's denominator
     return RatFunc._lift(num) / den
+
+
+def _sizes(value: Value) -> Tuple[int, int]:
+    """Term counts of a value's numerator and denominator."""
+    if isinstance(value, RatFunc):
+        return len(value.num), len(value.den)
+    return len(value), 1
+
+
+def _check_product(left: Tuple[int, int], right: Tuple[int, int]) -> None:
+    """Refuse, before it is computed, a product or quotient that multiplies
+    polynomials of left[i] by right[i] terms with left[i] * right[i] above
+    POWER_TERM_BUDGET^2, the size of the largest product ``^`` admits."""
+    (a, b), (c, d) = left, right
+    if max(a * c, b * d) > POWER_TERM_BUDGET**2:
+        p, q = (a, c) if a * c > b * d else (b, d)
+        raise WorkBudgetExceeded(
+            f"product of {decimal(p)} by {decimal(q)} terms exceeds the work budget of "
+            f"{decimal(POWER_TERM_BUDGET**2)} term pairs"
+        )
 
 
 def _check_power(p: LaurentPoly, exp: int) -> None:
@@ -205,7 +226,9 @@ def _parse_term(tok: _Tokenizer) -> Value:
         op = toks[tok.pos]
         if op == "*":
             tok.pos += 1
-            value = value * _parse_factor(tok)
+            factor = _parse_factor(tok)
+            _check_product(_sizes(value), _sizes(factor))
+            value = value * factor
         elif op == "/":
             tok.pos += 1
             value = _divide(value, _parse_factor(tok))

@@ -20,6 +20,7 @@ Canonical text form lists terms in ascending exponent order, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -191,20 +192,18 @@ class LaurentPoly:
         if len(right) == 1:
             (e2, c2), = right.items()
             return _trusted({e1 + e2: c1 * c2 for e1, c1 in left.items()})
+        # Schoolbook on integers: each factor over the lcm of its denominators.
+        dl = lcm(*(c.denominator for c in left.values()))
+        dr = lcm(*(c.denominator for c in right.values()))
+        ints = [(e, c.numerator * (dr // c.denominator)) for e, c in right.items()]
         prod: dict = {}
         for e1, c1 in left.items():
-            for e2, c2 in right.items():
+            a = c1.numerator * (dl // c1.denominator)
+            for e2, b in ints:
                 e = e1 + e2
-                old = prod.get(e)
-                if old is None:
-                    prod[e] = c1 * c2
-                else:
-                    s = old + c1 * c2
-                    if s:
-                        prod[e] = s
-                    else:
-                        del prod[e]
-        return _trusted(prod)
+                prod[e] = prod.get(e, 0) + a * b
+        den = dl * dr
+        return _trusted({e: Fraction(v, den) for e, v in prod.items() if v})
 
     __rmul__ = __mul__
 
@@ -291,6 +290,10 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def __len__(self) -> int:
+        """The number of nonzero terms."""
+        return len(self._terms)
 
     def __str__(self) -> str:
         if not self._terms:

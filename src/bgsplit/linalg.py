@@ -12,8 +12,8 @@ it is stored, which bounds swell without leaving exact arithmetic.
 Rank, kernels, ``solve`` (and ``inverse_q``, which solves A X = I),
 section counts and the word-span closure use it; kernels and solutions
 share one integer back-substitution to reduced echelon form.  The dense
-fraction-free core (``eliminate``) serves ``det_q`` and the Laurent and
-rational-function matrices of ``lmatrix``.
+fraction-free core (``lmatrix.eliminate``) serves ``det_q`` and, as the
+Laurent determinant of lambda*I - A, ``charpoly``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
+from .lmatrix import LaurentMatrix, eliminate
 from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -283,41 +284,6 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
 # -- square-matrix routines -------------------------------------------
 
 
-def eliminate(m: List[list], n: int, jordan: bool) -> Tuple[int, object]:
-    """Fraction-free elimination on the first n columns of the n rows m, in
-    place; returns (sign of the row swaps, last pivot).
-
-    The entries may be ints or elements of any other exact integral domain
-    with ``*``, ``-`` and an exact ``//`` (``LaurentPoly``).  Step k
-    replaces every entry v right of column k by (pivot*v - f*w) //
-    (previous pivot), an exact division (Sylvester's identity), so each
-    entry stays a minor of the input and the last pivot is sign * det.
-    Bareiss updates the rows below the pivot; Gauss-Jordan (``jordan``)
-    all other rows, so that [N | I] ends with R right of column n,
-    N^-1 = R/p for the last pivot p.  Columns up to k are cleared
-    implicitly: they are never read again.  A column without a pivot
-    (det = 0) stops the elimination and its zero diagonal entry is
-    returned as the pivot.
-    """
-    sign, prev = 1, 1
-    for k in range(n):
-        if not m[k][k]:
-            r = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if r is None:
-                return sign, m[k][k]
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        tail = m[k][k + 1:]
-        for i in range(n) if jordan else range(k + 1, n):
-            if i != k:
-                row = m[i]
-                f = row[k]
-                row[k + 1:] = [(pivot * v - f * w) // prev for v, w in zip(row[k + 1:], tail)]
-        prev = pivot
-    return sign, prev
-
-
 def det_q(a: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
@@ -341,31 +307,16 @@ def inverse_q(a: Sequence[Sequence]) -> Matrix:
 
 
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
-    """Monic characteristic polynomial det(lambda*I - A), exact.
-
-    Computed by the Faddeev-LeVerrier recurrence on the integer matrix
-    N = d*A (d the lcm of A's denominators), whose iterates and
-    coefficients c_k are integers; the coefficient of lambda^(n-k) in
-    p_A is c_k / d^k.  Returned as a polynomial in the variable
-    (exponent = power of lambda).
-    """
+    """Monic characteristic polynomial det(lambda*I - A), exact: the
+    Laurent determinant of lambda*I - A with lambda written as x, so the
+    exponent is the power of lambda."""
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    d, scaled = integer_scaled(a)
-    coeffs = {n: Fraction(1)}
-    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for k in range(1, n + 1):
-        m = mat_mul(scaled, m)
-        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible on an integer matrix")
-        if c:
-            coeffs[n - k] = Fraction(c, d**k)
-        m = tuple(
-            tuple(v + c if i == j else v for j, v in enumerate(row)) for i, row in enumerate(m)
-        )
-    return LaurentPoly(coeffs)
+    if not n:
+        return LaurentPoly.one()
+    return LaurentMatrix([[LaurentPoly({1: 1, 0: -v}) if i == j else -v for j, v in enumerate(row)]
+                          for i, row in enumerate(a)]).det()
 
 
 def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:

@@ -5,16 +5,18 @@ and the B/C factors of their diagonal factorizations.  A matrix is
 invertible over the ring exactly when its determinant is a monomial
 c*x^t.
 
-``det``, ``inverse``, ``__matmul__``, ``apply`` and the rational-function
-matrices of ``fuchsian`` (``rf_mat_mul``, ``gauge_transform``) share one
-exact kernel over Z[x].
+``det``, ``inverse``, ``__matmul__``, ``apply``, the characteristic
+polynomial ``linalg.charpoly`` (the determinant of lambda*I - A) and the
+rational-function matrices of ``fuchsian`` (``rf_mat_mul``,
+``gauge_transform``) share one exact kernel over Z[x].
 An operand is converted once: shifted by x^-lo (lo its lowest
 exponent), written in y = x^g (g the gcd of the shifted exponents) and
 scaled per row, or per column for a right factor, by the lcm of the
 denominators.  Each integer polynomial entry P is packed into
 the integer P(2^w) (Kronecker substitution, a ring homomorphism
 Z[y] -> Z), so fraction-free Bareiss and Gauss-Jordan elimination
-(``linalg.eliminate``), and products, run on plain integers; their exact
+(``eliminate``, which ``linalg.det_q`` runs on plain integers too), and
+products, run on plain integers; their exact
 divisions by the previous pivot are the exact polynomial divisions over
 Z[y].  Every value read back is a minor of the (augmented) operand or an
 entry of a product, with coefficients bounded by a product of
@@ -35,7 +37,6 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tup
 
 from .errors import DimensionMismatch, NotInvertibleOverLaurentRing
 from .laurent import LaurentPoly, Scalar, exponent_range
-from .linalg import eliminate
 
 Entry = Union[LaurentPoly, int, Fraction]
 
@@ -162,22 +163,16 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """Inverse over the Laurent ring, by fraction-free Gauss-Jordan.
 
-        Raises NotInvertibleOverLaurentRing unless the last pivot is a
-        monomial c*y^t, which is exactly when det A is a unit.
+        Raises NotInvertibleOverLaurentRing unless A^-1 = S/q has a
+        monomial q = x^t, which is exactly when det A is a unit.
         """
-        f, s, q = _gauss_jordan(self.entries)
-        support = [(t, c) for t, c in f.decode(q) if c]
-        if len(support) != 1:
+        s, q = _gauss_jordan(self.entries)
+        unit = q.as_monomial()
+        if unit is None:
             raise NotInvertibleOverLaurentRing(
                 "determinant is not a unit c*x^t of Q[x, x^-1]"
             )
-        [(t, c)] = support
-        lo, scales = f.lows[0], f.scales[0]
-        # A = x^lo * D^-1 * N(x^g), so A^-1 = x^-lo * N^-1 * D with N^-1 = S / (c*y^t).
-        return LaurentMatrix(
-            [[_laurent(f.decode(v), f.g, -lo - f.g * t, scales[j], c)
-              for j, v in enumerate(row)] for row in s]
-        )
+        return LaurentMatrix([[v.shift(-unit[1]) for v in row] for row in s])
 
     # -- comparison and display ---------------------------------------
 
@@ -324,17 +319,61 @@ def _laurent(pairs: Iterable[Tuple[int, Scalar]], g: int, shift: int,
     return LaurentPoly({g * k + shift: Fraction(c * num, den) for k, c in pairs if c})
 
 
-def _gauss_jordan(rows) -> Tuple[_Form, List[list], object]:
-    """(form, S, q): fraction-free Gauss-Jordan of [N | I], N the kernel form
-    of the square matrix with these LaurentPoly rows, ends at [q*I | S] with
-    q = +-det N, so N^-1 = S/q.  The caller decodes S and q with ``form``."""
+def eliminate(m: List[list], n: int, jordan: bool) -> Tuple[int, object]:
+    """Fraction-free elimination on the first n columns of the n rows m, in
+    place; returns (sign of the row swaps, last pivot).
+
+    The entries may be ints or elements of any other exact integral domain
+    with ``*``, ``-`` and an exact ``//`` (``LaurentPoly``).  Step k
+    replaces every entry v right of column k by (pivot*v - f*w) //
+    (previous pivot), an exact division (Sylvester's identity), so each
+    entry stays a minor of the input and the last pivot is sign * det.
+    Bareiss updates the rows below the pivot; Gauss-Jordan (``jordan``)
+    all other rows, so that [N | I] ends with R right of column n,
+    N^-1 = R/p for the last pivot p.  Columns up to k are cleared
+    implicitly: they are never read again.  A column without a pivot
+    (det = 0) stops the elimination and its zero diagonal entry is
+    returned as the pivot.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            r = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if r is None:
+                return sign, m[k][k]
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        tail = m[k][k + 1:]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * v - f * w) // prev for v, w in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign, prev
+
+
+def _gauss_jordan(rows) -> Tuple[List[List[LaurentPoly]], LaurentPoly]:
+    """(S, q) with A^-1 = S/q for the square matrix A with these LaurentPoly
+    rows: q monic (0 when A is singular), and S polynomial when A is.
+
+    Fraction-free Gauss-Jordan of [M | I], M the kernel form of A, ends at
+    [p*I | R] with p = +-det M, so M^-1 = R/p.  A = x^lo * D^-1 * M(x^g),
+    so A^-1 = x^-lo * R(x^g) * D / p(x^g): S = R(x^g) * D / c and
+    q = x^lo * p(x^g) / c, c the leading coefficient of p.
+    """
     n = len(rows)
     f = _form((rows,), _minor_bound)
     m = f.rows[0]
     for i, row in enumerate(m):
         row.extend(f.one * int(i == j) for j in range(n))
-    _, q = eliminate(m, n, jordan=True)
-    return f, [row[n:] for row in m], q
+    _, p = eliminate(m, n, jordan=True)
+    pairs = [(k, a) for k, a in f.decode(p) if a]
+    c = max(pairs)[1] if pairs else 1
+    s = [[_laurent(f.decode(v), f.g, 0, d, c) for v, d in zip(row[n:], f.scales[0])]
+         for row in m]
+    return s, _laurent(pairs, f.g, f.lows[0], 1, c)
 
 
 def _product(left, right_cols) -> List[List[LaurentPoly]]:

@@ -11,6 +11,7 @@ those computations need.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import List, Optional, Tuple, Union
 
@@ -35,9 +36,10 @@ class Infinity:
 INF = Infinity()
 Point = Union[Fraction, int, Infinity]
 
-# Work budget of poly_gcd: the remainder sequence runs on dense coefficient
-# lists, so operands of higher degree (after the common power of x is split
-# off) are refused with WorkBudgetExceeded.
+# Work budget of poly_gcd and poly_shift: the remainder sequence and the
+# shift run on dense coefficient lists, so operands of higher degree (for
+# the gcd, after the common power of x is split off) are refused with
+# WorkBudgetExceeded.
 GCD_DEGREE_BUDGET = 1 << 12
 
 
@@ -147,16 +149,35 @@ def poly_radical(p: LaurentPoly) -> LaurentPoly:
 
 
 def poly_shift(p: LaurentPoly, c: Scalar) -> LaurentPoly:
-    """p(x + c), by Horner evaluation in the shifted variable."""
+    """p(x + c), exact, on integers; degree above GCD_DEGREE_BUDGET is
+    refused with WorkBudgetExceeded before any work.
+
+    With p = P/L, P integral of degree D, and c = u/v, the integer
+    polynomial q(y) = v^D * L * p(u*y/v) = sum_e P_e * u^e * v^(D-e) * y^e
+    is shifted by 1 with additions only, D passes of running sums (Horner's
+    scheme for a Taylor shift by 1; von zur Gathen and Gerhard, ISSAC 1997).
+    q(y + 1) at y = v*x/u is v^D * L * p(x + c), so coefficient k of
+    p(x + c) is that of q(y + 1) divided by u^k * v^(D-k) * L.
+    """
     _require_poly(p)
     c = _coerce(c)
     if p.is_zero:
         return p
-    xc = LaurentPoly({1: 1, 0: c})
-    result = LaurentPoly.zero()
-    for e in range(p.deg(), -1, -1):
-        result = result * xc + LaurentPoly.constant(p.coeff(e))
-    return result
+    deg = p.deg()
+    if deg > GCD_DEGREE_BUDGET:
+        raise WorkBudgetExceeded(
+            f"polynomial shift on degree {decimal(deg)} exceeds the work budget "
+            f"of degree {GCD_DEGREE_BUDGET}"
+        )
+    if not c:
+        return p
+    u, v = c.numerator, c.denominator
+    den = lcm(*(a.denominator for a in p.terms.values()))
+    q = [int(p.coeff(e) * den) * u**e * v**(deg - e) for e in range(deg, -1, -1)]
+    for i in range(deg, 0, -1):  # q is highest coefficient first
+        q[:i + 1] = accumulate(q[:i + 1])
+    return _trusted({k: Fraction(s, u**k * v**(deg - k) * den)
+                     for k, s in enumerate(reversed(q)) if s})
 
 
 def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:

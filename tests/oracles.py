@@ -15,6 +15,11 @@ and at infinity it differentiates W(1/z) symbolically and collects the
 coefficients of the derivatives of W, so it uses neither the package's
 chart code nor the Lah-number form of the chain rule.
 
+The Faddeev-LeVerrier oracle is the package's characteristic polynomial
+as it was before it became the Laurent determinant of lambda*I - A: the
+trace recurrence on integer matrices, kept as a separate route to the
+same coefficients.
+
 The echelon oracle is the package's sparse integer echelon insertion as
 it was before the lazy, dense-row core: dict rows, and the gcd of the
 whole row divided out after every combination.  It is kept verbatim, so
@@ -221,6 +226,30 @@ def charpoly_oracle(matrix):
     """Coefficients of det(lambda*I - A), highest power first, as Fractions."""
     poly = _sympy_matrix(matrix).charpoly(sp.Symbol("lam"))
     return [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
+
+
+def faddeev_leverrier(matrix):
+    """Coefficients of det(lambda*I - A), highest power first, as Fractions,
+    by the Faddeev-LeVerrier recurrence: the loop ``linalg.charpoly`` ran
+    before it became a Laurent determinant, kept as its reference.
+
+    It runs on the integer matrix N = d*A (d the lcm of A's denominators),
+    whose iterates M_k = N*M_(k-1) + c_(k-1)*I and coefficients
+    c_k = -tr(N*M_(k-1))/k are integers; lambda^(n-k) has c_k / d^k.
+    """
+    n = len(matrix)
+    d = lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    scaled = [[int(Fraction(v) * d) for v in row] for row in matrix]
+    coeffs = [Fraction(1)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(scaled[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert not rem, "Faddeev-LeVerrier trace not divisible on an integer matrix"
+        coeffs.append(Fraction(c, d**k))
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
 
 
 def expression_oracle(tree):

@@ -491,3 +491,36 @@ def test_section_route_answers_wide_sparse_bundles(tmp_path, power):
     assert code == 0, err
     assert json.loads(out)["result"]["dimension"] == power + 1
     assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize("point", ("1", "1/2"))
+def test_indicial_at_a_nonzero_point_refuses_an_over_budget_shift(tmp_path, point):
+    # The chart at p != 0 shifts each coefficient by p: x^99999999 ran past
+    # 15 s before the shift budget, and x^1000 took 4 s for this answer.
+    huge = write(tmp_path, "huge.txt", "kind = scalar_ode, n = 1\nx^99999999\n")
+    start = time.monotonic()
+    code, out, err = _run_process("indicial", huge, "-p", point)
+    assert time.monotonic() - start < 5
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: polynomial shift on degree 99999999")
+    assert "work budget" in err and "Traceback" not in err
+    line = write(tmp_path, "line.txt", "kind = scalar_ode, n = 1\nx^1000\n")
+    code, out, err = _run_process("indicial", line, "-p", point)
+    assert code == 0, err
+    assert json.loads(out)["result"] == {
+        "exponent_sum": "0", "point": point, "polynomial": "x",
+        "rational_roots": [{"multiplicity": 1, "value": "0"}],
+    }
+
+
+def test_product_over_the_budget_is_refused_up_front(tmp_path):
+    # 41 bytes that parsed for 10-17 s; the first product, 512 by 512
+    # terms, is the largest the budget admits.
+    entry = "(x+1)^511*(x+2)^511*(x+3)^511*(x+4)^511"
+    path = write(tmp_path, "product.txt", f"kind = laurent_matrix, n = 1\n{entry}\n")
+    start = time.monotonic()
+    code, out, err = _run_process("split", path)
+    assert time.monotonic() - start < 5
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: product of 1023 by 512 terms exceeds the work budget")
+    assert "Traceback" not in err

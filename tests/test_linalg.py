@@ -19,6 +19,8 @@ from bgsplit.linalg import (
     solve,
 )
 
+from oracles import faddeev_leverrier
+
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
     """Entries all int, all Fraction with small denominators, or mixed; the
@@ -112,6 +114,38 @@ def test_charpoly_matches_determinant_at_points():
                 for i in range(n)
             ]
             assert cp.evaluate(lam) == det_q(shifted)
+
+
+def _shaped(rng, n):
+    """A random n x n matrix, general or of a shape with a special
+    characteristic polynomial."""
+    shape = rng.choice(("general", "zero_row", "zero_diagonal", "scalar", "nilpotent", "singular"))
+    a = rand_matrix(rng, n, n)
+    if shape == "zero_row" and n:
+        a[rng.randrange(n)] = [0] * n
+    elif shape == "zero_diagonal":
+        for i in range(n):
+            a[i][i] = 0
+    elif shape == "scalar" and n:
+        a = [[a[0][0] if i == j else 0 for j in range(n)] for i in range(n)]
+    elif shape == "nilpotent":  # strictly upper triangular, conjugated by a permutation
+        perm = rng.sample(range(n), n)
+        a = [[a[perm[i]][perm[j]] if perm[i] < perm[j] else 0 for j in range(n)]
+             for i in range(n)]
+    elif shape == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        a[i] = [v + c * w for v, w in zip(a[i], a[j])] if rng.random() < 0.5 else a[j]
+    return a
+
+
+def test_charpoly_matches_the_faddeev_leverrier_oracle():
+    rng = random.Random(17)
+    for count in range(2100):
+        n = count % 13
+        a = _shaped(rng, n)
+        p = charpoly(a)
+        assert [p.coeff(e) for e in range(n, -1, -1)] == faddeev_leverrier(a), a
 
 
 def test_rational_roots():

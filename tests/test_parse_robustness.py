@@ -9,11 +9,12 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgsplit.cli import main
-from bgsplit.io import ParsedFile, emit, parse_laurent, parse_matrix_file
+from bgsplit.errors import WorkBudgetExceeded
+from bgsplit.io import ParsedFile, emit, parse_laurent, parse_matrix_file, parse_ratfunc
 from bgsplit.laurent import LaurentPoly
 from bgsplit.lmatrix import LaurentMatrix
 
@@ -31,17 +32,37 @@ def _cli(*argv):
     return code, err.getvalue()
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+# (kind of the entry's file, command line with {} for that file)
+ENTRY_COMMANDS = [
+    ("laurent_matrix", ["split", "{}"]),
+    ("laurent_matrix", ["factor", "{}"]),
+    ("laurent_matrix", ["h0", "{}", "-k", "1"]),
+    ("laurent_matrix", ["h1", "{}"]),
+    ("laurent_matrix", ["rr", "{}"]),
+    ("laurent_matrix", ["iso", "{}", os.path.join(DATA, "scalar_1x1.txt")]),
+    ("laurent_matrix", ["gauge", "{}", "{}"]),
+    ("laurent_matrix", ["verify", "{}", os.path.join(DATA, "golden", "scalar_1x1.factor.json")]),
+    ("scalar_ode", ["fuchs-ode", "{}"]),
+    ("scalar_ode", ["indicial", "{}", "-p", "0"]),
+    ("scalar_ode", ["indicial", "{}", "-p", "1/2"]),
+    ("scalar_ode", ["indicial", "{}", "-p", "oo"]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(entries)
+@example("x^99999999")
+@example("x^-99999999+x")
 def test_any_short_entry_exits_with_a_result_or_a_refusal(entry):
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, command in (("laurent_matrix", "split"), ("laurent_matrix", "factor"),
-                              ("scalar_ode", "fuchs-ode")):
-            path = os.path.join(tmp, kind + ".txt")
-            with open(path, "w", encoding="utf-8") as handle:
+        for kind in ("laurent_matrix", "scalar_ode"):
+            with open(os.path.join(tmp, kind + ".txt"), "w", encoding="utf-8") as handle:
                 handle.write(f"kind = {kind}, n = 1\n{entry}\n")
-            code, err = _cli(command, path)
-            assert code in (0, 2, 3), (command, entry, err)
+        for kind, argv in ENTRY_COMMANDS:
+            path = os.path.join(tmp, kind + ".txt")
+            code, err = _cli(*(arg.format(path) for arg in argv))
+            assert code in (0, 2, 3), (argv, entry, err)
             assert "Traceback" not in err
 
 
@@ -96,6 +117,15 @@ def test_sum_of_16000_terms_parses_in_linear_time():
     value = parse_laurent(entry)
     assert time.perf_counter() - start < 5
     assert len(value.terms) == 16000 and value.coeff(-8000) == 1
+
+
+@pytest.mark.parametrize("text", ("(x+1)^511*(x+2)^511*(x+3)^511",
+                                  "1/(x+1)^511/(x+2)^511/(x+3)^511"))
+def test_products_past_the_largest_one_a_power_admits_are_refused(text):
+    value = parse_laurent("(x+1)^511*(x+2)^511")  # 512 by 512 terms, the largest admitted
+    assert len(value.terms) == 1023 and value.coeff(1022) == 1
+    with pytest.raises(WorkBudgetExceeded, match="product of 1023 by 512 terms"):
+        parse_ratfunc(text)
 
 
 # Matrices whose value holds an integer past the 4,300-digit limit of str():

@@ -5,7 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgsplit.bundles import _degree_bound, _h0_dimension, bundle, dual, h0_dim, section_profile
+from bgsplit.bundles import (
+    _degree_bound, _h0_dimension, bundle, degree, dual, h0_dim, h1_dim, section_profile,
+)
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import sparse_int_rows
 from bgsplit.lmatrix import LaurentMatrix
@@ -50,6 +52,15 @@ def test_profile_matches_per_twist_counts(planted, below, above):
     for k, h in profile.items():
         assert h == _h0_dimension(e, k)
         assert h == sum(max(0, di + k + 1) for di in d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(planted_bundles(), st.integers(-4, 3))
+def test_h0_basis_has_the_profile_dimension_and_riemann_roch(planted, k):
+    e = bundle(planted[0])
+    h0 = len(h0_dim(e, k).basis)
+    assert h0 == section_profile(e, k, k)[k]
+    assert h0 - h1_dim(e, k) == degree(e) + e.rank * (k + 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
