@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import linalg  # linalg.sparse_int_rows, looked up per call: perfbench wraps it
+from . import linalg  # sparse_int_rows and det_q, looked up per call: perfbench wraps them
 from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly
 from .linalg import Row, echelon_insert, sparse_kernel
@@ -337,8 +337,35 @@ def verify_factorization(
     Clauses, in reporting order: shapes agree; det(B) is a nonzero
     constant; det(C) is a nonzero constant; B has no negative exponents;
     C has no positive exponents; B @ A @ C equals the claimed diagonal.
+
+    A valid factorization is recognised without a Laurent determinant:
+    the shapes agree, B is polynomial, C antipolynomial, the constant
+    terms B(0) and C_0 are nonsingular over Q, and B @ A @ C equals the
+    diagonal.  Those five imply the two determinant clauses.  From
+    B*A*C = diag(x^d), det B * det A * det C = x^(sum d), a unit of
+    Q[x, x^-1], so each factor is a unit, det B = c*x^e with c != 0.
+    B is polynomial, so det B is too and e >= 0; det B(0) is its
+    constant term, nonzero only when e = 0.  Likewise det C = c'*x^e'
+    with e' <= 0, and det C_0 != 0 forces e' = 0.  Any other document
+    goes through the clauses in order, so the first failing clause and
+    its detail are those of the full check.
     """
     a = e.transition if isinstance(e, BundleOnP1) else e
+    b, c = factorization.b, factorization.c
+    if (a.n == b.n == c.n == len(factorization.exponents.indices)
+            and b.is_polynomial() and c.is_antipolynomial()
+            and linalg.det_q(_constant_terms(b)) and linalg.det_q(_constant_terms(c))
+            and b @ a @ c == factorization.diagonal()):
+        return VerificationReport(True)
+    return _clause_report(a, factorization)
+
+
+def _constant_terms(m: LaurentMatrix) -> List[List[Fraction]]:
+    return [[v.coeff(0) for v in row] for row in m.entries]
+
+
+def _clause_report(a: LaurentMatrix, factorization: Factorization) -> VerificationReport:
+    """verify_factorization clause by clause, with the Laurent determinants."""
     b, c = factorization.b, factorization.c
     exps = factorization.exponents.indices
     if not (a.n == b.n == c.n == len(exps)):

@@ -21,10 +21,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
+    NUMERAL_LIMIT,
     BGSplitError,
     DimensionMismatch,
     NotFirstKind,
@@ -33,6 +35,7 @@ from .errors import (
     ResonantExponents,
     WorkBudgetExceeded,
     decimal,
+    too_long_to_render,
 )
 from .laurent import LaurentPoly
 from .linalg import (
@@ -464,7 +467,8 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
 # -- Frobenius series ----------------------------------------------------
 
 
-def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
+def frobenius_series(local: LocalSystemData, order: int, *,
+                     renderable: bool = False) -> FrobeniusSeries:
     """Truncated fundamental matrix W = S(z) z^R at a first-kind point.
 
     S_0 = I and, for k = 1..order,
@@ -476,7 +480,10 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     the characteristic polynomial g of N = d*R below against its shifts
     g(t - k*d); violation raises ResonantExponents.  More than
     FROBENIUS_BUDGET coefficients (order + 1)*n^2 raise WorkBudgetExceeded
-    before any work.
+    before any work.  With ``renderable`` (the CLI), a coefficient with a
+    numerator or denominator of NUMERAL_LIMIT or more, which no result
+    document could render, raises the same refusal as rendering it would,
+    at the step that makes it.
 
     Each step is one n x n solve (Jameson, SIAM J. Appl. Math. 1968).
     The step reads A S - S R = -C_k with A = R - k; for any polynomial
@@ -531,6 +538,9 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
                 "Frobenius step became singular despite the resonance check; defect"
             )
         s_k = tuple(tuple(v / e for v in row) for row in s_k)
+        if renderable and any(max(abs(v.numerator), v.denominator) >= NUMERAL_LIMIT
+                              for row in s_k for v in row):
+            raise too_long_to_render()
         series.append(s_k)
         scaled.append(integer_scaled(s_k))
     return FrobeniusSeries(r=local.r, s=tuple(series))
@@ -539,9 +549,12 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
 def _lincomb(n: int, terms: Iterable[Tuple[int, IntMatrix]]) -> IntMatrix:
     """sum of c * M over the (c, M) pairs of n x n integer matrices."""
     terms = [(c, m) for c, m in terms if c]
-    return tuple(
-        tuple(sum(c * m[i][j] for c, m in terms) for j in range(n)) for i in range(n)
-    )
+    if not terms:
+        return ((0,) * n,) * n
+    cs = [c for c, _ in terms]
+    flat = [sum(map(operator.mul, cs, entries))
+            for entries in zip(*(chain.from_iterable(m) for _, m in terms))]
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
 
 def _over_lcm(n: int, terms: Sequence[Tuple[int, IntMatrix, int]]) -> Tuple[int, IntMatrix]:

@@ -3,8 +3,9 @@
 Input files are line oriented: a header line of comma-separated
 ``key = value`` pairs (``kind`` and ``n`` always; ``count``, ``points``
 and ``format_version`` per kind), then payload rows with comma-separated
-entries.  ``#`` starts a comment; blank lines are ignored.  Integer
-header values (``n``, ``count``) are at least 1.  Entries are
+entries.  ``#`` starts a comment; blank lines are ignored.  A header
+key appears once.  Integer header values (``n``, ``count``) are numerals
+of the entry grammar, optionally negated, and at least 1.  Entries are
 arithmetic expressions in the variable x (z is accepted as a synonym)
 with integer or fraction coefficients and ``^`` powers, e.g.
 ``x^-1 + 3/2*x^2``.
@@ -40,7 +41,15 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, decimal
+from .errors import (
+    MAX_NUMERAL_DIGITS,
+    NUMERAL_LIMIT,
+    DimensionMismatch,
+    ParseError,
+    WorkBudgetExceeded,
+    decimal,
+    too_long_to_render,
+)
 from .fuchsian import FuchsianSystem, ScalarODE
 from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
@@ -58,12 +67,6 @@ FORMAT_VERSION = 1
 # the same as evaluating everything in Q(x).
 Value = Union[LaurentPoly, RatFunc]
 
-# Longest numeral (run of ASCII digits) an entry may hold, and longest
-# exponent of its value: CPython's default limit for int() on a decimal
-# string, and for str() on an int.
-MAX_NUMERAL_DIGITS = 4300
-_EXPONENT_LIMIT = 10**MAX_NUMERAL_DIGITS
-
 # Work budget of ``^``: a power whose result could have more terms than
 # POWER_TERM_BUDGET, or a coefficient of more than POWER_BIT_BUDGET bits
 # (numerator and denominator together), is refused before it is computed.
@@ -74,6 +77,7 @@ POWER_BIT_BUDGET = 4096
 # separates tokens and is dropped.
 _TOKEN = re.compile(r"[0-9]+|\S")
 _DIGITS = "0123456789"
+_HEADER_INT = re.compile(f"-?[0-9]{{1,{MAX_NUMERAL_DIGITS}}}")
 
 
 class _Tokenizer:
@@ -290,7 +294,7 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
     if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
     for p in (value,) if isinstance(value, LaurentPoly) else (value.num, value.den):
-        if any(abs(e) >= _EXPONENT_LIMIT for e in p.terms):
+        if any(abs(e) >= NUMERAL_LIMIT for e in p.terms):
             raise ParseError(f"exponent longer than {MAX_NUMERAL_DIGITS} digits",
                              line=line, column=col_offset + 1)
     return value
@@ -356,7 +360,10 @@ def _parse_header(line_no: int, line: str) -> Header:
         if "=" not in chunk:
             raise ParseError("header items must be 'key = value'", line=line_no)
         key, value = chunk.split("=", 1)
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key in header:
+            raise ParseError(f"header repeats {key}", line=line_no)
+        header[key] = value.strip()
     if "kind" not in header:
         raise ParseError("header must declare a kind", line=line_no)
     if header["kind"] not in _KINDS:
@@ -365,14 +372,14 @@ def _parse_header(line_no: int, line: str) -> Header:
 
 
 def _int_header(header: Header, key: str, line_no: int, default=None) -> int:
-    """An integer header value; every one (n, count) is at least 1."""
+    """An integer header value, an optionally signed numeral of the entry
+    grammar; every one (n, count) is at least 1."""
     raw = header.get(key, default)
     if raw is None:
         raise ParseError(f"header must declare {key}", line=line_no)
-    try:
-        value = int(raw)
-    except ValueError:
+    if not _HEADER_INT.fullmatch(raw):
         raise ParseError(f"{key} must be an integer", line=line_no)
+    value = int(raw)
     if value < 1:
         raise ParseError(f"{key} must be at least 1", line=line_no)
     return value
@@ -508,8 +515,7 @@ def _text(value) -> str:
     try:
         return str(value)
     except ValueError:  # an integer past the digit limit of str()
-        raise WorkBudgetExceeded("result holds an integer too long to render "
-                                 f"(over {MAX_NUMERAL_DIGITS} digits)") from None
+        raise too_long_to_render() from None
 
 
 def result_document(command: str, inputs: Dict[str, str], result, certificate=None) -> dict:

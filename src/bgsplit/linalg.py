@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
@@ -71,15 +72,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise DimensionMismatch("matrix product shape mismatch")
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     if a and len(a[0]) != len(v):
         raise DimensionMismatch("matrix-vector shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -1,4 +1,4 @@
-"""Independent test oracles, deliberately not built on the library.
+"""Test oracles, nearly all deliberately not built on the library.
 
 The Frobenius oracles keep the dense route the package took before each
 order became one n x n solve: the n^2 x n^2 Kronecker system per order,
@@ -20,6 +20,12 @@ as it was before it became the Laurent determinant of lambda*I - A: the
 trace recurrence on integer matrices, kept as a separate route to the
 same coefficients.
 
+The order-basis oracle is the package's factorization loop as it was
+before it ran on integer columns: the same van Barel-Bultheel iteration
+with every column update in Fraction arithmetic on ``LaurentPoly``
+entries, kept verbatim, so B, the exponents and C of the two can be
+compared exactly.
+
 The echelon oracle is the package's sparse integer echelon insertion as
 it was before the lazy, dense-row core: dict rows, and the gcd of the
 whole row divided out after every combination.  It is kept verbatim, so
@@ -32,6 +38,10 @@ from math import gcd, lcm
 from typing import Dict, Optional
 
 import sympy as sp
+
+from bgsplit.errors import InternalSearchExhausted
+from bgsplit.laurent import LaurentPoly
+from bgsplit.lmatrix import LaurentMatrix
 
 SparseRow = Dict[int, int]
 
@@ -425,6 +435,52 @@ def residual_oracle(r, tail, series):
         if nonzero(k):
             return cap
     return cap + 1
+
+
+# -- order-basis reference: Fraction column updates -----------------------
+
+
+def factor_to_diagonal_reference(a, t):
+    """(B, exponents, C) with B*A*C diagonal, for A = ``a`` with det
+    c*x^t: ``orderbasis.factor_to_diagonal`` as it was with Fraction
+    column updates, verbatim."""
+    n = a.n
+    lo, hi = a.exponent_range()
+    m = -lo
+    tau = t + n * m
+    cols = [
+        [LaurentPoly.one() if i == j else LaurentPoly.zero() for i in range(n)]
+        + [a[i, j].shift(m) for i in range(n)]
+        for j in range(n)
+    ]
+    mu = [0] * n
+    cap = 8 * (n * (hi - lo + 1) + abs(tau) + 8)
+    sigma = 0
+    while True:
+        pivots = []
+        for j in sorted(range(n), key=lambda jj: (mu[jj], jj)):
+            for row, pcol in pivots:
+                v = cols[j][row].coeff(sigma)
+                if v:
+                    alpha = v / cols[pcol][row].coeff(sigma)
+                    cols[j] = [pt - ps.scale(alpha) for pt, ps in zip(cols[j], cols[pcol])]
+            row = next((i for i in range(n, 2 * n) if cols[j][i].coeff(sigma)), None)
+            if row is not None:
+                pivots.append((row, j))
+        for _, j in pivots:
+            cols[j] = [p.shift(1) for p in cols[j]]
+            mu[j] += 1
+        sigma += 1
+        if sum(mu) == n * sigma - tau:
+            break
+        if sigma >= cap:
+            raise InternalSearchExhausted(
+                f"order-basis iteration did not converge within {cap} orders"
+            )
+    order = sorted(range(n), key=lambda j: (mu[j], j))
+    g = LaurentMatrix([[cols[j][n + i] for j in order] for i in range(n)]).shift(-sigma)
+    c = LaurentMatrix([[cols[j][i].shift(-mu[j]) for j in order] for i in range(n)])
+    return g.inverse(), tuple(sigma - m - mu[j] for j in order), c
 
 
 # -- scalar Fuchsian charts: limits and the chain rule in sympy ----------

@@ -110,6 +110,43 @@ def test_header_validation():
         parse_matrix_file("kind = fuchsian_system, n = 1\n1\n")
 
 
+@pytest.mark.parametrize("value", ["\u0661", "0_1", "+1", "1.0", "0x1", " ", "1 2", "1" * 4301])
+def test_header_integer_is_an_ascii_numeral(value):
+    # int() reads Arabic-Indic digits, underscores and a plus sign; the
+    # header reads what an entry numeral is, optionally negated
+    text = f"kind = laurent_matrix, n = {value}\n1\n"
+    with pytest.raises(ParseError, match="^n must be an integer"):
+        parse_matrix_file(text)
+    text = f"kind = rat_matrix_list, n = 1, count = {value}\n1\n"
+    with pytest.raises(ParseError, match="^count must be an integer"):
+        parse_matrix_file(text)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0", "-" + "9" * 4300])
+def test_header_integer_below_one_keeps_its_message(value):
+    with pytest.raises(ParseError, match="^n must be at least 1"):
+        parse_matrix_file(f"kind = laurent_matrix, n = {value}\n1\n")
+
+
+def test_header_integer_of_the_longest_numeral_is_read():
+    # 4300 digits is the numeral limit; such an n then fails on the row count
+    with pytest.raises(ParseError, match="^expected 1" + "0" * 4299 + " rows"):
+        parse_matrix_file("kind = laurent_matrix, n = 1" + "0" * 4299 + "\n1\n")
+    assert parse_matrix_file("kind = laurent_matrix, n = 0001\nx\n").obj.n == 1
+
+
+@pytest.mark.parametrize("header, key", [
+    ("kind = laurent_matrix, n = 1, n = 2", "n"),
+    ("kind = laurent_matrix, n = 1, n = 1", "n"),
+    ("kind = laurent_matrix, kind = scalar_ode, n = 1", "kind"),
+    ("kind = rat_matrix_list, n = 1, count = 1, count = 2", "count"),
+    ("kind = laurent_matrix, n = 1, format_version = 1 , format_version = 1", "format_version"),
+])
+def test_repeated_header_key_is_a_parse_error(header, key):
+    with pytest.raises(ParseError, match=f"^header repeats {key} \\(line 1\\)$"):
+        parse_matrix_file(header + "\n1\n")
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# a comment\n\nkind = laurent_matrix, n = 1  # trailing\n\nx^2  # entry\n"
     parsed = parse_matrix_file(text)
