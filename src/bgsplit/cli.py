@@ -215,7 +215,7 @@ def _cmd_frobenius(args, inputs: _Inputs):
         raise UsageError("truncation order must be nonnegative")
     matrices = inputs.load("file", "rat_matrix_list")
     local = fuchsian.LocalSystemData.from_data(matrices[0], matrices[1:])
-    series = fuchsian.frobenius_series(local, args.order, renderable=True)
+    series = fuchsian.frobenius_series(local, args.order)
     residual = fuchsian.ode_residual(local, series)
     return {"order": args.order, "residual_order": residual}, {"r": series.r, "s": series.s}
 

@@ -64,19 +64,6 @@ class WorkBudgetExceeded(_DomainError):
     """Valid input whose computation exceeds a documented work budget."""
 
 
-# Longest numeral the package reads or writes: CPython's default limit for
-# int() on a decimal string and for str() on an int.  An integer renders
-# under that limit when its absolute value is below NUMERAL_LIMIT.
-MAX_NUMERAL_DIGITS = 4300
-NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS
-
-
-def too_long_to_render() -> WorkBudgetExceeded:
-    """The refusal of a result that holds an integer of NUMERAL_LIMIT or more."""
-    return WorkBudgetExceeded("result holds an integer too long to render "
-                              f"(over {MAX_NUMERAL_DIGITS} digits)")
-
-
 def decimal(value: int) -> str:
     """An integer for a message: its decimal digits, or its order of
     magnitude when it is past the digit limit of str()."""

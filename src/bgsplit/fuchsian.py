@@ -26,7 +26,6 @@ from math import comb, factorial, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
-    NUMERAL_LIMIT,
     BGSplitError,
     DimensionMismatch,
     NotFirstKind,
@@ -35,7 +34,6 @@ from .errors import (
     ResonantExponents,
     WorkBudgetExceeded,
     decimal,
-    too_long_to_render,
 )
 from .laurent import LaurentPoly
 from .linalg import (
@@ -467,8 +465,7 @@ def fuchs_relation_scalar(ode: ScalarODE) -> FuchsRelationReport:
 # -- Frobenius series ----------------------------------------------------
 
 
-def frobenius_series(local: LocalSystemData, order: int, *,
-                     renderable: bool = False) -> FrobeniusSeries:
+def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     """Truncated fundamental matrix W = S(z) z^R at a first-kind point.
 
     S_0 = I and, for k = 1..order,
@@ -480,10 +477,7 @@ def frobenius_series(local: LocalSystemData, order: int, *,
     the characteristic polynomial g of N = d*R below against its shifts
     g(t - k*d); violation raises ResonantExponents.  More than
     FROBENIUS_BUDGET coefficients (order + 1)*n^2 raise WorkBudgetExceeded
-    before any work.  With ``renderable`` (the CLI), a coefficient with a
-    numerator or denominator of NUMERAL_LIMIT or more, which no result
-    document could render, raises the same refusal as rendering it would,
-    at the step that makes it.
+    before any work.
 
     Each step is one n x n solve (Jameson, SIAM J. Appl. Math. 1968).
     The step reads A S - S R = -C_k with A = R - k; for any polynomial
@@ -538,9 +532,6 @@ def frobenius_series(local: LocalSystemData, order: int, *,
                 "Frobenius step became singular despite the resonance check; defect"
             )
         s_k = tuple(tuple(v / e for v in row) for row in s_k)
-        if renderable and any(max(abs(v.numerator), v.denominator) >= NUMERAL_LIMIT
-                              for row in s_k for v in row):
-            raise too_long_to_render()
         series.append(s_k)
         scaled.append(integer_scaled(s_k))
     return FrobeniusSeries(r=local.r, s=tuple(series))

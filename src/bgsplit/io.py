@@ -41,15 +41,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import (
-    MAX_NUMERAL_DIGITS,
-    NUMERAL_LIMIT,
-    DimensionMismatch,
-    ParseError,
-    WorkBudgetExceeded,
-    decimal,
-    too_long_to_render,
-)
+from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, decimal
 from .fuchsian import FuchsianSystem, ScalarODE
 from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
@@ -66,6 +58,12 @@ FORMAT_VERSION = 1
 # already lifted).  Both representations are canonical, so the result is
 # the same as evaluating everything in Q(x).
 Value = Union[LaurentPoly, RatFunc]
+
+# Longest numeral (run of ASCII digits) an entry may hold, and longest
+# exponent of its value: CPython's default limit for int() on a decimal
+# string, and for str() on an int.
+MAX_NUMERAL_DIGITS = 4300
+_EXPONENT_LIMIT = 10**MAX_NUMERAL_DIGITS
 
 # Work budget of ``^``: a power whose result could have more terms than
 # POWER_TERM_BUDGET, or a coefficient of more than POWER_BIT_BUDGET bits
@@ -294,7 +292,7 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
     if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
     for p in (value,) if isinstance(value, LaurentPoly) else (value.num, value.den):
-        if any(abs(e) >= NUMERAL_LIMIT for e in p.terms):
+        if any(abs(e) >= _EXPONENT_LIMIT for e in p.terms):
             raise ParseError(f"exponent longer than {MAX_NUMERAL_DIGITS} digits",
                              line=line, column=col_offset + 1)
     return value
@@ -515,7 +513,8 @@ def _text(value) -> str:
     try:
         return str(value)
     except ValueError:  # an integer past the digit limit of str()
-        raise too_long_to_render() from None
+        raise WorkBudgetExceeded("result holds an integer too long to render "
+                                 f"(over {MAX_NUMERAL_DIGITS} digits)") from None
 
 
 def result_document(command: str, inputs: Dict[str, str], result, certificate=None) -> dict:

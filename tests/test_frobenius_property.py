@@ -11,7 +11,6 @@ elementary matrices; a single exponent is never resonant), with 0-3 tail
 terms and orders 0-6.
 """
 
-import os
 import random
 import time
 from fractions import Fraction
@@ -22,9 +21,8 @@ from hypothesis import strategies as st
 
 from oracles import frobenius_oracle, residual_oracle
 
-from bgsplit.errors import NUMERAL_LIMIT, ResonantExponents, WorkBudgetExceeded
+from bgsplit.errors import ResonantExponents
 from bgsplit.fuchsian import FrobeniusSeries, frobenius_series, local_system, ode_residual
-from bgsplit.io import parse_matrix_file
 
 SMALL = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3)))
 KINDS = ("rational", "scalar", "nilpotent", "resonant")
@@ -126,20 +124,3 @@ def test_frobenius_n10_order8_is_fast_and_certified():
     series = frobenius_series(local, 8)
     assert time.perf_counter() - started < 20
     assert ode_residual(local, series) >= 8
-
-
-def test_frobenius_refuses_the_first_order_with_an_unrenderable_coefficient():
-    """On tests/data/local_system4.txt every coefficient through order 130
-    is below 10^4300, the least integer a result document cannot render,
-    and order 131 makes one; with ``renderable`` the refusal comes at
-    that step."""
-    path = os.path.join(os.path.dirname(__file__), "data", "local_system4.txt")
-    with open(path, encoding="utf-8") as handle:
-        matrices = parse_matrix_file(handle.read()).obj
-    local = local_system(matrices[0], matrices[1:])
-    series = frobenius_series(local, 130, renderable=True)
-    assert max(max(abs(v.numerator), v.denominator)
-               for m in series.s for row in m for v in row) < NUMERAL_LIMIT
-    with pytest.raises(WorkBudgetExceeded, match="too long to render"):
-        frobenius_series(local, 131, renderable=True)
-    assert len(frobenius_series(local, 131).s) == 132  # the library call has no such limit
