@@ -104,14 +104,17 @@ class SectionSpace:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Certified diagonal form: b @ a @ c = diag(x^d) exactly."""
+    """Certified diagonal form: b @ a @ c = diag(x^d) exactly, d the
+    ``claimed`` exponents in their order when given (as a document's
+    diagonal may be), else the descending splitting type."""
 
     b: LaurentMatrix
     c: LaurentMatrix
     exponents: SplittingType
+    claimed: Optional[Tuple[int, ...]] = None
 
     def diagonal(self) -> LaurentMatrix:
-        return LaurentMatrix.diagonal_powers(self.exponents.indices)
+        return LaurentMatrix.diagonal_powers(self.claimed or self.exponents.indices)
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,8 @@ def _parse_factorization_json(text: str) -> bundles.Factorization:
     # bool is a subclass of int, and JSON true/false are not exponents
     if not (isinstance(diagonal, list) and all(type(d) is int for d in diagonal)):
         raise ParseError("factorization 'diagonal' must be a list of integers")
-    return bundles.Factorization(
-        b=b, c=c, exponents=bundles.SplittingType(tuple(diagonal))
-    )
+    return bundles.Factorization(b=b, c=c, exponents=bundles.SplittingType(tuple(diagonal)),
+                                 claimed=tuple(diagonal))
 
 
 def _cmd_verify(args, inputs: _Inputs):

@@ -10,8 +10,10 @@ stretches of zeros (``Row``): two rows combine after their leading
 entries are divided by their gcd, and a row loses its content only when
 it is stored, which bounds swell without leaving exact arithmetic.
 Rank, kernels, ``solve`` (and ``inverse_q``, which solves A X = I),
-section counts and the word-span closure use it; kernels and solutions
-share one integer back-substitution to reduced echelon form.  The dense
+section counts and the exact word-span closure use it; kernels and
+solutions share one integer back-substitution to reduced echelon form.
+Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
+integer each, one big-integer multiply-add per pivot.  The dense
 fraction-free core (``lmatrix.eliminate``) serves ``det_q`` and, as the
 Laurent determinant of lambda*I - A, ``charpoly``.
 """
@@ -26,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
-from .lmatrix import LaurentMatrix, eliminate
+from .lmatrix import LaurentMatrix, _pack, _unpack, eliminate
 from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -175,21 +177,33 @@ def _subtract(row: Row, col: int, a: int, entries: List[int]) -> None:
     run[o:o + len(entries)] = [x - a * y for x, y in zip(run[o:o + len(entries)], entries)]
 
 
-def echelon_insert_mod(pivots: Dict[int, List[int]], row: List[int], p: int) -> Optional[int]:
-    """``echelon_insert`` over F_p on dense rows: ``pivots`` maps each pivot
-    column c to the tail from c of its row, made monic at c.  Entries are
-    reduced modulo the prime p only once the row is reduced; returns the
-    pivot column of the kept remainder, or None."""
-    for c in sorted(pivots):
-        f = row[c] % p
+def echelon_insert_mod(pivots: Dict[int, int], row: int, p: int, width: int) -> Optional[int]:
+    """``echelon_insert`` over F_p on packed rows: the row of entries r_j >= 0
+    is the integer sum of r_j * X^j, X = 2^(8*width) (``lmatrix._pack``).
+    ``pivots`` maps each pivot column c to the complement of its row P_c,
+    made monic at c: the sum of (-P_c[c + j] mod p) * X^j.  The row is read
+    from its lowest digit up, each digit shifted away once it is 0 mod p;
+    at a pivot column, adding f times the complement, f the digit's
+    residue, subtracts f*P_c modulo p digit by digit, with no borrow.  The
+    first nonzero residue off the pivot columns keeps the rest of the row
+    as a new pivot; returns its column, or None.
+
+    No digit carries into the next when the row's digits are below k*p^2
+    and (k + m)*p^2 <= 2^(8*width - 1), m the number of columns: each of at
+    most m steps, one per pivot, adds at most (p - 1)^2 to a digit.
+    """
+    mask, c = (1 << 8 * width) - 1, 0
+    while row:
+        f = (row & mask) % p
         if f:
-            row[c:] = [x - f * y for x, y in zip(row[c:], pivots[c])]
-    row = [x % p for x in row]
-    c = next((c for c, x in enumerate(row) if x), None)
-    if c is not None:
-        inv = pow(row[c], -1, p)
-        pivots[c] = [x * inv % p for x in row[c:]]
-    return c
+            if c not in pivots:
+                inv = pow(f, -1, p)
+                pivots[c] = _pack([-v * inv % p for v in _unpack(row, width)], width)
+                return c
+            row += f * pivots[c]
+        row >>= 8 * width
+        c += 1
+    return None
 
 
 def echelon_sparse(rows: Sequence[Row]) -> Dict[int, SparseRow]:

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly
+from .lmatrix import _digit_bytes, _pack, _unpack
 from .linalg import (
     IntMatrix,
     Matrix,
@@ -165,36 +166,56 @@ def _word_span_dimension(
 
     Breadth-first closure of {I} under right multiplication by the
     generators, tracked by echelon reduction of the flattened matrices
-    over Z or over F_p.  Each generator is scaled once to an integer
-    matrix; a nonzero scalar does not change whether a word lies in a
-    span, so the accepted words and the dimension are those of the
-    rational tuple.  Words independent modulo p are independent over Q,
-    since a minor nonzero modulo p is nonzero.  The accepted words, one
-    per dimension, are appended to ``words`` when it is given.
+    over Z (``echelon_insert``) or over F_p (``echelon_insert_mod``).  Each
+    generator is scaled once to an integer matrix; a nonzero scalar does
+    not change whether a word lies in a span, so the accepted words and
+    the dimension are those of the rational tuple.  Words independent
+    modulo p are independent over Q, since a minor nonzero modulo p is
+    nonzero.  The accepted words, one per dimension, are appended to
+    ``words`` when it is given.
+
+    Over F_p a word's matrix M has entries in [0, p), and each generator
+    G, reduced into [0, p), is the column G_X of its rows packed at
+    X = 2^(8*width).  Row i of the one product M G_X packs row i of M G,
+    with entries at most n*(p - 1)^2; side by side, the rows are M G
+    flattened, with digits below n*p^2.  By the bound of
+    ``echelon_insert_mod`` with k = n and m = n^2 columns, a width with
+    (n^2 + n)*p^2 < 2^(8*width - 1) keeps every digit exact.
     """
     n = rep.size
-    pivots: Dict[int, list] = {}
+    pivots: dict = {}
     frontier: deque = deque()
+    gens = [integer_scaled(m)[1] for m in rep.matrices]
+    if prime:
+        width = _digit_bytes((n * n + n) * prime * prime)
+        gens = [tuple((_pack([v % prime for v in row], width),) for row in g) for g in gens]
+        start = tuple((1 << 8 * width * i,) for i in range(n))  # the packed rows of I
 
-    def reduced(mat: IntMatrix) -> IntMatrix:
-        return tuple(tuple(v % prime for v in row) for row in mat) if prime else mat
+        def insert(column: IntMatrix) -> Optional[IntMatrix]:
+            row = sum(v << 8 * width * n * i for i, (v,) in enumerate(column))
+            if echelon_insert_mod(pivots, row, prime, width) is None:
+                return None
+            digits = [v % prime for v in _unpack(row, width)] + [0] * (n * n)
+            return tuple(tuple(digits[n * i:n * i + n]) for i in range(n))
+    else:
+        start = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    def visit(word: Word, mat: IntMatrix) -> None:
-        if prime:
-            kept = echelon_insert_mod(pivots, [v for r in mat for v in r], prime)
-        else:
+        def insert(mat: IntMatrix) -> Optional[IntMatrix]:
             kept = echelon_insert(pivots, [(0, [v for r in mat for v in r])])
-        if kept is not None:
+            return None if kept is None else mat
+
+    def visit(word: Word, candidate: IntMatrix) -> None:
+        mat = insert(candidate)
+        if mat is not None:
             frontier.append((word, mat))
             if words is not None:
                 words.append(word)
 
-    gens = [reduced(integer_scaled(m)[1]) for m in rep.matrices]
-    visit((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    visit((), start)
     while frontier and len(pivots) < n * n:
         word, mat = frontier.popleft()
         for i, gen in enumerate(gens):
-            visit((i,) + word, reduced(mat_mul(mat, gen)))
+            visit((i,) + word, mat_mul(mat, gen))
     return len(pivots)
 
 

@@ -30,8 +30,15 @@ The echelon oracle is the package's sparse integer echelon insertion as
 it was before the lazy, dense-row core: dict rows, and the gcd of the
 whole row divided out after every combination.  It is kept verbatim, so
 the pivot rows of the two can be compared exactly.
+
+The modular word-span oracle is the F_p branch of the package's word-span
+closure as it was before it ran on packed integer rows: the same
+breadth-first search, each candidate reduced entry by entry into [0, p)
+and eliminated on plain lists.  It is kept verbatim, so the dimension and
+the accepted words of the two can be compared exactly.
 """
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -41,6 +48,7 @@ import sympy as sp
 
 from bgsplit.errors import InternalSearchExhausted
 from bgsplit.laurent import LaurentPoly
+from bgsplit.linalg import integer_scaled, mat_mul
 from bgsplit.lmatrix import LaurentMatrix
 
 SparseRow = Dict[int, int]
@@ -230,6 +238,52 @@ def word_span_dimension_oracle(matrices):
             kept.append(flat)
             frontier.extend(word * g for g in gens)
     return len(kept)
+
+
+# -- modular word-span reference: list rows over F_p ---------------------
+
+
+def echelon_insert_mod(pivots, row, p):
+    """``echelon_insert`` over F_p on dense rows: ``pivots`` maps each pivot
+    column c to the tail from c of its row, made monic at c.  Entries are
+    reduced modulo the prime p only once the row is reduced; returns the
+    pivot column of the kept remainder, or None."""
+    for c in sorted(pivots):
+        f = row[c] % p
+        if f:
+            row[c:] = [x - f * y for x, y in zip(row[c:], pivots[c])]
+    row = [x % p for x in row]
+    c = next((c for c, x in enumerate(row) if x), None)
+    if c is not None:
+        inv = pow(row[c], -1, p)
+        pivots[c] = [x * inv % p for x in row[c:]]
+    return c
+
+
+def word_span_mod_reference(rep, prime, words):
+    """Dimension over F_p of the unital algebra the integer-scaled
+    generators of ``rep`` generate, by the breadth-first closure of {I}
+    under right multiplication; the accepted words, one per dimension, are
+    appended to ``words``."""
+    n = rep.size
+    pivots = {}
+    frontier = deque()
+
+    def reduced(mat):
+        return tuple(tuple(v % prime for v in row) for row in mat)
+
+    def visit(word, mat):
+        if echelon_insert_mod(pivots, [v for r in mat for v in r], prime) is not None:
+            frontier.append((word, mat))
+            words.append(word)
+
+    gens = [reduced(integer_scaled(m)[1]) for m in rep.matrices]
+    visit((), tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    while frontier and len(pivots) < n * n:
+        word, mat = frontier.popleft()
+        for i, gen in enumerate(gens):
+            visit((i,) + word, reduced(mat_mul(mat, gen)))
+    return len(pivots)
 
 
 def charpoly_oracle(matrix):

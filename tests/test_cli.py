@@ -88,6 +88,17 @@ def test_verify_reports_invalid_without_failing(tmp_path, capsys):
     assert verdict["valid"] is False and verdict["failed_clause"] == "product diagonal"
 
 
+def test_verify_compares_the_diagonal_in_the_document_order(tmp_path, capsys):
+    path = write(tmp_path, "a.txt", "kind = laurent_matrix, n = 2\nx^-1, 0\n0, x\n")
+    for diagonal, valid in (([-1, 1], True), ([1, -1], False)):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"certificate": {"b": [["1", "0"], ["0", "1"]],
+                                                   "c": [["1", "0"], ["0", "1"]],
+                                                   "diagonal": diagonal}}))
+        code, out, _ = run(capsys, "verify", path, str(doc))
+        assert code == 0 and json.loads(out)["result"]["valid"] is valid
+
+
 def test_bolibrukh_counterexample(tmp_path, capsys):
     path = write(tmp_path, "boli.txt", BOLI)
     code, out, _ = run(capsys, "bolibrukh", path)

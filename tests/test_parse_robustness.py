@@ -87,6 +87,29 @@ def test_any_short_header_exits_with_a_result_or_a_refusal(kind_command, n, coun
     assert "Traceback" not in err
 
 
+# Rational entries: zeros (singular loop images), small values, fractions and
+# numerals up to the 4,300-digit limit.
+RATIONAL_PIECES = ["0", "0", "1", "-1", "2", "-3", "1/2", "-7/3", "9" * 60, "-" + "8" * 4300,
+                   "1/" + "7" * 80, "123456789/987654321"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.sampled_from(RATIONAL_PIECES), min_size=n, max_size=n),
+             min_size=n, max_size=n), min_size=1, max_size=4)))
+@example([[["1", "0"], ["0", "0"]]])
+def test_any_short_monodromy_document_exits_with_a_result_or_a_refusal(matrices):
+    n, count = len(matrices[0]), len(matrices)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"kind = monodromy_rep, n = {n}, count = {count}\n"
+                         + "".join(", ".join(row) + "\n" for m in matrices for row in m))
+        code, err = _cli("bolibrukh", path)
+    assert code in (0, 1, 2, 3, 4), (matrices, err)
+    assert "Traceback" not in err
+
+
 coefficients = st.fractions(min_value=-99, max_value=99, max_denominator=40)
 polys = st.dictionaries(st.integers(-9, 9), coefficients, max_size=5).map(LaurentPoly)
 
