@@ -50,22 +50,16 @@ class BundleOnP1:
     det_coeff: Fraction
     det_exponent: int
 
-    @staticmethod
-    def from_transition(transition: LaurentMatrix) -> "BundleOnP1":
-        unit = transition.unit_det()
-        if unit is None:
-            raise InvalidBundle(
-                "transition determinant is not a unit c*x^t; not a bundle datum"
-            )
-        c, t = unit
-        return BundleOnP1(transition, transition.n, c, t)
-
 
 def bundle(rows_or_matrix: Union[LaurentMatrix, Sequence[Sequence]]) -> BundleOnP1:
-    """Build a bundle from a LaurentMatrix or nested entry rows."""
+    """The bundle with transition A (a LaurentMatrix or entry rows), det A = c*x^t."""
     if not isinstance(rows_or_matrix, LaurentMatrix):
         rows_or_matrix = LaurentMatrix(rows_or_matrix)
-    return BundleOnP1.from_transition(rows_or_matrix)
+    unit = rows_or_matrix.unit_det()
+    if unit is None:
+        raise InvalidBundle("transition determinant is not a unit c*x^t; not a bundle datum")
+    c, t = unit
+    return BundleOnP1(rows_or_matrix, rows_or_matrix.n, c, t)
 
 
 @dataclass(frozen=True)

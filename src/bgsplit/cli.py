@@ -213,7 +213,7 @@ def _cmd_frobenius(args, inputs: _Inputs):
     if args.order < 0:
         raise UsageError("truncation order must be nonnegative")
     matrices = inputs.load("file", "rat_matrix_list")
-    local = fuchsian.LocalSystemData.from_data(matrices[0], matrices[1:])
+    local = fuchsian.local_system(matrices[0], matrices[1:])
     series = fuchsian.frobenius_series(local, args.order)
     residual = fuchsian.ode_residual(local, series)
     return {"order": args.order, "residual_order": residual}, {"r": series.r, "s": series.s}

@@ -98,16 +98,13 @@ class ScalarODE:
     order: int
     coeffs: Tuple[RatFunc, ...]  # a_(n-1), ..., a_0
 
-    @staticmethod
-    def from_coeffs(coeffs: Sequence) -> "ScalarODE":
-        cs = tuple(_as_ratfunc(c) for c in coeffs)
-        if not cs:
-            raise ValueError("an equation needs order at least 1")
-        return ScalarODE(order=len(cs), coeffs=cs)
-
 
 def scalar_ode(coeffs: Sequence) -> ScalarODE:
-    return ScalarODE.from_coeffs(coeffs)
+    """The monic equation with coefficients a_(n-1), ..., a_0, at least one."""
+    cs = tuple(_as_ratfunc(c) for c in coeffs)
+    if not cs:
+        raise ValueError("an equation needs order at least 1")
+    return ScalarODE(order=len(cs), coeffs=cs)
 
 
 @dataclass(frozen=True)
@@ -118,33 +115,25 @@ class FuchsianSystem:
     points: Tuple[Fraction, ...]
     residues: Tuple[Matrix, ...]
 
-    @staticmethod
-    def from_data(points: Sequence, residues: Sequence[Sequence[Sequence]]) -> "FuchsianSystem":
-        pts = tuple(Fraction(p) for p in points)
-        if len(set(pts)) != len(pts):
-            raise DimensionMismatch("marked points must be pairwise distinct")
-        mats = tuple(qmat(r) for r in residues)
-        if len(pts) != len(mats):
-            raise DimensionMismatch("one residue matrix per marked point")
-        if not mats:
-            raise DimensionMismatch("at least one marked point required")
-        n = len(mats[0])
-        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
-            raise DimensionMismatch("residues must be square of equal size")
-        return FuchsianSystem(size=n, points=pts, residues=mats)
-
     def residue_at_infinity(self) -> Matrix:
-        n = self.size
-        total = [[Fraction(0)] * n for _ in range(n)]
-        for m in self.residues:
-            for i in range(n):
-                for j in range(n):
-                    total[i][j] += m[i][j]
-        return tuple(tuple(-v for v in row) for row in total)
+        """-sum_p R_p."""
+        return _lincomb(self.size, ((-1, m) for m in self.residues))
 
 
 def fuchsian_system(points: Sequence, residues: Sequence) -> FuchsianSystem:
-    return FuchsianSystem.from_data(points, residues)
+    """The system with residues R_p at distinct points p, square of one size."""
+    pts = tuple(Fraction(p) for p in points)
+    if len(set(pts)) != len(pts):
+        raise DimensionMismatch("marked points must be pairwise distinct")
+    mats = tuple(qmat(r) for r in residues)
+    if len(pts) != len(mats):
+        raise DimensionMismatch("one residue matrix per marked point")
+    if not mats:
+        raise DimensionMismatch("at least one marked point required")
+    n = len(mats[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+        raise DimensionMismatch("residues must be square of equal size")
+    return FuchsianSystem(size=n, points=pts, residues=mats)
 
 
 @dataclass(frozen=True)
@@ -155,20 +144,17 @@ class LocalSystemData:
     r: Matrix
     tail: Tuple[Matrix, ...]
 
-    @staticmethod
-    def from_data(r: Sequence[Sequence], tail: Sequence = ()) -> "LocalSystemData":
-        rm = qmat(r)
-        n = len(rm)
-        if any(len(row) != n for row in rm):
-            raise DimensionMismatch("residue matrix must be square")
-        tl = tuple(qmat(m) for m in tail)
-        if any(len(m) != n or any(len(row) != n for row in m) for m in tl):
-            raise DimensionMismatch("tail matrices must match the residue size")
-        return LocalSystemData(size=n, r=rm, tail=tl)
-
 
 def local_system(r: Sequence[Sequence], tail: Sequence = ()) -> LocalSystemData:
-    return LocalSystemData.from_data(r, tail)
+    """The local shape with residue R and tail matrices, square of R's size."""
+    rm = qmat(r)
+    n = len(rm)
+    if any(len(row) != n for row in rm):
+        raise DimensionMismatch("residue matrix must be square")
+    tl = tuple(qmat(m) for m in tail)
+    if any(len(m) != n or any(len(row) != n for row in m) for m in tl):
+        raise DimensionMismatch("tail matrices must match the residue size")
+    return LocalSystemData(size=n, r=rm, tail=tl)
 
 
 @dataclass(frozen=True)
@@ -538,7 +524,7 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
 
 
 def _lincomb(n: int, terms: Iterable[Tuple[int, IntMatrix]]) -> IntMatrix:
-    """sum of c * M over the (c, M) pairs of n x n integer matrices."""
+    """sum of c * M over the (c, M) pairs of n x n matrices."""
     terms = [(c, m) for c, m in terms if c]
     if not terms:
         return ((0,) * n,) * n
@@ -597,7 +583,7 @@ def _over_denominator_lcms(lines) -> Tuple[List[LaurentPoly], List[List[LaurentP
     """(L, P) with lines[i][j] = P[i][j] / L[i]: each row (or column) of
     RatFunc over L[i], the lcm of its denominators, P[i][j] in Q[x]."""
     lcms = [reduce(poly_lcm, {v.den for v in line}) for line in lines]
-    return lcms, [[v.num if v.den == m else v.num * poly_divmod(m, v.den)[0] for v in line]
+    return lcms, [[v.num if v.den == m else v.num * (m // v.den) for v in line]
                   for line, m in zip(lines, lcms)]
 
 

@@ -42,10 +42,10 @@ from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, decimal
-from .fuchsian import FuchsianSystem, ScalarODE
+from .fuchsian import FuchsianSystem, ScalarODE, fuchsian_system, scalar_ode
 from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
-from .monodromy import MonodromyRep
+from .monodromy import MonodromyRep, monodromy_rep
 from .ratfunc import INF, Infinity, RatFunc
 
 FORMAT_VERSION = 1
@@ -421,17 +421,17 @@ def _read_fuchsian_system(header: Header, line_no: int, n: int, body: Rows) -> F
     if "points" not in header:
         raise ParseError("fuchsian_system header needs points", line=line_no)
     points = [parse_fraction(p) for p in header["points"].split()]
-    return FuchsianSystem.from_data(points, _parse_rat_rows(body, n, len(points)))
+    return fuchsian_system(points, _parse_rat_rows(body, n, len(points)))
 
 
 def _read_scalar_ode(header: Header, line_no: int, n: int, body: Rows) -> ScalarODE:
     if len(body) != n:
         raise ParseError(f"expected {n} coefficient lines, found {len(body)}", line=line_no)
-    return ScalarODE.from_coeffs([parse_ratfunc(line, i) for i, line in body])
+    return scalar_ode([parse_ratfunc(line, i) for i, line in body])
 
 
 def _read_monodromy_rep(header: Header, line_no: int, n: int, body: Rows) -> MonodromyRep:
-    return MonodromyRep.from_matrices(_read_rat_matrix_list(header, line_no, n, body))
+    return monodromy_rep(_read_rat_matrix_list(header, line_no, n, body))
 
 
 def _matrix_rows(matrices) -> List[str]:
@@ -501,7 +501,7 @@ def jsonable(value):
     if isinstance(value, Infinity):
         return "oo"
     if isinstance(value, LaurentMatrix):
-        return [[_text(value[i, j]) for j in range(value.n)] for i in range(value.n)]
+        return jsonable(value.entries)
     if isinstance(value, dict):
         return {_text(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

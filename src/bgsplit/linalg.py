@@ -9,9 +9,10 @@ echelon reduction on rows kept as dense runs, split only across long
 stretches of zeros (``Row``): two rows combine after their leading
 entries are divided by their gcd, and a row loses its content only when
 it is stored, which bounds swell without leaving exact arithmetic.
-Rank, kernels, ``solve`` (and ``inverse_q``, which solves A X = I),
-section counts and the exact word-span closure use it; kernels and
-solutions share one integer back-substitution to reduced echelon form.
+Rank, kernels, ``solve`` (A X = B, the right-hand side a matrix: a
+vector is one column; ``inverse_q`` solves A X = I), section counts and
+the exact word-span closure use it; kernels and solutions share one
+integer back-substitution to reduced echelon form.
 Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
 integer each, one big-integer multiply-add per pivot.  The dense
 fraction-free core (``lmatrix.eliminate``) serves ``det_q`` and, as the
@@ -75,12 +76,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("matrix product shape mismatch")
     bt = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    if a and len(a[0]) != len(v):
-        raise DimensionMismatch("matrix-vector shape mismatch")
-    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -269,19 +264,15 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(echelon_sparse(sparse_int_rows([[(0, row)] for row in matrix])))
 
 
-def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
-    """One exact solution of A x = b, or None when inconsistent.
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[Matrix]:
+    """One exact solution X of A X = B, or None when inconsistent.
 
-    b is a vector, giving a vector x, or a matrix given by its rows,
-    giving the matrix X with A X = b, one column per column of b.  Free
-    variables, if any, are set to zero.
+    B is a matrix given by its rows (a vector is one column); X has one
+    column per column of B.  Free variables, if any, are set to zero.
     """
     ncols = _width(a)
     if len(b) != len(a):
         raise DimensionMismatch("right-hand side length mismatch")
-    columns = bool(b) and isinstance(b[0], Sequence)
-    if not columns:
-        b = [[v] for v in b]
     width = _width(b)
     pivots = echelon_sparse(sparse_int_rows([[(0, (*arow, *brow))] for arow, brow in zip(a, b)]))
     if pivots and max(pivots) >= ncols:
@@ -289,9 +280,7 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     x = [[Fraction(0)] * width for _ in range(ncols)]
     for c, frow in _back_substitute(pivots).items():
         x[c] = [frow.get(ncols + t, Fraction(0)) for t in range(width)]
-    if columns:
-        return tuple(map(tuple, x))
-    return tuple(row[0] for row in x)
+    return tuple(map(tuple, x))
 
 
 # -- square-matrix routines -------------------------------------------

@@ -72,10 +72,7 @@ class LaurentMatrix:
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
-             for i in range(n)]
-        )
+        return LaurentMatrix.diagonal([1] * n)
 
     @staticmethod
     def diagonal(values: Sequence[Entry]) -> "LaurentMatrix":
@@ -110,11 +107,7 @@ class LaurentMatrix:
         return self.map_entries(lambda p: p.shift(k))
 
     def is_identity(self) -> bool:
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return all(
-            self.entries[i][j] == (one if i == j else zero)
-            for i in range(self.n) for j in range(self.n)
-        )
+        return self == LaurentMatrix.identity(self.n)
 
     def is_polynomial(self) -> bool:
         """All entries in Q[x] (no negative exponents)."""

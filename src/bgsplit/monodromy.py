@@ -58,19 +58,6 @@ class MonodromyRep:
     size: int
     matrices: Tuple[Matrix, ...]
 
-    @staticmethod
-    def from_matrices(matrices: Sequence[Sequence[Sequence]]) -> "MonodromyRep":
-        mats = tuple(qmat(m) for m in matrices)
-        if not mats:
-            raise DimensionMismatch("a representation needs at least one matrix")
-        n = len(mats[0])
-        for m in mats:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise DimensionMismatch("matrices must be square of equal size")
-            if det_q(m) == 0:
-                raise NotInvertible("loop images must be invertible")
-        return MonodromyRep(size=n, matrices=mats)
-
     def loop_image(self, word: Sequence[int]) -> Matrix:
         """Image of the composite loop word[0] word[1] ...; matrices
         multiply in reversed order (anti-homomorphism bookkeeping)."""
@@ -90,7 +77,17 @@ class MonodromyRep:
 
 
 def monodromy_rep(matrices: Sequence[Sequence[Sequence]]) -> MonodromyRep:
-    return MonodromyRep.from_matrices(matrices)
+    """The tuple of loop images, invertible and square of one size."""
+    mats = tuple(qmat(m) for m in matrices)
+    if not mats:
+        raise DimensionMismatch("a representation needs at least one matrix")
+    n = len(mats[0])
+    for m in mats:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise DimensionMismatch("matrices must be square of equal size")
+        if det_q(m) == 0:
+            raise NotInvertible("loop images must be invertible")
+    return MonodromyRep(size=n, matrices=mats)
 
 
 @dataclass(frozen=True)

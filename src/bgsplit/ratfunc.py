@@ -132,7 +132,7 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero or b.is_zero:
         return LaurentPoly.zero()
     g = poly_gcd(a, b)
-    m = poly_divmod(a * b, g)[0]
+    m = a * b // g
     return m.scale(1 / m.coeff(m.deg()))
 
 
@@ -144,7 +144,7 @@ def poly_radical(p: LaurentPoly) -> LaurentPoly:
     g = poly_gcd(p, p.derivative())
     if g.is_zero or g.deg() == 0:
         return p.scale(1 / p.coeff(p.deg()))
-    rad = poly_divmod(p, g)[0]
+    rad = p // g
     return rad.scale(1 / rad.coeff(rad.deg()))
 
 
@@ -190,7 +190,7 @@ def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:
     factor = LaurentPoly({1: 1, 0: -_coerce(point)})
     mult = 0
     while p.evaluate(point) == 0:
-        p = poly_divmod(p, factor)[0]
+        p = p // factor
         mult += 1
     return mult
 
@@ -211,8 +211,7 @@ class RatFunc:
         else:
             g = poly_gcd(num, den)
             if g.deg() > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
+                num, den = num // g, den // g
             lead = den.coeff(den.deg())
             if lead != 1:
                 num = num.scale(1 / lead)

@@ -233,13 +233,13 @@ DEEP_ENTRIES = {
 }
 
 
-def _run_process(*argv):
+def _run_process(*argv, timeout=120):
     """The CLI in a fresh interpreter, so an escaping exception shows as
     a traceback on stderr rather than in the test runner."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bgsplit.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "bgsplit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -291,6 +291,50 @@ def test_huge_exponent_section_system_is_refused_up_front(tmp_path, command):
     assert code == 3 and out == ""
     assert err.startswith("domain error: section system") and "work budget" in err
     assert "Traceback" not in err
+
+
+WIDE_SPAN_REFUSALS = {
+    "factor": "factorization in rank 2 needs more than 32768 orders",
+    "split": "section system of twist -100002 needs degree bound 200001",
+    "h0": "section system of twist 0 needs degree bound 100000",
+}
+
+
+@pytest.mark.parametrize("command", sorted(WIDE_SPAN_REFUSALS))
+def test_wide_span_bundle_is_refused_by_both_routes(tmp_path, command):
+    # the order-basis budget of birkhoff_factor and the degree bound of
+    # the section systems each refuse [[x^100000, 1], [0, x^-100000]]
+    path = write(tmp_path, "span.txt",
+                 "kind = laurent_matrix, n = 2\nx^100000, 1\n0, x^-100000\n")
+    start = time.monotonic()
+    code, out, err = _run_process(command, path)
+    assert time.monotonic() - start < 30
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: " + WIDE_SPAN_REFUSALS[command])
+    assert "Traceback" not in err
+
+
+SLOW_SHORT_INPUTS = {
+    # (exit code, input documents): 240 s, then exit 0
+    "gauge": (0, (
+        "kind = laurent_matrix, n = 2\n3/4*x, 3\nx + 1, 3/4*x^3 + 3/4*x + 999999999999\n",
+        "kind = laurent_matrix, n = 2\n1, x^40 - x^2 - x\n7, (x - (x/2 + x^-39)^3)^3\n",
+    )),
+    # 46 s, then exit 3 (a pole of order above 1); 12 s with x^40 for x^60
+    "fuchs-ode": (3, (
+        "kind = scalar_ode, n = 1\n1/(x + x^60) + ((x+1) - 999999999999/(x^60-x^-1)^3)^3\n",
+    )),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="primitive remainder sequence in poly_gcd; ROADMAP item 6")
+@pytest.mark.parametrize("command", sorted(SLOW_SHORT_INPUTS))
+def test_short_input_answers_within_seconds(tmp_path, command):
+    want, texts = SLOW_SHORT_INPUTS[command]
+    paths = [write(tmp_path, f"in{i}.txt", text) for i, text in enumerate(texts)]
+    code, _, err = _run_process(command, *paths, timeout=5)
+    assert code == want and "Traceback" not in err
 
 
 def test_h0_basis_memory_grows_with_its_terms_not_nullity_times_columns(tmp_path):

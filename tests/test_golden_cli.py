@@ -11,7 +11,9 @@ and two tail terms in ``tests/data/local_system4.txt``, of ``bolibrukh``
 on five tuples with non-integer entries under ``tests/data/`` (reducible
 n = 6, irreducible n = 5 pair, Jordan n = 6, a 4 x 4 pair reducible
 only over Q(i), which only the exact word-span closure decides, and an
-irreducible n = 5 pair with denominator 999991), and of ``gauge`` on the
+irreducible n = 5 pair with denominator 999991) and on an irreducible
+4 x 4 triple whose product is the identity, the one input that reaches
+the reason "representation is irreducible", and of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
@@ -53,7 +55,8 @@ FIELD_CASES = {
     **{
         f"{stem}.bolibrukh": ["bolibrukh", os.path.join(HERE, "data", f"{stem}.txt")]
         for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6",
-                     "monodromy_gaussian4", "monodromy_irreducible5_wide")
+                     "monodromy_gaussian4", "monodromy_irreducible5_wide",
+                     "monodromy_irreducible4_identity")
     },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
     **{

@@ -18,7 +18,7 @@ from bgsplit.io import (
 )
 from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.lmatrix import LaurentMatrix
-from bgsplit.monodromy import COUNTEREXAMPLE_MATRICES, MonodromyRep
+from bgsplit.monodromy import COUNTEREXAMPLE_MATRICES, monodromy_rep
 from bgsplit.ratfunc import RatFunc
 
 F = Fraction
@@ -82,7 +82,7 @@ def test_round_trip_byte_identity_all_kinds():
         "kind = scalar_ode, n = 2, format_version = 1\n"
         "(31/21*x - 1/2)/(-x + x^2)\n(1/21)/(-x + x^2)\n"
     )
-    rep = MonodromyRep.from_matrices(COUNTEREXAMPLE_MATRICES)
+    rep = monodromy_rep(COUNTEREXAMPLE_MATRICES)
     docs.append(emit(ParsedFile("monodromy_rep", rep)))
     for text in docs:
         first = emit(parse_matrix_file(text))

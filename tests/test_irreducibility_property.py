@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bgsplit.laurent import LaurentPoly
-from bgsplit.linalg import det_q, mat_vec, rank, rational_roots
+from bgsplit.linalg import det_q, mat_mul, rank, rational_roots
 from bgsplit.monodromy import (
     WORD_SPAN_PRIME,
     _word_span_dimension,
@@ -70,7 +70,7 @@ def check_certificate(rep, cert):
         dim = rank(u)
         assert dim == len(u) and 0 < dim < n
         for m in rep.matrices:
-            assert rank(u + [list(mat_vec(m, v)) for v in u]) == dim
+            assert rank(u + [[w for (w,) in mat_mul(m, [[c] for c in v])] for v in u]) == dim
     elif cert.words is not None:
         assert cert.irreducible and len(cert.words) == n * n
         rows = [[mod_p(v, WORD_SPAN_PRIME) for row in rep.loop_image(w) for v in row]
