@@ -25,7 +25,10 @@ power whose size bound exceeds POWER_TERM_BUDGET terms or
 POWER_BIT_BUDGET coefficient bits.  Atoms, monomial powers and the sums
 are built with the trusted constructor ``laurent._trusted``, whose
 contract (int exponents, nonzero Fraction coefficients, a map nobody
-mutates afterwards) the parser guarantees by construction.
+mutates afterwards) the parser guarantees by construction.  A constant
+cell that is a numeral, optionally negated, or a quotient of two with a
+nonzero denominator (``-12/8``) skips the grammar: ``parse_fraction``
+reads it straight into a Fraction, the value the grammar gives.
 
 Result documents are JSON objects carrying the command echo, a digest of
 the input bytes, the result payload and a certificate payload; fractions
@@ -76,6 +79,10 @@ POWER_BIT_BUDGET = 4096
 _TOKEN = re.compile(r"[0-9]+|\S")
 _DIGITS = "0123456789"
 _HEADER_INT = re.compile(f"-?[0-9]{{1,{MAX_NUMERAL_DIGITS}}}")
+# A numeral, optionally negated, or a quotient of two, spaced as the
+# tokenizer allows; ``parse_fraction`` reads it without the grammar.
+_NUMERAL = f"([0-9]{{1,{MAX_NUMERAL_DIGITS}}})"
+_RATIONAL_CELL = re.compile(rf"\s*(-?)\s*{_NUMERAL}\s*(?:/\s*{_NUMERAL}\s*)?")
 
 
 class _Tokenizer:
@@ -317,6 +324,14 @@ def parse_laurent(text: str, line: int = 1, col_offset: int = 0) -> LaurentPoly:
 
 
 def parse_fraction(text: str, line: int = 1, col_offset: int = 0) -> Fraction:
+    """A constant rational entry.  Every text but a numeral cell with a
+    nonzero denominator, ``1/0`` included, goes through the grammar."""
+    cell = _RATIONAL_CELL.fullmatch(text)
+    if cell is not None:
+        minus, num, den = cell.groups()
+        den = int(den) if den else 1
+        if den:
+            return Fraction(-int(num) if minus else int(num), den)
     value = _as_laurent(_evaluate(text, line, col_offset))
     if value is None or value != value.coeff(0):
         raise ParseError("constant rational expected", line=line, column=col_offset + 1)

@@ -15,21 +15,22 @@ the exact word-span closure use it; kernels and solutions share one
 integer back-substitution to reduced echelon form.
 Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
 integer each, one big-integer multiply-add per pivot.  The dense
-fraction-free core (``lmatrix.eliminate``) serves ``det_q`` and, as the
-Laurent determinant of lambda*I - A, ``charpoly``.
+fraction-free core (``lmatrix.eliminate``) serves ``det_q`` on integer
+rows and ``charpoly`` on the rows of lambda*I - A, each entry packed
+into one integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
-from .laurent import LaurentPoly
-from .lmatrix import LaurentMatrix, _pack, _unpack, eliminate
+from .laurent import LaurentPoly, _trusted
+from .lmatrix import _digit_bytes, _pack, _unpack, eliminate
 from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -43,7 +44,7 @@ _GAP = 32
 
 def qmat(rows: Sequence[Sequence]) -> Matrix:
     """Normalize a nested sequence to an immutable Fraction matrix."""
-    out = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    out = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
     _width(out)
     return out
 
@@ -309,16 +310,46 @@ def inverse_q(a: Sequence[Sequence]) -> Matrix:
 
 
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
-    """Monic characteristic polynomial det(lambda*I - A), exact: the
-    Laurent determinant of lambda*I - A with lambda written as x, so the
-    exponent is the power of lambda."""
+    """Monic characteristic polynomial det(lambda*I - A), exact, with
+    lambda written as x, so the exponent is the power of lambda.
+
+    Row i of lambda*I - A, scaled by s_i (the lcm of its denominators),
+    is the Z[lambda] row N_i: s_i*lambda - m_ii on the diagonal and -m_ij
+    elsewhere, m_ij = s_i*a_ij.  Each entry is packed as its value at
+    lambda = X = 2^(8w), as ``lmatrix._pack`` would, and
+    ``lmatrix.eliminate`` runs Bareiss on these integers; its last pivot
+    is sign * det N(X), with det N = prod(s_i) * det(lambda*I - A).
+
+    Width: every value the elimination forms is a minor of N (Sylvester's
+    identity).  Expanded over permutations, a minor on rows I is a sum of
+    products of one entry per row of I; a product's coefficient 1-norm is
+    at most the product of its factors' 1-norms, so the minor's is at most
+    the product over I of the row 1-norms |N_i|_1 = s_i + sum_j |m_ij|,
+    and every coefficient is at most B = prod_i (1 + s_i + sum_j |m_ij|)
+    in absolute value (``lmatrix._minor_bound``).  w = ``_digit_bytes(B)``
+    gives B < 2^(8w - 1), so each minor is one balanced base-X numeral:
+    a packed minor is 0 only when the minor is, the exact integer
+    divisions are the exact divisions of Z[lambda], and ``_unpack`` reads
+    det N back coefficient by coefficient.
+    """
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     if not n:
         return LaurentPoly.one()
-    return LaurentMatrix([[LaurentPoly({1: 1, 0: -v}) if i == j else -v for j, v in enumerate(row)]
-                          for i, row in enumerate(a)]).det()
+    scales, rows, bound = [], [], 1
+    for row in a:
+        s = lcm(*(v.denominator for v in row))
+        negated = [-v.numerator * (s // v.denominator) for v in row]
+        bound *= 1 + s + sum(map(abs, negated))
+        scales.append(s)
+        rows.append(negated)
+    width = _digit_bytes(bound)
+    for i, (s, row) in enumerate(zip(scales, rows)):
+        row[i] += s << 8 * width
+    sign, det = eliminate(rows, n, jordan=False)
+    den = prod(scales)
+    return _trusted({k: Fraction(sign * c, den) for k, c in enumerate(_unpack(det, width)) if c})
 
 
 def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:

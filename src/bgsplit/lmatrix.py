@@ -5,10 +5,11 @@ and the B/C factors of their diagonal factorizations.  A matrix is
 invertible over the ring exactly when its determinant is a monomial
 c*x^t.
 
-``det``, ``inverse``, ``__matmul__``, ``apply``, the characteristic
-polynomial ``linalg.charpoly`` (the determinant of lambda*I - A) and the
+``det``, ``inverse``, ``__matmul__``, ``apply`` and the
 rational-function matrices of ``fuchsian`` (``rf_mat_mul``,
-``gauge_transform``) share one exact kernel over Z[x].
+``gauge_transform``) share one exact kernel over Z[x]; the
+characteristic polynomial ``linalg.charpoly`` (the determinant of
+lambda*I - A) packs its own integer rows and feeds them to ``eliminate``.
 An operand is converted once: shifted by x^-lo (lo its lowest
 exponent), written in y = x^g (g the gcd of the shifted exponents) and
 scaled per row, or per column for a right factor, by the lcm of the

@@ -181,16 +181,32 @@ def poly_shift(p: LaurentPoly, c: Scalar) -> LaurentPoly:
 
 
 def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:
-    """Multiplicity of (x - point) in the nonzero polynomial p."""
+    """Multiplicity of (x - point) in the nonzero polynomial p.
+
+    With point = u/v in lowest terms, v*x - u is primitive, so by Gauss's
+    lemma x - point divides p exactly when v*x - u divides the primitive
+    integer form f of p over Z, with a primitive quotient.  Synthetic
+    division from the top coefficient forms that quotient with one
+    ``divmod`` by v per coefficient, and stops at the first nonzero
+    remainder."""
     _require_poly(p)
     if p.is_zero:
         raise ValueError("zero polynomial")
     if point == 0:
         return p.ord()
-    factor = LaurentPoly({1: 1, 0: -_coerce(point)})
-    mult = 0
-    while p.evaluate(point) == 0:
-        p = p // factor
+    point = _coerce(point)
+    u, v = point.numerator, point.denominator
+    f, mult = _primitive_coeffs(p), 0
+    while len(f) > 1:
+        quot, q = [], 0
+        for c in reversed(f[1:]):  # c_k = v*q_(k-1) - u*q_k
+            q, r = divmod(c + u * q, v)
+            if r:
+                return mult
+            quot.append(q)
+        if f[0] + u * q:
+            return mult
+        f = quot[::-1]
         mult += 1
     return mult
 

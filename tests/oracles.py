@@ -16,9 +16,14 @@ coefficients of the derivatives of W, so it uses neither the package's
 chart code nor the Lah-number form of the chain rule.
 
 The Faddeev-LeVerrier oracle is the package's characteristic polynomial
-as it was before it became the Laurent determinant of lambda*I - A: the
-trace recurrence on integer matrices, kept as a separate route to the
-same coefficients.
+as it was before it became a determinant of lambda*I - A: the trace
+recurrence on integer matrices, kept as a separate route to the same
+coefficients.
+
+The root-multiplicity oracle is the package's ``root_multiplicity`` as
+it was before it divided integer coefficients: evaluate at the point and,
+while the value is 0, divide by x - point with Fraction coefficients.
+It is kept verbatim, so the multiplicities of the two can be compared.
 
 The order-basis oracle is the package's factorization loop as it was
 before it ran on integer columns: the same van Barel-Bultheel iteration
@@ -47,7 +52,7 @@ from typing import Dict, Optional
 import sympy as sp
 
 from bgsplit.errors import InternalSearchExhausted
-from bgsplit.laurent import LaurentPoly
+from bgsplit.laurent import LaurentPoly, _coerce
 from bgsplit.linalg import integer_scaled, mat_mul
 from bgsplit.lmatrix import LaurentMatrix
 
@@ -314,6 +319,18 @@ def faddeev_leverrier(matrix):
         for i in range(n):
             m[i][i] += c
     return coeffs
+
+
+def root_multiplicity_by_division(p, point):
+    """Multiplicity of (x - point) in the nonzero polynomial p."""
+    if point == 0:
+        return p.ord()
+    factor = LaurentPoly({1: 1, 0: -_coerce(point)})
+    mult = 0
+    while p.evaluate(point) == 0:
+        p = p // factor
+        mult += 1
+    return mult
 
 
 def expression_oracle(tree):

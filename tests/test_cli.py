@@ -486,6 +486,14 @@ def test_refused_entry_exits_cleanly(tmp_path, case):
     assert "Traceback" not in err
 
 
+def test_zero_denominator_cell_is_a_domain_error(tmp_path):
+    # a numeral cell with a zero denominator is left to the grammar
+    path = write(tmp_path, "tuple.txt", BOLI.replace("0, 0, -4, -1", "0, 0, -4, 1/0"))
+    code, out, err = _run_process("bolibrukh", path)
+    assert code == 3 and out == ""
+    assert err == "domain error: division by the zero rational function\n"
+
+
 def test_fuchs_ode_with_a_huge_pole_order_at_zero_does_not_hang(tmp_path):
     # The multiplicity of the root 0 is the lowest exponent; dividing by x
     # once per unit of multiplicity would take 10^8 steps here.

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
+from bgsplit import lmatrix
 from bgsplit.errors import NotInvertible
 from bgsplit.laurent import lp
 from bgsplit.linalg import (
@@ -145,6 +147,64 @@ def test_charpoly_matches_the_faddeev_leverrier_oracle():
         a = _shaped(rng, n)
         p = charpoly(a)
         assert [p.coeff(e) for e in range(n, -1, -1)] == faddeev_leverrier(a), a
+
+
+def test_charpoly_takes_no_laurent_determinant(monkeypatch):
+    calls = {"det": 0, "_form": 0}
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lmatrix.LaurentMatrix, "det")
+    counted(lmatrix, "_form")
+    rng = random.Random(18)
+    for n in range(9):
+        a = _shaped(rng, n)
+        p = charpoly(a)
+        assert [p.coeff(e) for e in range(n, -1, -1)] == faddeev_leverrier(a)
+    assert calls == {"det": 0, "_form": 0}
+    lmatrix.LaurentMatrix([[lp({1: 1})]]).det()  # the counters do count
+    assert calls == {"det": 1, "_form": 1}
+
+
+def _width_edge_cases():
+    """Triangular matrices with diagonal -c/d, ones below it, conjugated by
+    a permutation: det(d*lambda*I - d*A) = (d*lambda + c)^n, and c is the
+    least integer with c^n >= 2^(8k - 1), so that the constant term is
+    just past a balanced digit of k bytes while the bound stays below
+    2^(8k)."""
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for k in range(n + 1, n + 8):
+            for d in (1, 3):
+                c = 1
+                while c**n < 2 ** (8 * k - 1):
+                    c = max(c + 1, int(2 ** ((8 * k - 1) / n)))
+                perm = rng.sample(range(n), n)
+                a = [[Fraction(-c, d) if i == j else int(i > j) for j in range(n)]
+                     for i in range(n)]
+                yield [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def test_charpoly_at_the_edge_of_its_packed_width():
+    # Some coefficient of det N, N the scaled rows of lambda*I - A that
+    # charpoly packs, is no balanced digit one byte narrower than the
+    # width it packs at, so a narrower width would read it wrongly.
+    for a in _width_edge_cases():
+        scales = [lcm(*(Fraction(v).denominator for v in row)) for row in a]
+        width = lmatrix._digit_bytes(prod(
+            1 + s + sum(abs(int(v * s)) for v in row) for s, row in zip(scales, a)))
+        half = 1 << 8 * (width - 1) - 1
+        want = faddeev_leverrier(a)
+        p = charpoly(a)
+        assert [p.coeff(e) for e in range(len(a), -1, -1)] == want, a
+        assert any(not -half <= c * prod(scales) < half for c in want), a
 
 
 def test_rational_roots():

@@ -20,6 +20,8 @@ from bgsplit.ratfunc import (
     root_multiplicity,
 )
 
+from oracles import root_multiplicity_by_division
+
 
 def rand_poly(rng, max_deg=3):
     return LaurentPoly(
@@ -64,6 +66,36 @@ def test_shift_reverse_multiplicity():
     p = lp({2: 1, 0: -1})  # x^2 - 1
     assert poly_shift(p, 1) == lp({2: 1, 1: 2})  # (x+1)^2 - 1 = x^2 + 2x
     assert root_multiplicity(lp({1: 1}) ** 4 * lp({0: 1, 1: 3}), 0) == 4
+
+
+def test_root_multiplicity_matches_the_division_loop():
+    # p = c * x^k * (product of (x - r)^m) * (x^2 + a), with roots that
+    # are zero, negative or non-integral, at a root of multiplicity 0-4
+    # or at a point that is not a root
+    rng = random.Random(33)
+    mults = set()
+    for _ in range(2000):
+        p = lp({rng.randint(0, 3): Fraction(rng.randint(1, 30), rng.randint(1, 12))})
+        roots = {Fraction(rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 5))): rng.randint(0, 4)
+                 for _ in range(rng.randint(0, 3))}
+        for r, m in roots.items():
+            p = p * lp({1: 1, 0: -r}) ** m
+        if rng.random() < 0.3:
+            p = p * lp({2: 1, 0: rng.randint(1, 9)})
+        point = rng.choice([*roots, Fraction(rng.randint(-9, 9), rng.randint(1, 6)), 0, -1, 2])
+        if rng.random() < 0.2:
+            point = int(point) if point.denominator == 1 else point
+        want = root_multiplicity_by_division(p, point)
+        mults.add(want)
+        assert root_multiplicity(p, point) == want, (p, point)
+    assert {0, 1, 2, 3, 4} <= mults
+
+
+def test_root_multiplicity_refuses_zero_and_laurent_input():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        root_multiplicity(LaurentPoly(), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        root_multiplicity(lp({-1: 1, 0: 1}), -1)
 
 
 def test_ratfunc_normalization():
