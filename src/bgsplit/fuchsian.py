@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -49,7 +49,7 @@ from .linalg import (
     solve,
     trace,
 )
-from .lmatrix import _gauss_jordan, _product
+from .lmatrix import _digit_bytes, _gauss_jordan, _product, _unpack
 from .ratfunc import (
     INF,
     Infinity,
@@ -478,7 +478,27 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     H_i = sum_(m>i) g_m N^(m-1-i) are formed once, and with C_k = C/e
     for an integer matrix C the step becomes
 
-        g(N - k*d) S_k = -(d/e) * sum_i (N - k*d)^i C H_i.
+        g(N - k*d) S_k = -(d/e) * Y,  Y = sum_(i<n) M^i K_i,
+
+    with M = N - k*d, K_i = C H_i and K_(n-1) = C.  Y is summed by
+    Horner, y <- M y + K_i, on rows packed into one integer each as
+    ``lmatrix._pack`` does, at X = 2^(8w): a step costs n^2 products of
+    an entry of M with a packed row, and the K_i are plain integer
+    products.  The solution is kept as one integer matrix over its least
+    common denominator, which the next steps read; each output entry is
+    one Fraction.
+
+    Width: packing is Z-linear (a row v maps to sum_j v_j X^j, for any
+    integers v_j), and each Horner step is an integer combination of
+    packed rows, so the packed sum is the packing of the exact -d*Y
+    whatever its intermediate digits; only -d*Y, which is unpacked, needs
+    balanced digits.  Write |A| for the largest absolute row sum:
+    |A B| <= |A| |B|, |A + B| <= |A| + |B|, and every entry of A is at
+    most |A|.  So every entry of -d*Y is at most
+    B = d |C| sum_i |M|^i |H_i| (H_(n-1) = I), and w = ``_digit_bytes(B)``
+    gives B < 2^(8w - 1): every digit is balanced and ``_unpack`` reads
+    -d*Y back exactly.  The |H_i| are formed once, so the bound costs O(n)
+    per step.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -501,6 +521,8 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     for _ in range(n):
         powers.append(mat_mul(big_n, powers[-1]))
     h = [_lincomb(n, zip(coeffs[i + 1:], powers)) for i in range(n - 1)]  # H_(n-1) = I
+    h_norms = [_norm(h_i) for h_i in h] + [1]
+    h_wide = [tuple(chain.from_iterable(rows)) for rows in zip(*h)]  # [H_0 ... H_(n-2)]
     tails = [integer_scaled(m) for m in local.tail]
     series: List[Matrix] = [identity_q(n)]
     scaled = [(1, powers[0])]
@@ -508,19 +530,49 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
         e, c = _over_lcm(n, [
             (1, mat_mul(t_mat, s_mat), t * s)
             for (t, t_mat), (s, s_mat) in zip(tails, reversed(scaled))])
-        y = c
-        for i in range(n - 2, -1, -1):  # Horner in N - k*d
-            y = _lincomb(n, ((1, mat_mul(big_n, y)), (-k * d, y), (1, mat_mul(c, h[i]))))
+        m_rows = [list(row) for row in big_n]
+        for i, row in enumerate(m_rows):
+            row[i] -= k * d
+        m_norm, bound = _norm(m_rows), 0
+        for h_norm in reversed(h_norms):
+            bound = m_norm * bound + h_norm
+        width = _digit_bytes(d * _norm(c) * bound)
+        wide = mat_mul(c, h_wide)  # [K_0 ... K_(n-2)]
+        y = [_packed(row, width) for row in c]
+        for i in range(n * (n - 2), -1, -n):  # Horner in M = N - k*d
+            y = [sum(map(operator.mul, m_row, y)) + _packed(k_row[i:i + n], width)
+                 for m_row, k_row in zip(m_rows, wide)]
         p_k = _lincomb(n, zip((int(g_k.coeff(m)) for m in range(n + 1)), powers))
-        s_k = solve(p_k, [[-d * v for v in row] for row in y])
+        s_k = solve(p_k, [(_unpack(-d * row, width) + [0] * n)[:n] for row in y])
         if s_k is None:
             raise BGSplitError(
                 "Frobenius step became singular despite the resonance check; defect"
             )
-        s_k = tuple(tuple(v / e for v in row) for row in s_k)
-        series.append(s_k)
-        scaled.append(integer_scaled(s_k))
+        s, s_mat = integer_scaled(s_k)
+        s *= e
+        common = gcd(s, *chain.from_iterable(s_mat))
+        if common != 1:
+            s //= common
+            s_mat = tuple(tuple(v // common for v in row) for row in s_mat)
+        series.append(tuple(tuple(Fraction(v, s) for v in row) for row in s_mat))
+        scaled.append((s, s_mat))
     return FrobeniusSeries(r=local.r, s=tuple(series))
+
+
+def _packed(row: Sequence[int], width: int) -> int:
+    """The row's value at X = 2^(8*width), for any integer entries: what
+    ``lmatrix._pack`` gives when each entry is a balanced digit, by
+    Horner's scheme in X, which is cheaper on the short rows packed here."""
+    bits, out = 8 * width, 0
+    for v in reversed(row):
+        out = (out << bits) + v
+    return out
+
+
+def _norm(m: Sequence[Sequence[int]]) -> int:
+    """The largest absolute row sum of an integer matrix, a norm with
+    |A B| <= |A| |B| that bounds every entry."""
+    return max(sum(map(abs, row)) for row in m)
 
 
 def _lincomb(n: int, terms: Iterable[Tuple[int, IntMatrix]]) -> IntMatrix:
@@ -547,7 +599,22 @@ def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
     reports order + 1 as a sentinel.
 
     The order-k coefficient k S_k + S_k R - R S_k - sum_m tail[m] S_(k-1-m)
-    is multiplied back on integer matrices over one common denominator.
+    is multiplied back on integer matrices over one common denominator e:
+    with R = R'/r, tail[m] = T_m/t_m and S_j = S'_j/s_j, e times it is
+
+        (e/(r s_k)) ((k r - R') S'_k + S'_k R') - sum_m (e/(t_m s_j)) T_m S'_j,
+
+    j = k-1-m.  The rows of each S'_j are packed into one integer each, as
+    ``lmatrix._pack`` does, so a product with the small left factor
+    k r - R' or T_m costs n^2 products of an entry with a packed row;
+    S'_k R' is formed on plain integers and its rows packed after.
+
+    Width: packing is Z-linear, so each packed sum is the packing of the
+    exact row of e times the coefficient.  In the largest absolute row sum
+    |.|, each of its entries is at most (e/(r s_k)) (k r + 2|R'|) |S'_k|
+    plus the (e/(t_m s_j)) |T_m| |S'_j|; at w = ``_digit_bytes`` of that
+    bound, all its digits are balanced, so a packed row is 0 exactly when
+    the row is.
     """
     if len(series.r) != local.size:
         raise DimensionMismatch("series size disagrees with the local system")
@@ -556,23 +623,27 @@ def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
     r, r_mat = integer_scaled(local.r)
     tails = [integer_scaled(m) for m in local.tail]
     scaled = [integer_scaled(m) for m in series.s]
-
-    def term_is_zero(k: int) -> bool:
-        terms = [(-1, mat_mul(t_mat, scaled[k - 1 - m][1]), t * scaled[k - 1 - m][0])
-                 for m, (t, t_mat) in enumerate(tails[:k]) if k - 1 - m <= cap]
+    norms, r_norm = [_norm(m) for _, m in scaled], _norm(r_mat)
+    for k in range(1, cap + len(tails) + 2):  # (sign, den, left, j, bound) per term
+        terms = [(-1, t * scaled[j][0], t_mat, j, _norm(t_mat) * norms[j])
+                 for (t, t_mat), j in zip(tails, range(k - 1, -1, -1)) if j <= cap]
         if k <= cap:
-            s, s_mat = scaled[k]
-            terms += [(k, s_mat, s), (1, mat_mul(s_mat, r_mat), s * r),
-                      (-1, mat_mul(r_mat, s_mat), r * s)]
-        _, total = _over_lcm(n, terms)
-        return not any(v for row in total for v in row)
-
-    for k in range(1, cap + 1):
-        if not term_is_zero(k):
-            return k - 1
-    for k in range(cap + 1, cap + len(local.tail) + 2):
-        if not term_is_zero(k):
-            return cap
+            shift = [[k * r * (i == c) - v for c, v in enumerate(row)]
+                     for i, row in enumerate(r_mat)]
+            terms.append((1, r * scaled[k][0], shift, k, (k * r + 2 * r_norm) * norms[k]))
+        e = lcm(*(den for _, den, _, _, _ in terms))
+        width = _digit_bytes(sum(e // den * bound for _, den, _, _, bound in terms))
+        total = [0] * n
+        for sign, den, left, j, _ in terms:
+            f = sign * (e // den)
+            if j == k:  # the S'_k R' half of the S_k term
+                total = [acc + f * _packed(row, width)
+                         for acc, row in zip(total, mat_mul(scaled[k][1], r_mat))]
+            packed = [_packed(row, width) for row in scaled[j][1]]
+            total = [acc + f * sum(map(operator.mul, l_row, packed))
+                     for acc, l_row in zip(total, left)]
+        if any(total):
+            return k - 1 if k <= cap else cap
     return cap + 1
 
 

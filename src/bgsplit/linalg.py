@@ -408,7 +408,25 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
 
 
 def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
-    """Resultant of two nonzero polynomials via the Sylvester determinant."""
+    """Resultant of two nonzero polynomials, lc(p)^deg q * det M, with M the
+    deg p x deg p matrix whose row i holds the coefficients of t^i*q mod p.
+
+    Proof: for m = deg p >= 1, M is the matrix of multiplication by q on
+    A = Q[t]/(p) in the basis 1, t, ..., t^(m-1).  Multiplication by t has
+    characteristic polynomial p/lc(p), so over a splitting field it is
+    triangular with diagonal alpha_1, ..., alpha_m, the roots of p with
+    multiplicity, and q(t) is triangular with diagonal q(alpha_j): det M
+    is the product of the q(alpha_j).  The Sylvester determinant equals
+    lc(p)^deg q times that product (Poisson's formula), so the value is
+    the same.  For m = 0 the Sylvester matrix is p(0) times the identity
+    of size deg q.
+
+    The rows run on integers: with P = a*p and Q = b*q integral and c the
+    leading coefficient of P, each top coefficient u of a row of degree m
+    is cleared as c*row - u*t^(deg - m)*P, so row i is c^(e_i)*(t^i*Q mod P)
+    for the number e_i of such steps so far, and
+    det M = det(rows) / (c^(sum e_i) * b^m); ``det_q`` takes the rows.
+    """
     if p.is_zero or q.is_zero:
         raise ValueError("resultant of the zero polynomial")
     if not (p.is_polynomial() and q.is_polynomial()):
@@ -416,9 +434,20 @@ def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
     m, n = p.deg(), q.deg()
     if m == 0:
         return p.coeff(0) ** n
-    if n == 0:
-        return q.coeff(0) ** m
-    size = m + n
-    rows = [[f.coeff(d - (j - i)) if 0 <= j - i <= d else Fraction(0) for j in range(size)]
-            for f, d, count in ((p, m, n), (q, n, m)) for i in range(count)]
-    return det_q(rows)
+    (a, (low,)), (b, (row,)) = (integer_scaled([[f.coeff(e) for e in range(f.deg() + 1)]])
+                                for f in (p, q))
+    c, low, row = low[-1], low[:-1], list(row)
+    rows, power, total = [], 0, 0
+    for _ in range(m):
+        while len(row) > m:
+            top = row.pop()
+            if c != 1:
+                row = [c * v for v in row]
+            for j, w in enumerate(low, start=len(row) - m):
+                row[j] -= top * w
+            power += 1
+        rows.append(row + [0] * (m - len(row)))
+        total += power
+        row = [0] + rows[-1]
+    det = det_q(rows)
+    return Fraction(det.numerator * c**n, det.denominator * c**total * a**n * b**m)

@@ -20,6 +20,11 @@ as it was before it became a determinant of lambda*I - A: the trace
 recurrence on integer matrices, kept as a separate route to the same
 coefficients.
 
+The Sylvester resultant oracle is the package's ``resultant`` as it was
+before it became lc(p)^deg q times the determinant of multiplication by
+q modulo p: the (m + n)-square Sylvester determinant, kept verbatim, so
+the values of the two can be compared exactly.
+
 The root-multiplicity oracle is the package's ``root_multiplicity`` as
 it was before it divided integer coefficients: evaluate at the point and,
 while the value is 0, divide by x - point with Fraction coefficients.
@@ -53,7 +58,7 @@ import sympy as sp
 
 from bgsplit.errors import InternalSearchExhausted
 from bgsplit.laurent import LaurentPoly, _coerce
-from bgsplit.linalg import integer_scaled, mat_mul
+from bgsplit.linalg import det_q, integer_scaled, mat_mul
 from bgsplit.lmatrix import LaurentMatrix
 
 SparseRow = Dict[int, int]
@@ -319,6 +324,23 @@ def faddeev_leverrier(matrix):
         for i in range(n):
             m[i][i] += c
     return coeffs
+
+
+def sylvester_resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
+    """Resultant of two nonzero polynomials via the Sylvester determinant."""
+    if p.is_zero or q.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    if not (p.is_polynomial() and q.is_polynomial()):
+        raise ValueError("polynomial inputs required")
+    m, n = p.deg(), q.deg()
+    if m == 0:
+        return p.coeff(0) ** n
+    if n == 0:
+        return q.coeff(0) ** m
+    size = m + n
+    rows = [[f.coeff(d - (j - i)) if 0 <= j - i <= d else Fraction(0) for j in range(size)]
+            for f, d, count in ((p, m, n), (q, n, m)) for i in range(count)]
+    return det_q(rows)
 
 
 def root_multiplicity_by_division(p, point):

@@ -7,8 +7,10 @@ demo extension and on a planted rank-4 bundle, and of the commands that
 read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p`` at 0,
 1 and oo, ``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
 -N 8`` on the non-triangular 4 x 4 residue with denominators 2, 3 and 7
-and two tail terms in ``tests/data/local_system4.txt``, of ``bolibrukh``
-on five tuples with non-integer entries under ``tests/data/`` (reducible
+and two tail terms in ``tests/data/local_system4.txt`` and on its rank-8
+counterpart ``tests/data/local_system8.txt`` (the benchmark's rank
+class), of ``bolibrukh`` on five tuples with non-integer entries under
+``tests/data/`` (reducible
 n = 6, irreducible n = 5 pair, Jordan n = 6, a 4 x 4 pair reducible
 only over Q(i), which only the exact word-span closure decides, and an
 irreducible n = 5 pair with denominator 999991) and on an irreducible
@@ -76,6 +78,9 @@ FIELD_CASES = {
     ],
     "local_system4.frobenius_n8": [
         "frobenius", os.path.join(HERE, "data", "local_system4.txt"), "-N", "8"
+    ],
+    "local_system8.frobenius_n8": [
+        "frobenius", os.path.join(HERE, "data", "local_system8.txt"), "-N", "8"
     ],
     "gauge_a4.gauge_p4": [
         "gauge", os.path.join(HERE, "data", "gauge_a4.txt"),

@@ -3,6 +3,9 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgsplit import lmatrix
 from bgsplit.errors import NotInvertible
@@ -20,7 +23,7 @@ from bgsplit.linalg import (
     solve,
 )
 
-from oracles import faddeev_leverrier
+from oracles import faddeev_leverrier, sylvester_resultant
 
 
 def rand_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -226,3 +229,64 @@ def test_resultant_common_root_detection():
     # resultant of (x-a)(x-b) with (x-c): (c-a)(c-b)
     pa = lp({1: 1, 0: -2}) * lp({1: 1, 0: -3})
     assert resultant(pa, lp({1: 1, 0: -5})) == Fraction((5 - 2) * (5 - 3))
+
+
+COEFFICIENTS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+LEADING = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def polynomials(draw, low=0, high=8):
+    """Rational polynomials of degree low..high, leading coefficient of
+    either sign and not 1 in general, denominators 1-7."""
+    degree = draw(st.integers(low, high))
+    coeffs = draw(st.lists(COEFFICIENTS, min_size=degree, max_size=degree)) + [draw(LEADING)]
+    return lp(dict(enumerate(coeffs)))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """A pair of degrees 0-8, or, half the time, a pair of degrees at most
+    8 sharing a planted factor of degree 1-3, whose resultant is 0."""
+    if draw(st.booleans()):
+        return draw(polynomials()), draw(polynomials()), False
+    common = draw(polynomials(1, 3))
+    room = 8 - common.deg()
+    return (common * draw(polynomials(0, room)), common * draw(polynomials(0, room)), True)
+
+
+def _sympy_resultant(p, q):
+    """sympy's resultant, always asked with the higher degree first: sympy
+    1.14 returns Res(q, p) for deg p < deg q, so the other order is read
+    through Res(p, q) = (-1)^(deg p * deg q) Res(q, p)."""
+    x = sp.Symbol("x")
+
+    def poly(f):
+        return sp.Poly([sp.Rational(c.numerator, c.denominator)
+                        for c in map(f.coeff, range(f.deg(), -1, -1))], x, domain="QQ")
+
+    sign = 1
+    if p.deg() < q.deg():
+        p, q, sign = q, p, (-1) ** (p.deg() * q.deg())
+    value = sp.Rational(poly(p).resultant(poly(q)))
+    return sign * Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=polynomial_pairs())
+def test_resultant_matches_sylvester_and_sympy(pair):
+    p, q, planted = pair
+    value = resultant(p, q)
+    assert value == sylvester_resultant(p, q) == _sympy_resultant(p, q)
+    if planted:
+        assert value == 0
+
+
+def test_resultant_refuses_zero_and_laurent_input():
+    p = lp({2: 3, 0: -1})
+    for zero_pair in ((lp({}), p), (p, lp({}))):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            resultant(*zero_pair)
+    for laurent_pair in ((lp({-1: 1, 1: 1}), p), (p, lp({-2: 1}))):
+        with pytest.raises(ValueError, match="polynomial inputs"):
+            resultant(*laurent_pair)
