@@ -49,7 +49,7 @@ from .linalg import (
     solve,
     trace,
 )
-from .lmatrix import _digit_bytes, _gauss_jordan, _product, _unpack
+from .lmatrix import _digit_bytes, _gauss_jordan, _pack, _product, _unpack
 from .ratfunc import (
     INF,
     Infinity,
@@ -133,6 +133,8 @@ def fuchsian_system(points: Sequence, residues: Sequence) -> FuchsianSystem:
     n = len(mats[0])
     if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
         raise DimensionMismatch("residues must be square of equal size")
+    if not n:
+        raise DimensionMismatch("matrix dimension must be at least 1")
     return FuchsianSystem(size=n, points=pts, residues=mats)
 
 
@@ -151,6 +153,8 @@ def local_system(r: Sequence[Sequence], tail: Sequence = ()) -> LocalSystemData:
     n = len(rm)
     if any(len(row) != n for row in rm):
         raise DimensionMismatch("residue matrix must be square")
+    if not n:
+        raise DimensionMismatch("matrix dimension must be at least 1")
     tl = tuple(qmat(m) for m in tail)
     if any(len(m) != n or any(len(row) != n for row in m) for m in tl):
         raise DimensionMismatch("tail matrices must match the residue size")
@@ -481,20 +485,19 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
         g(N - k*d) S_k = -(d/e) * Y,  Y = sum_(i<n) M^i K_i,
 
     with M = N - k*d, K_i = C H_i and K_(n-1) = C.  Y is summed by
-    Horner, y <- M y + K_i, on rows packed into one integer each as
-    ``lmatrix._pack`` does, at X = 2^(8w): a step costs n^2 products of
+    Horner, y <- M y + K_i, on rows packed into one integer each by
+    ``lmatrix._pack`` at X = 2^(8w): a step costs n^2 products of
     an entry of M with a packed row, and the K_i are plain integer
     products.  The solution is kept as one integer matrix over its least
     common denominator, which the next steps read; each output entry is
     one Fraction.
 
-    Width: packing is Z-linear (a row v maps to sum_j v_j X^j, for any
-    integers v_j), and each Horner step is an integer combination of
-    packed rows, so the packed sum is the packing of the exact -d*Y
-    whatever its intermediate digits; only -d*Y, which is unpacked, needs
-    balanced digits.  Write |A| for the largest absolute row sum:
-    |A B| <= |A| |B|, |A + B| <= |A| + |B|, and every entry of A is at
-    most |A|.  So every entry of -d*Y is at most
+    Width: ``_pack`` is Z-linear on any integers, and each Horner step is
+    an integer combination of packed rows, so the packed sum is the
+    packing of the exact -d*Y whatever its intermediate digits; only -d*Y,
+    which is unpacked, needs balanced digits.  Write |A| for the largest
+    absolute row sum: |A B| <= |A| |B|, |A + B| <= |A| + |B|, and every
+    entry of A is at most |A|.  So every entry of -d*Y is at most
     B = d |C| sum_i |M|^i |H_i| (H_(n-1) = I), and w = ``_digit_bytes(B)``
     gives B < 2^(8w - 1): every digit is balanced and ``_unpack`` reads
     -d*Y back exactly.  The |H_i| are formed once, so the bound costs O(n)
@@ -538,9 +541,9 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
             bound = m_norm * bound + h_norm
         width = _digit_bytes(d * _norm(c) * bound)
         wide = mat_mul(c, h_wide)  # [K_0 ... K_(n-2)]
-        y = [_packed(row, width) for row in c]
+        y = [_pack(row, width) for row in c]
         for i in range(n * (n - 2), -1, -n):  # Horner in M = N - k*d
-            y = [sum(map(operator.mul, m_row, y)) + _packed(k_row[i:i + n], width)
+            y = [sum(map(operator.mul, m_row, y)) + _pack(k_row[i:i + n], width)
                  for m_row, k_row in zip(m_rows, wide)]
         p_k = _lincomb(n, zip((int(g_k.coeff(m)) for m in range(n + 1)), powers))
         s_k = solve(p_k, [(_unpack(-d * row, width) + [0] * n)[:n] for row in y])
@@ -557,16 +560,6 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
         series.append(tuple(tuple(Fraction(v, s) for v in row) for row in s_mat))
         scaled.append((s, s_mat))
     return FrobeniusSeries(r=local.r, s=tuple(series))
-
-
-def _packed(row: Sequence[int], width: int) -> int:
-    """The row's value at X = 2^(8*width), for any integer entries: what
-    ``lmatrix._pack`` gives when each entry is a balanced digit, by
-    Horner's scheme in X, which is cheaper on the short rows packed here."""
-    bits, out = 8 * width, 0
-    for v in reversed(row):
-        out = (out << bits) + v
-    return out
 
 
 def _norm(m: Sequence[Sequence[int]]) -> int:
@@ -604,12 +597,12 @@ def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
 
         (e/(r s_k)) ((k r - R') S'_k + S'_k R') - sum_m (e/(t_m s_j)) T_m S'_j,
 
-    j = k-1-m.  The rows of each S'_j are packed into one integer each, as
-    ``lmatrix._pack`` does, so a product with the small left factor
+    j = k-1-m.  The rows of each S'_j are packed into one integer each by
+    ``lmatrix._pack``, so a product with the small left factor
     k r - R' or T_m costs n^2 products of an entry with a packed row;
     S'_k R' is formed on plain integers and its rows packed after.
 
-    Width: packing is Z-linear, so each packed sum is the packing of the
+    Width: ``_pack`` is Z-linear, so each packed sum is the packing of the
     exact row of e times the coefficient.  In the largest absolute row sum
     |.|, each of its entries is at most (e/(r s_k)) (k r + 2|R'|) |S'_k|
     plus the (e/(t_m s_j)) |T_m| |S'_j|; at w = ``_digit_bytes`` of that
@@ -637,9 +630,9 @@ def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:
         for sign, den, left, j, _ in terms:
             f = sign * (e // den)
             if j == k:  # the S'_k R' half of the S_k term
-                total = [acc + f * _packed(row, width)
+                total = [acc + f * _pack(row, width)
                          for acc, row in zip(total, mat_mul(scaled[k][1], r_mat))]
-            packed = [_packed(row, width) for row in scaled[j][1]]
+            packed = [_pack(row, width) for row in scaled[j][1]]
             total = [acc + f * sum(map(operator.mul, l_row, packed))
                      for acc, l_row in zip(total, left)]
         if any(total):

@@ -315,22 +315,18 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
 
     Row i of lambda*I - A, scaled by s_i (the lcm of its denominators),
     is the Z[lambda] row N_i: s_i*lambda - m_ii on the diagonal and -m_ij
-    elsewhere, m_ij = s_i*a_ij.  Each entry is packed as its value at
-    lambda = X = 2^(8w), as ``lmatrix._pack`` would, and
-    ``lmatrix.eliminate`` runs Bareiss on these integers; its last pivot
-    is sign * det N(X), with det N = prod(s_i) * det(lambda*I - A).
+    elsewhere, m_ij = s_i*a_ij.  Each entry is packed at lambda = X =
+    2^(8w) by ``lmatrix._pack``, and ``lmatrix.eliminate`` runs Bareiss on
+    these integers; its last pivot is sign * det N(X), with
+    det N = prod(s_i) * det(lambda*I - A).
 
     Width: every value the elimination forms is a minor of N (Sylvester's
-    identity).  Expanded over permutations, a minor on rows I is a sum of
-    products of one entry per row of I; a product's coefficient 1-norm is
-    at most the product of its factors' 1-norms, so the minor's is at most
-    the product over I of the row 1-norms |N_i|_1 = s_i + sum_j |m_ij|,
-    and every coefficient is at most B = prod_i (1 + s_i + sum_j |m_ij|)
-    in absolute value (``lmatrix._minor_bound``).  w = ``_digit_bytes(B)``
-    gives B < 2^(8w - 1), so each minor is one balanced base-X numeral:
-    a packed minor is 0 only when the minor is, the exact integer
-    divisions are the exact divisions of Z[lambda], and ``_unpack`` reads
-    det N back coefficient by coefficient.
+    identity), so by ``lmatrix._minor_bound`` each of its coefficients is
+    at most B = prod_i (1 + s_i + sum_j |m_ij|) in absolute value.
+    w = ``_digit_bytes(B)`` gives B < 2^(8w - 1), so each minor is one
+    balanced base-X numeral: a packed minor is 0 only when the minor is,
+    the exact integer divisions are the exact divisions of Z[lambda], and
+    ``_unpack`` reads det N back coefficient by coefficient.
     """
     n = len(a)
     if any(len(r) != n for r in a):
@@ -346,7 +342,7 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
         rows.append(negated)
     width = _digit_bytes(bound)
     for i, (s, row) in enumerate(zip(scales, rows)):
-        row[i] += s << 8 * width
+        row[i] += _pack((0, s), width)
     sign, det = eliminate(rows, n, jordan=False)
     den = prod(scales)
     return _trusted({k: Fraction(sign * c, den) for k, c in enumerate(_unpack(det, width)) if c})

@@ -9,24 +9,24 @@ c*x^t.
 rational-function matrices of ``fuchsian`` (``rf_mat_mul``,
 ``gauge_transform``) share one exact kernel over Z[x]; the
 characteristic polynomial ``linalg.charpoly`` (the determinant of
-lambda*I - A) packs its own integer rows and feeds them to ``eliminate``.
-An operand is converted once: shifted by x^-lo (lo its lowest
-exponent), written in y = x^g (g the gcd of the shifted exponents) and
-scaled per row, or per column for a right factor, by the lcm of the
-denominators.  Each integer polynomial entry P is packed into
+lambda*I - A) packs its integer rows with ``_pack`` and feeds them to
+``eliminate``.  An operand is converted once: shifted by x^-lo (lo its
+lowest exponent), written in y = x^g (g the gcd of the shifted
+exponents) and scaled per row, or per column for a right factor, by the
+lcm of the denominators.  Each integer polynomial entry P is packed into
 the integer P(2^w) (Kronecker substitution, a ring homomorphism
-Z[y] -> Z), so fraction-free Bareiss and Gauss-Jordan elimination
-(``eliminate``, which ``linalg.det_q`` runs on plain integers too), and
-products, run on plain integers; their exact
-divisions by the previous pivot are the exact polynomial divisions over
-Z[y].  Every value read back is a minor of the (augmented) operand or an
-entry of a product, with coefficients bounded by a product of
-coefficient 1-norms; w exceeds that bound, so the balanced base-2^w
-digits of the value are the polynomial's coefficients, and the result
-is exact.  When rank times span in y is large (a few far-apart
-exponents), packing would cost the span rather than the terms, so the
-same elimination and sums run on the sparse LaurentPoly entries, with
-exact Laurent division.
+Z[y] -> Z, Z-linear on any integers: ``_pack``, the package's one
+packer), so fraction-free Bareiss and Gauss-Jordan elimination
+(``eliminate``, which ``linalg.det_q`` runs on plain integers too) and
+products run on plain integers; their exact divisions by the previous
+pivot are the exact polynomial divisions over Z[y].  Every value read
+back is a minor of the (augmented) operand or an entry of a product,
+with coefficients bounded by a product of coefficient 1-norms; w
+exceeds that bound, so the balanced base-2^w digits of the value are
+the polynomial's coefficients, and the result is exact.  When rank
+times span in y is large (a few far-apart exponents), packing would
+cost the span rather than the terms, so the same elimination and sums
+run on the sparse LaurentPoly entries, with exact Laurent division.
 """
 
 from __future__ import annotations
@@ -265,7 +265,10 @@ def _norm(row: Sequence[Sequence[int]]) -> int:
 
 def _minor_bound(ints) -> int:
     """Every entry of N and every minor of [N | I] has coefficients of
-    absolute value at most prod_i (1 + |row i of N|_1)."""
+    absolute value at most prod_i (1 + |row i of N|_1): expanded over
+    permutations, a minor on rows I has 1-norm at most the product over I
+    of its rows' 1-norms, and a row of [N | I] has 1-norm at most 1 + that
+    of N's row."""
     return prod(1 + _norm(row) for row in ints[0])
 
 
@@ -282,26 +285,29 @@ def _digit_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _bias(count: int, width: int) -> int:
-    """The integer whose ``count`` base-2^(8*width) digits all equal
-    2^(8*width - 1); adding it makes balanced digits nonnegative."""
-    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """P(2^(8*width)) for the Z[x] coefficient list of P."""
-    half = 1 << (8 * width - 1)
-    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - _bias(len(coeffs), width)
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum_j values[j] * X^j at X = 2^(8*width) for any integers, a Z-linear
+    map: P(X) for the Z[x] coefficient list of P.  Horner's scheme on up to
+    16 values; a longer list joins its packed halves with one shift."""
+    count = len(values)
+    if count > 16:
+        half = count // 2
+        return (_pack(values[half:], width) << 8 * width * half) + _pack(values[:half], width)
+    bits, out = 8 * width, 0
+    for v in reversed(values):
+        out = (out << bits) + v
+    return out
 
 
 def _unpack(value: int, width: int) -> List[int]:
-    """Inverse of ``_pack``: the balanced base-2^(8*width) digits of value,
-    lowest first (possibly with trailing zeros)."""
+    """Inverse of ``_pack`` on balanced digits: the balanced base-2^(8*width)
+    digits of value, lowest first (possibly with trailing zeros), read as
+    bytes after adding the bias whose digits all equal 2^(8*width - 1)."""
     if not value:
         return []
     count = value.bit_length() // (8 * width) + 2
-    raw = (value + _bias(count, width)).to_bytes(width * count, "little")
+    bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+    raw = (value + bias).to_bytes(width * count, "little")
     half = 1 << (8 * width - 1)
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, len(raw), width)]

@@ -82,6 +82,8 @@ def monodromy_rep(matrices: Sequence[Sequence[Sequence]]) -> MonodromyRep:
     if not mats:
         raise DimensionMismatch("a representation needs at least one matrix")
     n = len(mats[0])
+    if not n:
+        raise DimensionMismatch("matrix dimension must be at least 1")
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch("matrices must be square of equal size")
@@ -97,11 +99,13 @@ class JordanProfile:
     A single eigenvalue of full multiplicity forces mu = trace/n, which
     is rational, so the check is complete over Q: the candidate is
     mu = trace/n and the test is charpoly == (lambda - mu)^n exactly;
-    single_block additionally requires rank(M - mu I) = n - 1.
+    single_block additionally requires rank(M - mu I) = n - 1.  ``charpoly``
+    is the characteristic polynomial of M that the test computed.
     """
 
     single_eigenvalue: Optional[Fraction]
     single_block: bool
+    charpoly: LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -172,12 +176,13 @@ def _word_span_dimension(
     ``words`` when it is given.
 
     Over F_p a word's matrix M has entries in [0, p), and each generator
-    G, reduced into [0, p), is the column G_X of its rows packed at
-    X = 2^(8*width).  Row i of the one product M G_X packs row i of M G,
-    with entries at most n*(p - 1)^2; side by side, the rows are M G
-    flattened, with digits below n*p^2.  By the bound of
-    ``echelon_insert_mod`` with k = n and m = n^2 columns, a width with
-    (n^2 + n)*p^2 < 2^(8*width - 1) keeps every digit exact.
+    G, reduced into [0, p), is the column G_X of its rows packed by
+    ``lmatrix._pack`` at X = 2^(8*width).  Row i of the one product M G_X
+    packs row i of M G, with entries at most n*(p - 1)^2; these rows,
+    packed in turn at X^n, are M G flattened, with digits below n*p^2.
+    By the bound of ``echelon_insert_mod`` with k = n and m = n^2
+    columns, a width with (n^2 + n)*p^2 < 2^(8*width - 1) keeps every
+    digit exact.
     """
     n = rep.size
     pivots: dict = {}
@@ -186,10 +191,10 @@ def _word_span_dimension(
     if prime:
         width = _digit_bytes((n * n + n) * prime * prime)
         gens = [tuple((_pack([v % prime for v in row], width),) for row in g) for g in gens]
-        start = tuple((1 << 8 * width * i,) for i in range(n))  # the packed rows of I
+        start = tuple((_pack([0] * i + [1], width),) for i in range(n))  # the packed rows of I
 
         def insert(column: IntMatrix) -> Optional[IntMatrix]:
-            row = sum(v << 8 * width * n * i for i, (v,) in enumerate(column))
+            row = _pack([v for (v,) in column], n * width)
             if echelon_insert_mod(pivots, row, prime, width) is None:
                 return None
             digits = [v % prime for v in _unpack(row, width)] + [0] * (n * n)
@@ -333,23 +338,22 @@ def coordinate_invariant_subspace(rep: MonodromyRep) -> Optional[Tuple[int, ...]
     return best
 
 
-def jordan_profile(m: Sequence[Sequence], char: Optional[LaurentPoly] = None) -> JordanProfile:
-    """Single-eigenvalue and single-Jordan-block test, exact over Q; ``char``
-    is the characteristic polynomial of m, when already known."""
+def jordan_profile(m: Sequence[Sequence]) -> JordanProfile:
+    """Single-eigenvalue and single-Jordan-block test, exact over Q."""
     mat = qmat(m)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionMismatch("square matrix expected")
+    if not n:
+        raise DimensionMismatch("matrix dimension must be at least 1")
+    char = charpoly(mat)
     mu = trace(mat) / n
-    target = LaurentPoly({1: 1, 0: -mu}) ** n
-    if (charpoly(mat) if char is None else char) != target:
-        return JordanProfile(single_eigenvalue=None, single_block=False)
+    if char != LaurentPoly({1: 1, 0: -mu}) ** n:
+        return JordanProfile(single_eigenvalue=None, single_block=False, charpoly=char)
     shifted = tuple(
         tuple(mat[i][j] - (mu if i == j else 0) for j in range(n)) for i in range(n)
     )
-    return JordanProfile(
-        single_eigenvalue=mu, single_block=(rank(shifted) == n - 1)
-    )
+    return JordanProfile(single_eigenvalue=mu, single_block=rank(shifted) == n - 1, charpoly=char)
 
 
 def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
@@ -363,11 +367,10 @@ def bolibrukh_criterion(rep: MonodromyRep) -> CriterionReport:
     monodromy.  Sizes below 4 are reported but never certified.
     """
     product_ok = check_product_identity(rep)
-    charpolys = [charpoly(m) for m in rep.matrices]
-    certificate = _certificate(rep, charpolys)
+    profiles = [jordan_profile(m) for m in rep.matrices]
+    certificate = _certificate(rep, [p.charpoly for p in profiles])
     reducible = not certificate.irreducible
     witness = coordinate_invariant_subspace(rep) if reducible else None
-    profiles = [jordan_profile(m, char) for m, char in zip(rep.matrices, charpolys)]
     all_single = all(p.single_block for p in profiles)
     eigenvalues: Optional[Tuple[Fraction, ...]] = None
     product: Optional[Fraction] = None

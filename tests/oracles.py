@@ -46,6 +46,11 @@ closure as it was before it ran on packed integer rows: the same
 breadth-first search, each candidate reduced entry by entry into [0, p)
 and eliminated on plain lists.  It is kept verbatim, so the dimension and
 the accepted words of the two can be compared exactly.
+
+The byte packer is the package's ``lmatrix._pack`` as it was before it
+became Horner's scheme on any integers: each balanced digit biased into
+one little-endian block of bytes, and the bias subtracted once.  It is
+kept verbatim, so the two can be compared on balanced digits.
 """
 
 from collections import deque
@@ -248,6 +253,22 @@ def word_span_dimension_oracle(matrices):
             kept.append(flat)
             frontier.extend(word * g for g in gens)
     return len(kept)
+
+
+# -- Kronecker packing by bytes ------------------------------------------
+
+
+def _bias(count, width):
+    """The integer whose ``count`` base-2^(8*width) digits all equal
+    2^(8*width - 1); adding it makes balanced digits nonnegative."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+
+def byte_pack(coeffs, width):
+    """P(2^(8*width)) for the Z[x] coefficient list of P."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), width)
 
 
 # -- modular word-span reference: list rows over F_p ---------------------

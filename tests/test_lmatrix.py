@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgsplit.errors import DimensionMismatch, NotInvertibleOverLaurentRing
+from bgsplit.fuchsian import fuchsian_system, local_system
 from bgsplit.laurent import LaurentPoly, lp
-from bgsplit.lmatrix import LaurentMatrix
+from bgsplit.lmatrix import LaurentMatrix, _pack, _unpack
+from bgsplit.monodromy import jordan_profile, monodromy_rep
+
+from oracles import byte_pack
 
 
 def rand_lmatrix(rng, n, exp_range=(-3, 3), max_terms=2):
@@ -92,6 +98,75 @@ def test_structure_helpers():
         LaurentMatrix([[1, 2]])
     with pytest.raises(ValueError):
         LaurentMatrix([[0]]).exponent_range()
+
+
+@pytest.mark.parametrize("build", (
+    lambda: LaurentMatrix([]),
+    lambda: monodromy_rep([()]),
+    lambda: jordan_profile([]),
+    lambda: local_system(()),
+    lambda: fuchsian_system([0], [()]),
+), ids=("LaurentMatrix", "monodromy_rep", "jordan_profile", "local_system", "fuchsian_system"))
+def test_rank_zero_is_refused(build):
+    with pytest.raises(DimensionMismatch, match="matrix dimension must be at least 1"):
+        build()
+
+
+def _balanced(width):
+    half = 1 << (8 * width - 1)
+    return st.integers(-half, half - 1)
+
+
+def _packing_oracle(values, width):
+    return sum(v << 8 * width * j for j, v in enumerate(values))
+
+
+def _strip(digits):
+    digits = list(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _lists(element):
+    """Lists of 0-300 entries, the length drawn first so that long lists,
+    past the 16 entries of one Horner run, are common."""
+    return st.integers(0, 300).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
+
+
+def _any_values(width):
+    """Balanced digits mixed with integers far outside the balanced range,
+    of either sign, up to 2^(8*width + 64)."""
+    far = 1 << (8 * width + 64)
+    return _lists(st.one_of(_balanced(width), st.integers(-far, far)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda w: st.tuples(st.just(w), _any_values(w))))
+def test_pack_is_the_kronecker_sum_of_any_integers(case):
+    width, values = case
+    assert _pack(values, width) == _packing_oracle(values, width)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda w: st.tuples(st.just(w), _lists(_balanced(w)))))
+def test_pack_matches_the_byte_packer_and_unpacks_on_balanced_digits(case):
+    width, digits = case
+    packed = _pack(digits, width)
+    assert packed == byte_pack(digits, width)
+    assert _strip(_unpack(packed, width)) == _strip(digits)
+
+
+@pytest.mark.parametrize("count", (17, 1024, 4096))
+@pytest.mark.parametrize("width", (1, 8, 33))
+def test_pack_long_lists(count, width):
+    rng = random.Random(count * width)
+    half = 1 << (8 * width - 1)
+    digits = [rng.randrange(-half, half) for _ in range(count)]
+    wide = [rng.randrange(-1 << (8 * width + 64), 1 << (8 * width + 64)) for _ in range(count)]
+    assert _pack(digits, width) == byte_pack(digits, width) == _packing_oracle(digits, width)
+    assert _strip(_unpack(_pack(digits, width), width)) == _strip(digits)
+    assert _pack(wide, width) == _packing_oracle(wide, width)
 
 
 def test_apply_matches_matmul():

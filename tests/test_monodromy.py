@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bgsplit import monodromy
 from bgsplit.errors import NotInvertible
-from bgsplit.linalg import det_q, inverse_q, mat_mul, qmat
+from bgsplit.laurent import LaurentPoly
+from bgsplit.linalg import charpoly, det_q, inverse_q, mat_mul, qmat
 from bgsplit.monodromy import (
     COUNTEREXAMPLE_MATRICES,
     bolibrukh_criterion,
@@ -93,10 +95,31 @@ def test_jordan_profile_examples():
     assert m2.single_eigenvalue == 1 and m2.single_block
     m3 = jordan_profile(COUNTEREXAMPLE_MATRICES[2])
     assert m3.single_eigenvalue == -1 and m3.single_block
-    # two distinct eigenvalues: no single eigenvalue at all
-    assert jordan_profile([[1, 0], [0, 2]]).single_eigenvalue is None
+    # two distinct eigenvalues: no single eigenvalue at all, whatever the
+    # mean 3/2, since the profile computes its own characteristic polynomial
+    two = jordan_profile([[1, 0], [0, 2]])
+    assert two.single_eigenvalue is None
+    assert two.charpoly == LaurentPoly({2: 1, 1: -3, 0: 2})
     # irrational eigenvalue pair: correctly not a single eigenvalue
     assert jordan_profile([[0, 2], [1, 0]]).single_eigenvalue is None
+
+
+@pytest.mark.parametrize("matrices", (
+    COUNTEREXAMPLE_MATRICES,
+    [identity(4), identity(4)],
+    [[[0, 1], [-1, 0]], [[0, -1], [1, 0]]],
+), ids=("counterexample", "identities", "rotations"))
+def test_criterion_computes_each_charpoly_once(monkeypatch, matrices):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(monodromy, "charpoly", counted)
+    rep = monodromy_rep(matrices)
+    bolibrukh_criterion(rep)
+    assert calls == list(rep.matrices)
 
 
 def test_jordan_profile_blocks_up_to_six():

@@ -6,6 +6,7 @@ denominator scaling in the word-span closure, in ``charpoly`` and in
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,10 +17,12 @@ from bgsplit.monodromy import (
     _word_span_dimension,
     check_product_identity,
     coordinate_invariant_subspace,
+    jordan_profile,
     monodromy_rep,
 )
 
 from oracles import (
+    _sympy_matrix,
     charpoly_oracle,
     invariant_coordinate_subspace_bruteforce,
     word_span_dimension_oracle,
@@ -90,3 +93,49 @@ def test_product_identity_matches_the_fraction_product(n, data):
         c = data.draw(st.sampled_from((1, 1, 2, -1)))
         mats.append([[c * v for v in row] for row in inverse_q(fraction_product(mats))])
     assert check_product_identity(monodromy_rep(mats)) == (fraction_product(mats) == identity_q(n))
+
+
+@st.composite
+def conjugated_jordan(draw):
+    """(S^-1 J S, block eigenvalues), J a direct sum of Jordan blocks of
+    sizes summing to n <= 5, with eigenvalues from a small set so that
+    blocks often share one; S = L U with L unit lower and U upper
+    triangular, U with a nonzero diagonal, so S is invertible."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 5))
+    mus = [draw(st.sampled_from((Fraction(2), Fraction(-1, 3), Fraction(5, 2)))) for _ in sizes]
+    n = sum(sizes)
+    j = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for size, mu in zip(sizes, mus):
+        for i in range(start, start + size):
+            j[i][i] = mu
+            if i + 1 < start + size:
+                j[i][i + 1] = Fraction(1)
+        start += size
+    lower, upper = draw(square(n)), draw(square(n, triangular=True))
+    lower = [[Fraction(int(i == k)) if i <= k else lower[i][k] for k in range(n)]
+             for i in range(n)]
+    s = mat_mul(lower, upper)
+    return mat_mul(mat_mul(inverse_q(s), j), s), mus
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(1, 5).flatmap(square).map(lambda m: (m, None)), conjugated_jordan()))
+def test_jordan_profile_matches_the_definition(case):
+    """Against the definition: single eigenvalue mu = tr/n when
+    charpoly(m) == (x - mu)^n, and a single block when moreover
+    rank(m - mu*I) == n - 1; on conjugated blocks, also against J."""
+    matrix, mus = case
+    profile = jordan_profile(matrix)
+    n = len(matrix)
+    char = charpoly_oracle(matrix)
+    assert [profile.charpoly.coeff(e) for e in range(n, -1, -1)] == char
+    mu = sum(matrix[i][i] for i in range(n)) / n
+    if char == [comb(n, k) * (-mu) ** k for k in range(n + 1)]:
+        shifted = [[v - mu * (i == j) for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        expected = (mu, _sympy_matrix(shifted).rank() == n - 1)
+    else:
+        expected = (None, False)
+    assert (profile.single_eigenvalue, profile.single_block) == expected
+    if mus is not None:
+        assert expected == (mus[0] if len(set(mus)) == 1 else None, len(mus) == 1)

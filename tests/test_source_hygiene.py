@@ -8,6 +8,10 @@
   somewhere in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``: as a
   name read in a ``Load`` context, as an attribute, or in a
   ``from ... import``.  ``__all__`` and ``__version__`` are exempt.
+* Only ``lmatrix`` lays out packed digits: no function body of another
+  module shifts left, except the digit mask of
+  ``linalg.echelon_insert_mod``.  Module-level constants such as
+  ``1 << 16`` are exempt.
 """
 
 import ast
@@ -91,3 +95,25 @@ def test_every_top_level_definition_is_referenced():
         if name not in referenced and name not in EXEMPT
     ]
     assert unreferenced == []
+
+
+def _functions(tree: ast.Module):
+    """The top-level functions and the methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (f for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def test_only_lmatrix_shifts_packed_digits():
+    shifts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lmatrix.py":
+            continue
+        for fn in _functions(_tree(path)):
+            shifts.extend(f"{path.name}: {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.BinOp, ast.AugAssign))
+                          and isinstance(node.op, ast.LShift))
+    assert shifts == ["linalg.py: echelon_insert_mod"]
