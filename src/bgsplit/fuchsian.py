@@ -20,10 +20,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
     BGSplitError,
@@ -115,8 +115,9 @@ class FuchsianSystem:
     points: Tuple[Fraction, ...]
     residues: Tuple[Matrix, ...]
 
+    @cached_property
     def residue_at_infinity(self) -> Matrix:
-        """-sum_p R_p."""
+        """-sum_p R_p, formed once per system."""
         return _lincomb(self.size, ((-1, m) for m in self.residues))
 
 
@@ -318,7 +319,7 @@ def exponents_system(system: FuchsianSystem, point: Point) -> ExponentData:
     polynomial and trace of the residue matrix, with rational eigenvalues
     factored out when the polynomial splits over Q."""
     if isinstance(point, Infinity):
-        r = system.residue_at_infinity()
+        r = system.residue_at_infinity
     else:
         p = Fraction(point)
         if p not in system.points:
@@ -336,20 +337,12 @@ def exponents_system(system: FuchsianSystem, point: Point) -> ExponentData:
     )
 
 
-def fuchs_relation_system(
-    system: FuchsianSystem, residue_at_infinity: Optional[Sequence[Sequence]] = None
-) -> Tuple[bool, Fraction]:
+def fuchs_relation_system(system: FuchsianSystem) -> Tuple[bool, Fraction]:
     """Sum of all exponent sums (traces), including infinity; (holds, sum).
 
-    For residue-built systems the residue at infinity is forced to
-    -sum R_p and the total is identically zero; passing an explicit
-    matrix checks externally supplied data instead.
+    The residue at infinity is -sum R_p, so the total is identically zero.
     """
-    r_inf = (
-        system.residue_at_infinity()
-        if residue_at_infinity is None
-        else qmat(residue_at_infinity)
-    )
+    r_inf = system.residue_at_infinity
     total = sum((trace(m) for m in system.residues), Fraction(0)) + trace(r_inf)
     return (total == 0, total)
 
@@ -651,24 +644,6 @@ def _over_denominator_lcms(lines) -> Tuple[List[LaurentPoly], List[List[LaurentP
                   for line, m in zip(lines, lcms)]
 
 
-def rf_mat_mul(a: RFMatrix, b: RFMatrix) -> RFMatrix:
-    """A B over the rational-function field as one Z[x] product: with the
-    rows of A and the columns of B over their denominator lcms,
-    A_i. = P_i / L_i and B_.j = Q_j / K_j, (A B)_ij = (P_i . Q_j) / (L_i K_j),
-    reduced once per entry."""
-    n = len(a)
-    if len(b) != n:
-        raise DimensionMismatch("matrix dimension mismatch")
-    if not n:
-        return ()
-    row_lcms, rows = _over_denominator_lcms(a)
-    col_lcms, cols = _over_denominator_lcms(tuple(zip(*b)))
-    return tuple(
-        tuple(RatFunc(v, m * q) for v, q in zip(line, col_lcms))
-        for line, m in zip(_product(rows, cols), row_lcms)
-    )
-
-
 def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     """System matrix after the substitution w = P v:
 
@@ -676,8 +651,14 @@ def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
 
     P^-1 is never formed.  With L the row denominator lcms of P, N = L*P
     is polynomial and the Z[x] Gauss-Jordan of ``lmatrix`` gives
-    N^-1 = S/q, so the result is S*(L*(A P - P'))/q: one product with the
-    columns of L*(A P - P') over their lcms, reduced once per entry.
+    N^-1 = S/q, so the result is S*(L*(A P - P'))/q.  With the rows of A
+    over their lcms K and the columns of P over theirs J, A P = u/(K J)
+    for the unreduced Z[x] product u, and P' = (L N' - L' N)/L^2, so
+
+        (L*(A P - P'))_ij = (L_i^2 u_ij - K_i J_j (L_i N'_ij - L'_i N_ij)) / (L_i K_i J_j),
+
+    reduced once.  The result is one product with the columns of
+    L*(A P - P') over their lcms, reduced once per entry.
     Raises NotInvertible when P is singular over the rational functions.
     """
     am = rfmat(a)
@@ -690,8 +671,11 @@ def gauge_transform(a: Sequence[Sequence], p: Sequence[Sequence]) -> RFMatrix:
     s, q = _gauss_jordan(rows)
     if not q:
         raise NotInvertible("matrix is singular over the rational functions")
-    ap = rf_mat_mul(am, pm)
-    col_lcms, cols = _over_denominator_lcms(tuple(zip(*(
-        [(x - v.derivative()) * m for x, v in zip(r1, r2)] for r1, r2, m in zip(ap, pm, lcms)))))
+    a_lcms, a_rows = _over_denominator_lcms(am)
+    p_lcms, p_cols = _over_denominator_lcms(tuple(zip(*pm)))
+    lap = [[RatFunc(m * m * v - k * j * (m * w.derivative() - m.derivative() * w), m * k * j)
+            for v, w, j in zip(u_row, n_row, p_lcms)]
+           for u_row, n_row, m, k in zip(_product(a_rows, p_cols), rows, lcms, a_lcms)]
+    col_lcms, cols = _over_denominator_lcms(tuple(zip(*lap)))
     return tuple(tuple(RatFunc(v, q * k) for v, k in zip(row, col_lcms))
                  for row in _product(s, cols))

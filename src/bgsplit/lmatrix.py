@@ -5,9 +5,9 @@ and the B/C factors of their diagonal factorizations.  A matrix is
 invertible over the ring exactly when its determinant is a monomial
 c*x^t.
 
-``det``, ``inverse``, ``__matmul__``, ``apply`` and the
-rational-function matrices of ``fuchsian`` (``rf_mat_mul``,
-``gauge_transform``) share one exact kernel over Z[x]; the
+``det``, ``inverse``, ``__matmul__``, ``apply`` and the gauge
+transform of rational-function matrices in ``fuchsian`` share one
+exact kernel over Z[x]; the
 characteristic polynomial ``linalg.charpoly`` (the determinant of
 lambda*I - A) packs its integer rows with ``_pack`` and feeds them to
 ``eliminate``.  An operand is converted once: shifted by x^-lo (lo its

@@ -51,6 +51,14 @@ The byte packer is the package's ``lmatrix._pack`` as it was before it
 became Horner's scheme on any integers: each balanced digit biased into
 one little-endian block of bytes, and the bias subtracted once.  It is
 kept verbatim, so the two can be compared on balanced digits.
+
+The rational-function product ``rf_mat_mul`` is the package's product of
+``RatFunc`` matrices as it was before the gauge transform stopped calling
+it: the rows of the left and the columns of the right factor over their
+denominator lcms, one Z[x] product on the ``lmatrix`` kernel, and one
+reduction per entry.  It is checked against sums of ``RatFunc`` products
+and serves as the P B oracle of the gauge property, where ``RatFunc`` sums
+would take over a minute at rank 4.
 """
 
 from collections import deque
@@ -61,10 +69,12 @@ from typing import Dict, Optional
 
 import sympy as sp
 
-from bgsplit.errors import InternalSearchExhausted
+from bgsplit.errors import DimensionMismatch, InternalSearchExhausted
+from bgsplit.fuchsian import _over_denominator_lcms
 from bgsplit.laurent import LaurentPoly, _coerce
 from bgsplit.linalg import det_q, integer_scaled, mat_mul
-from bgsplit.lmatrix import LaurentMatrix
+from bgsplit.lmatrix import LaurentMatrix, _product
+from bgsplit.ratfunc import RatFunc
 
 SparseRow = Dict[int, int]
 
@@ -461,6 +471,24 @@ def laurent_product_oracle(left, right):
     sl, sr = -_lowest(left), -_lowest(right)
     product = _qqx_matrix(left, sl) * _qqx_matrix(right, sr)
     return [[_laurent_terms(v, -sl - sr) for v in row] for row in product.to_list()]
+
+
+def rf_mat_mul(a, b):
+    """A B over the rational-function field as one Z[x] product: with the
+    rows of A and the columns of B over their denominator lcms,
+    A_i. = P_i / L_i and B_.j = Q_j / K_j, (A B)_ij = (P_i . Q_j) / (L_i K_j),
+    reduced once per entry."""
+    n = len(a)
+    if len(b) != n:
+        raise DimensionMismatch("matrix dimension mismatch")
+    if not n:
+        return ()
+    row_lcms, rows = _over_denominator_lcms(a)
+    col_lcms, cols = _over_denominator_lcms(tuple(zip(*b)))
+    return tuple(
+        tuple(RatFunc(v, m * q) for v, q in zip(line, col_lcms))
+        for line, m in zip(_product(rows, cols), row_lcms)
+    )
 
 
 def _kronecker_step(r, k):

@@ -293,6 +293,23 @@ def test_huge_exponent_section_system_is_refused_up_front(tmp_path, command):
     assert "Traceback" not in err
 
 
+HUGE_GAUGE_PAIR = ("x^99999999999 + 1", "x^-99999999999 + x")
+
+
+@pytest.mark.parametrize("swap", (False, True))
+def test_huge_exponent_gauge_is_refused_up_front(tmp_path, swap):
+    # Either way round, the determinant of the polynomial gauge N = L P is
+    # a binomial of degree about 10^11, and the gcd of the first result
+    # entry over it refuses; every earlier gcd meets a power of x.
+    entries = HUGE_GAUGE_PAIR[::-1] if swap else HUGE_GAUGE_PAIR
+    paths = [write(tmp_path, f"{name}.txt", "kind = laurent_matrix, n = 1\n" + entry + "\n")
+             for name, entry in zip(("a", "p"), entries)]
+    code, out, err = _run_process("gauge", *paths, timeout=5)
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: polynomial gcd on degree")
+    assert "Traceback" not in err
+
+
 WIDE_SPAN_REFUSALS = {
     "factor": "factorization in rank 2 needs more than 32768 orders",
     "split": "section system of twist -100002 needs degree bound 200001",

@@ -1,10 +1,11 @@
-"""Property tests of ``fuchsian.gauge_transform``, ``rf_mat_mul`` and
-``linalg.solve``.
+"""Property tests of ``fuchsian.gauge_transform``, the ``rf_mat_mul``
+oracle and ``linalg.solve``.
 
 ``gauge_transform`` scales each row of the gauge P by the lcm of its
 denominators, inverts the polynomial matrix on the Z[x] Gauss-Jordan of
-``lmatrix`` and multiplies the result into A P - P' without forming
-P^-1; ``rf_mat_mul`` puts the rows of the left and the columns of the
+``lmatrix``, forms A P as one unreduced Z[x] product and reduces each
+entry of L (A P - P') once, without forming P^-1;
+``oracles.rf_mat_mul`` puts the rows of the left and the columns of the
 right factor over their lcms and forms one Z[x] product.  Inputs have
 rank <= 4, nonzero entries and denominators with a root other than 0, so
 none is a monomial; one in three matrices is made singular by a row that
@@ -42,12 +43,12 @@ from hypothesis import strategies as st
 
 from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
-from bgsplit.fuchsian import gauge_transform, rf_mat_mul
+from bgsplit.fuchsian import gauge_transform
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import _GAP, echelon_sparse, solve, sparse_int_rows, sparse_kernel
 from bgsplit.ratfunc import RatFunc
 
-from oracles import echelon_reference
+from oracles import echelon_reference, rf_mat_mul
 
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
 ROOTS = st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)))
