@@ -305,20 +305,20 @@ def splitting_type_and_profile(e: BundleOnP1) -> Tuple[SplittingType, Dict[int, 
 def birkhoff_factor(e: BundleOnP1) -> Factorization:
     """Explicit B @ A @ C = diag(x^d) with descending d, certified exactly.
 
-    B has polynomial entries and constant determinant, C antipolynomial
-    entries and constant determinant.  The factor pair is not unique but
-    the exponent multiset is an invariant of the bundle.  The result is
-    verified by multiply-back before returning; a verification failure
-    is an internal defect and raises InternalSearchExhausted.  The
-    iteration steps once per order up to about rank * span orders, so
-    that product is held to SECTION_BUDGET first (WorkBudgetExceeded).
+    B has polynomial entries, C antipolynomial ones, both of constant
+    determinant.  The pair is not unique but the exponents are a bundle
+    invariant.  Only e.transition is read, never the det_exponent of the
+    section route.  The result is verified by multiply-back; a failure is
+    a defect and raises InternalSearchExhausted.  The iteration steps
+    once per order up to about rank * span orders, so that product is
+    held to SECTION_BUDGET first (WorkBudgetExceeded).
     """
     lo, hi = e.transition.exponent_range()
     if e.rank * (hi - lo + 1) > SECTION_BUDGET:
         raise WorkBudgetExceeded(f"factorization in rank {e.rank} needs more than "
                                  f"{SECTION_BUDGET // e.rank} orders, over the work budget "
                                  f"of {SECTION_BUDGET}")
-    b, exponents, c = factor_to_diagonal(e.transition, e.det_exponent)
+    b, exponents, c = factor_to_diagonal(e.transition)
     factorization = Factorization(b=b, c=c, exponents=SplittingType(exponents))
     report = verify_factorization(e, factorization)
     if not report.valid:

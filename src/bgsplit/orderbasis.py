@@ -12,12 +12,16 @@ Column j is kept as one stacked list of 2n entries, P_j on top and the
 residual (F*P)_j below, so every column operation acts on both at once.
 At order s the constant coefficient of the residual is column-reduced,
 and the columns that remain nonzero are multiplied by x.  Every P
-produced this way has det P = x^(sum of column multiplications), so
-G := x^-sigma * F * P has det G = c * x^(tau + sum(mu) - n*sigma) with
-tau = t + n*m.  The iteration has converged exactly when that exponent
-is zero; then B = G^-1 is polynomial with constant determinant,
-C = P * diag(x^-mu_j) has nonpositive exponents and constant determinant,
-and A*C = G*Lambda with Lambda = diag(x^(sigma - m - mu_j)).
+produced this way has det P = x^(sum of column multiplications), so the
+polynomial G := x^-sigma * F * P has det G = c * x^e with
+e = t + n*m + sum(mu) - n*sigma >= 0.  The step at order sigma reduces
+G(0), nonsingular exactly when e = 0, so the loop has converged, with no
+t read, once every column pivots (from sigma = 1 on; at sigma = 0,
+t + n*m = 0 would give another valid pair), and restores the columns and
+scales saved before that step, which the eliminations left intact.  Then
+B = G^-1 is polynomial with constant determinant, C = P * diag(x^-mu_j)
+has nonpositive exponents and constant determinant, and A*C = G*Lambda
+with Lambda = diag(x^(sigma - m - mu_j)).
 
 The loop runs on integers.  Stacked column j is a list of 2n integer
 coefficient lists over one positive scale s_j: the rational column is the
@@ -39,10 +43,9 @@ has degree at most mu_j (a pivot column has mu no larger than the
 columns it is subtracted from), and its list holds the coefficients of
 x^mu_j, x^(mu_j - 1), ..., so it is also the list of C_j, from x^0 down.
 
-The exponent t comes from the caller, which already holds det A; this
-module computes no determinant.  The caller certifies the output by an
-exact multiply-back check, so the iteration cap is a backstop only;
-hitting it is a defect, not a user error.
+This module computes no determinant.  The caller certifies the output by
+an exact multiply-back check, so the iteration cap is a backstop only;
+hitting it on a unit A is a defect, not a user error.
 """
 
 from __future__ import annotations
@@ -57,17 +60,12 @@ from .lmatrix import LaurentMatrix, _integer_rows, _laurent
 Column = List[List[int]]
 
 
-def factor_to_diagonal(
-    a: LaurentMatrix, t: int
-) -> Tuple[LaurentMatrix, Tuple[int, ...], LaurentMatrix]:
+def factor_to_diagonal(a: LaurentMatrix) -> Tuple[LaurentMatrix, Tuple[int, ...], LaurentMatrix]:
     """Return (B, exponents, C) with B*A*C diagonal; exponents descending.
-
-    ``t`` is the exponent of det A = c*x^t.
-    """
+    If det A is not a unit, G.inverse() raises or the cap is hit."""
     n = a.n
     lo, hi = a.exponent_range()
     m = -lo
-    tau = t + n * m
     # Stacked column j over scales[j]: P_j (P starts as I) above (F*P)_j
     # (starts as F_j), each entry a list of integer coefficients.
     scales, residuals = _integer_rows(tuple(zip(*a.entries)), lo, 1)
@@ -75,9 +73,9 @@ def factor_to_diagonal(
                           for j, (s, f) in enumerate(zip(scales, residuals))]
     mu = [0] * n
 
-    cap = 8 * (n * (hi - lo + 1) + abs(tau) + 8)
-    sigma = 0
-    while True:
+    cap = 8 * (2 * n * (hi - lo + 1) + 8)
+    for sigma in range(cap):
+        before = list(cols), list(scales)
         pivots: List[Tuple[int, int]] = []  # (pivot row in the stacked column, column)
         for j in sorted(range(n), key=lambda jj: (mu[jj], jj)):
             col = cols[j]
@@ -88,21 +86,18 @@ def factor_to_diagonal(
             row = next((i for i in range(n, 2 * n) if col[i] and col[i][0]), None)
             if row is not None:
                 pivots.append((row, j))
+        if sigma and len(pivots) == n:
+            cols, scales = before
+            break
         shifted = {j for _, j in pivots}
         for j in range(n):
             if j in shifted:
                 mu[j] += 1
             else:
                 cols[j][n:] = [p[1:] for p in cols[j][n:]]
-        sigma += 1
-        # Tested after the step: tested before it, tau = 0 would stop at
-        # sigma = 0 and give a different (still valid) pair B, C.
-        if sum(mu) == n * sigma - tau:
-            break
-        if sigma >= cap:
-            raise InternalSearchExhausted(
-                f"order-basis iteration did not converge within {cap} orders"
-            )
+    else:
+        raise InternalSearchExhausted(
+            f"order-basis iteration did not converge within {cap} orders")
 
     # Columns by descending exponent sigma - m - mu_j, ties by index; then
     # G = x^-sigma * F * P is polynomial with constant determinant.

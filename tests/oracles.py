@@ -585,7 +585,8 @@ def residual_oracle(r, tail, series):
 def factor_to_diagonal_reference(a, t):
     """(B, exponents, C) with B*A*C diagonal, for A = ``a`` with det
     c*x^t: ``orderbasis.factor_to_diagonal`` as it was with Fraction
-    column updates, verbatim."""
+    column updates and the stop read from t (sum(mu) = n*sigma - tau),
+    verbatim."""
     n = a.n
     lo, hi = a.exponent_range()
     m = -lo

@@ -3,10 +3,12 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgsplit.bundles import (
+    BundleOnP1,
     Factorization,
     SplittingType,
     _clause_report,
@@ -15,6 +17,7 @@ from bgsplit.bundles import (
     splitting_type,
     verify_factorization,
 )
+from bgsplit.errors import InternalSearchExhausted, NotInvertibleOverLaurentRing
 from bgsplit.io import parse_matrix_file
 from bgsplit.laurent import lp
 from bgsplit.lmatrix import LaurentMatrix
@@ -141,12 +144,13 @@ def _seeded_bundle(rng):
 
 
 def test_integer_columns_match_the_fraction_loop_on_1000_bundles():
+    """Also checks the stop on pivots against the reference's stop on t."""
     rng = random.Random(1800)
     ranks = set()
     for _ in range(1000):
         e = _seeded_bundle(rng)
         ranks.add(e.rank)
-        got = factor_to_diagonal(e.transition, e.det_exponent)
+        got = factor_to_diagonal(e.transition)
         assert got == factor_to_diagonal_reference(e.transition, e.det_exponent)
     assert ranks == {1, 2, 3, 4, 5}
 
@@ -161,8 +165,30 @@ def test_integer_columns_match_the_fraction_loop_on_the_golden_inputs():
             path = os.path.join(HERE, os.pardir, "demos", "data", f"{stem}.txt")
         with open(path, encoding="utf-8") as handle:
             e = bundle(parse_matrix_file(handle.read()).obj)
-        got = factor_to_diagonal(e.transition, e.det_exponent)
+        got = factor_to_diagonal(e.transition)
         assert got == factor_to_diagonal_reference(e.transition, e.det_exponent)
+
+
+def test_factor_to_diagonal_refuses_non_units():
+    """det A not a unit: G.inverse() raises, or a singular A never pivots
+    every column and the loop hits its cap (96 orders for 2 x 2 constants)."""
+    for rows in ([[x(1) + 1]], [[1, x(1)], [x(1), 1]], [[x(2) + 1, 0], [0, 1]],
+                 [[x(-1) + 1, 0], [0, x(1)]]):
+        with pytest.raises(NotInvertibleOverLaurentRing):
+            factor_to_diagonal(LaurentMatrix(rows))
+    with pytest.raises(InternalSearchExhausted, match="within 96 orders"):
+        factor_to_diagonal(LaurentMatrix([[1, 1], [1, 1]]))
+
+
+def test_factorization_ignores_the_recorded_degree():
+    """The factorization route reads the transition only: a wrong
+    det_exponent, which the section route would use, changes nothing."""
+    for seed in range(5, 10):
+        e, _ = planted_bundle(random.Random(seed), n_max=3)
+        f = birkhoff_factor(e)
+        for delta in (-1, 1, 3):
+            wrong = BundleOnP1(e.transition, e.rank, e.det_coeff, e.det_exponent + delta)
+            assert birkhoff_factor(wrong) == f
 
 
 MUTATIONS = ("none", "entry of A", "entry of B", "entry of C", "exponent", "zero row of B(0)",

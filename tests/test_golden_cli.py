@@ -20,8 +20,9 @@ demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
 x^2 - 2x - 2), and of ``factor`` and ``verify`` on a 1 x 1 unit and on
-the det-1 matrix ``[[1, 1 + x], [0, 1]]``, where the order-basis loop
-takes one step before it tests convergence.  Any change to the numbers, the
+the det-1 matrix ``[[1, 1 + x], [0, 1]]``, where every column pivots at
+order 0 and the order-basis loop must still take that step before it
+stops.  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
