@@ -180,7 +180,7 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]]
                                  f"{decimal(bound)} in rank {n}, over the work budget of "
                                  f"{SECTION_BUDGET}")
     generator = linalg.sparse_int_rows([linalg.runs(sorted(
-        ((hi - t) * n + j, v) for j in range(n) for t, v in a[i, j].terms.items()))
+        ((hi - t) * n + j, v) for j in range(n) for t, v in a[i, j]._terms.items()))
         for i in range(n)])
     ncols = n * (bound + 1)
     groups: List[List[Row]] = []

@@ -110,13 +110,22 @@ def _parse_factorization_json(text: str) -> bundles.Factorization:
         if key not in cert:
             raise ParseError(f"factorization document lacks {key!r}")
 
+    def cell_of(key, i, j, cell) -> LaurentPoly:
+        # A cell is a JSON string with no line of its own: name the entry.
+        try:
+            return parse_laurent(cell)
+        except ParseError as exc:
+            raise ParseError(f"factorization {key!r} entry ({i}, {j}): {exc.message}",
+                             column=exc.column) from None
+
     def matrix_of(key) -> LaurentMatrix:
         rows = cert[key]
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and all(isinstance(cell, str) for cell in row)
                 for row in rows)):
             raise ParseError(f"factorization {key!r} must be a list of lists of strings")
-        return LaurentMatrix([[parse_laurent(cell) for cell in row] for row in rows])
+        return LaurentMatrix([[cell_of(key, i, j, cell) for j, cell in enumerate(row, 1)]
+                              for i, row in enumerate(rows, 1)])
 
     b, c = matrix_of("b"), matrix_of("c")
     diagonal = cert["diagonal"]

@@ -20,18 +20,19 @@ class BGSplitError(Exception):
 
 
 class ParseError(BGSplitError):
-    """Malformed input text.  Carries 1-based line and column numbers."""
+    """Malformed input text.  Carries 1-based line and column numbers, and
+    the message without them."""
 
     exit_code = 2
     label = "parse error"
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column))
+                          if at is not None)
+        super().__init__(f"{message} ({where})" if where else message)
 
 
 class DimensionMismatch(BGSplitError):

@@ -25,10 +25,17 @@ power whose size bound exceeds POWER_TERM_BUDGET terms or
 POWER_BIT_BUDGET coefficient bits.  Atoms, monomial powers and the sums
 are built with the trusted constructor ``laurent._trusted``, whose
 contract (int exponents, nonzero Fraction coefficients, a map nobody
-mutates afterwards) the parser guarantees by construction.  A constant
-cell that is a numeral, optionally negated, or a quotient of two with a
-nonzero denominator (``-12/8``) skips the grammar: ``parse_fraction``
-reads it straight into a Fraction, the value the grammar gives.
+mutates afterwards) the parser guarantees by construction.  Two atom
+rules read the common shapes of a term without the general rules: a
+term that starts ``[-] NUM [/ NUM]`` takes that as one Fraction constant
+unless the denominator is zero, a numeral is too long or ``^`` follows
+(those fall through to the general rules at the same token), and
+``x^[-]NUM`` is one monomial.  ``*`` stays the ring product, so
+``3/4*x^9`` is one product of two monomials, which only shifts the
+constant.  A constant cell that is a numeral, optionally negated, or a
+quotient of two with a nonzero denominator (``-12/8``) skips the
+grammar: ``parse_fraction`` reads it straight into a Fraction, the
+value the grammar gives.
 
 Result documents are JSON objects carrying the command echo, a digest of
 the input bytes, the result payload and a certificate payload; fractions
@@ -78,6 +85,7 @@ POWER_BIT_BUDGET = 4096
 # separates tokens and is dropped.
 _TOKEN = re.compile(r"[0-9]+|\S")
 _DIGITS = "0123456789"
+_ONE = Fraction(1)
 _HEADER_INT = re.compile(f"-?[0-9]{{1,{MAX_NUMERAL_DIGITS}}}")
 # A numeral, optionally negated, or a quotient of two, spaced as the
 # tokenizer allows; ``parse_fraction`` reads it without the grammar.
@@ -153,7 +161,7 @@ def _check_power(p: LaurentPoly, exp: int) -> None:
     multiples of g, the power has at most exp*(deg p - ord p)/g + 1 terms,
     and at most C(exp + k - 1, k - 1).
     """
-    coeffs = p.terms
+    coeffs = p._terms
     k = len(coeffs)
     if not k:
         return
@@ -214,7 +222,7 @@ def _parse_expression(tok: _Tokenizer) -> Value:
                 value = -value
             lifted = value if lifted is None else lifted + value
         else:
-            for e, c in value.terms.items():
+            for e, c in value._terms.items():
                 if sign == "-":
                     c = -c
                 old = terms.get(e)
@@ -229,7 +237,9 @@ def _parse_expression(tok: _Tokenizer) -> Value:
 
 
 def _parse_term(tok: _Tokenizer) -> Value:
-    value = _parse_factor(tok)
+    value = _parse_constant(tok)
+    if value is None:
+        value = _parse_factor(tok)
     toks = tok.toks
     while True:
         op = toks[tok.pos]
@@ -243,6 +253,32 @@ def _parse_term(tok: _Tokenizer) -> Value:
             value = _divide(value, _parse_factor(tok))
         else:
             return value
+
+
+def _parse_constant(tok: _Tokenizer) -> Optional[LaurentPoly]:
+    """A leading ``[-] NUM [/ NUM]`` read as one constant, the value the
+    grammar gives it.  None, with the position unchanged, when the
+    denominator is zero, a numeral is too long or ``^`` follows: the
+    grammar then reads those tokens itself, with its own errors."""
+    toks = tok.toks
+    pos = tok.pos
+    minus = toks[pos] == "-"
+    num = toks[pos + minus]
+    if num is None or num[0] not in _DIGITS or len(num) > MAX_NUMERAL_DIGITS:
+        return None
+    pos += minus + 1
+    den = 1
+    if toks[pos] == "/":
+        tail = toks[pos + 1]
+        if tail is None or tail[0] not in _DIGITS or len(tail) > MAX_NUMERAL_DIGITS:
+            return None
+        den = int(tail)
+        pos += 2
+    if not den or toks[pos] == "^":
+        return None
+    tok.pos = pos
+    n = -int(num) if minus else int(num)
+    return _trusted({0: Fraction(n, den)} if n else {})
 
 
 def _parse_factor(tok: _Tokenizer) -> Value:
@@ -259,13 +295,15 @@ def _parse_factor(tok: _Tokenizer) -> Value:
 def _parse_power(tok: _Tokenizer) -> Value:
     base = _parse_atom(tok)
     toks = tok.toks
-    if toks[tok.pos] == "^":
+    if toks[tok.pos] != "^":
+        return base
+    tok.pos += 1
+    if toks[tok.pos] == "-":
         tok.pos += 1
-        if toks[tok.pos] == "-":
-            tok.pos += 1
-            return _power(base, -tok.take_int())
-        return _power(base, tok.take_int())
-    return base
+        exp = -tok.take_int()
+    else:
+        exp = tok.take_int()
+    return _trusted({exp: _ONE}) if base is X else _power(base, exp)
 
 
 def _parse_atom(tok: _Tokenizer) -> Value:
@@ -299,7 +337,7 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
     if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
     for p in (value,) if isinstance(value, LaurentPoly) else (value.num, value.den):
-        if any(abs(e) >= _EXPONENT_LIMIT for e in p.terms):
+        if any(abs(e) >= _EXPONENT_LIMIT for e in p._terms):
             raise ParseError(f"exponent longer than {MAX_NUMERAL_DIGITS} digits",
                              line=line, column=col_offset + 1)
     return value

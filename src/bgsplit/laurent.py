@@ -186,12 +186,19 @@ class LaurentPoly:
         left, right = self._terms, other._terms
         if not left or not right:
             return _trusted({})
+        # A single-term factor scales the other one; a unit monomial x^k
+        # only shifts it.
         if len(left) == 1:
             (e1, c1), = left.items()
-            return _trusted({e1 + e2: c1 * c2 for e2, c2 in right.items()})
+            if c1 == 1:
+                return other.shift(e1)
         if len(right) == 1:
             (e2, c2), = right.items()
+            if c2 == 1:
+                return self.shift(e2)
             return _trusted({e1 + e2: c1 * c2 for e1, c1 in left.items()})
+        if len(left) == 1:
+            return _trusted({e1 + e2: c1 * c2 for e2, c2 in right.items()})
         # Schoolbook on integers: each factor over the lcm of its denominators.
         dl = lcm(*(c.denominator for c in left.values()))
         dr = lcm(*(c.denominator for c in right.values()))

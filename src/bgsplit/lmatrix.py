@@ -37,7 +37,7 @@ from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotInvertibleOverLaurentRing
-from .laurent import LaurentPoly, Scalar, exponent_range
+from .laurent import LaurentPoly, Scalar, _trusted, exponent_range
 
 Entry = Union[LaurentPoly, int, Fraction]
 
@@ -223,14 +223,14 @@ def _form(operands, width_bound: Callable[[list], int]) -> _Form:
     ``width_bound`` of the integer operands; otherwise the entries stay
     sparse LaurentPoly values.
     """
-    exps = [{e for row in op for p in row for e in p.terms} for op in operands]
+    exps = [{e for row in op for p in row for e in p._terms} for op in operands]
     lows = [min(es, default=0) for es in exps]
     g = gcd(*(e - lo for es, lo in zip(exps, lows) for e in es)) or 1
     span = max((max(es, default=lo) - lo) // g for es, lo in zip(exps, lows))
     if max(map(len, operands)) * span > _PACKED_SPAN:
         return _Form([0] * len(operands), 1, [[1] * len(op) for op in operands],
                      [[list(row) for row in op] for op in operands],
-                     LaurentPoly.one(), lambda v: v.terms.items())
+                     LaurentPoly.one(), lambda v: v._terms.items())
     converted = [_integer_rows(op, lo, g) for op, lo in zip(operands, lows)]
     ints = [rows for _, rows in converted]
     width = _digit_bytes(width_bound(ints))
@@ -245,7 +245,7 @@ def _integer_rows(rows, lo: int, g: int) -> Tuple[List[int], List[List[List[int]
     the lcm of row i's denominators."""
     scales, out = [], []
     for row in rows:
-        terms = [p.terms for p in row]
+        terms = [p._terms for p in row]
         scale = lcm(*(c.denominator for t in terms for c in t.values()))
         dense = []
         for t in terms:
@@ -315,8 +315,10 @@ def _unpack(value: int, width: int) -> List[int]:
 
 def _laurent(pairs: Iterable[Tuple[int, Scalar]], g: int, shift: int,
              num: Scalar, den: Scalar) -> LaurentPoly:
-    """x^shift * (num/den) * P(x^g) for the (exponent, coefficient) pairs of P."""
-    return LaurentPoly({g * k + shift: Fraction(c * num, den) for k, c in pairs if c})
+    """x^shift * (num/den) * P(x^g) for the (exponent, coefficient) pairs of
+    P.  The exponents are ints and g and num are nonzero, so the terms are
+    distinct and nonzero."""
+    return _trusted({g * k + shift: Fraction(c * num, den) for k, c in pairs if c})
 
 
 def eliminate(m: List[list], n: int, jordan: bool) -> Tuple[int, object]:

@@ -432,6 +432,29 @@ def test_malformed_factorization_document_is_a_parse_error(tmp_path, case):
     assert "Traceback" not in err
 
 
+# (matrix, row, column, cell, message): a cell of the factorization
+# document that does not parse is named by its matrix and 1-based entry,
+# with its column inside the cell, since it has no line of its own.
+BAD_FACTORIZATION_CELLS = {
+    "syntax": ("c", 1, 1, "x^-1 + 3y",
+               "factorization 'c' entry (2, 2): trailing input after expression (column 9)"),
+    "rational_function": ("b", 0, 1, "1/(x + 1)",
+                          "factorization 'b' entry (1, 2): entry is a rational function, "
+                          "not a Laurent polynomial (column 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FACTORIZATION_CELLS))
+def test_bad_factorization_cell_is_named_by_matrix_and_entry(tmp_path, capsys, case):
+    key, i, j, cell, message = BAD_FACTORIZATION_CELLS[case]
+    doc = {"b": [["1", "0"], ["0", "1"]], "c": [["1", "0"], ["0", "1"]], "diagonal": [0, 0]}
+    doc[key][i][j] = cell
+    path = write(tmp_path, "id.txt", ID2)
+    code, out, err = run(capsys, "verify", path, write(tmp_path, "doc.json", json.dumps(doc)))
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
+
+
 def test_internal_error_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ext.txt", EXT)
 

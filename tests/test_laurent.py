@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgsplit.laurent import LaurentPoly, X, exponent_range, lp
 
@@ -43,6 +45,37 @@ def test_ring_axioms_random():
         assert p * q == q * p
         assert p + q == q + p
         assert p - p == LaurentPoly.zero()
+
+
+coefficients = st.fractions(-9, 9, max_denominator=6)
+polys = st.dictionaries(st.integers(-6, 6), coefficients, max_size=5).map(LaurentPoly)
+
+
+def schoolbook(p, q):
+    """The term map of p*q, one product per pair of terms."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def clean(p):
+    return all(type(e) is int and type(c) is Fraction and c for e, c in p.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, st.integers(-9, 9), coefficients)
+def test_mul_by_a_monomial(p, k, c):
+    # a unit monomial x^k only shifts the other factor, in either order
+    unit = LaurentPoly.x_power(k)
+    assert p * unit == unit * p == p.shift(k)
+    # c*x^k, c = 0 included, is the schoolbook product
+    mono = lp({k: c})
+    for prod in (p * mono, mono * p):
+        assert prod.terms == schoolbook(p, mono) and clean(prod)
+    zero = LaurentPoly.zero()
+    assert (p * zero).is_zero and (zero * p).is_zero and (zero * unit).is_zero
 
 
 def test_monomial_detection():
