@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg  # sparse_int_rows and det_q, looked up per call: perfbench wraps them
 from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly
-from .linalg import Row, echelon_insert, sparse_kernel
+from .linalg import Row, Runs, echelon_insert, sparse_kernel
 from .lmatrix import LaurentMatrix, _product
 from .orderbasis import factor_to_diagonal
 
@@ -158,7 +158,7 @@ def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
 
 
-def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]], int, int]:
+def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Runs]], int, int]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
@@ -169,7 +169,7 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]]
     an entry are left out.  Each row is a window of row i of the
     generator, which holds the x^t coefficient of A[i, j] at
     (hi - t) * n + j and is scaled by the lcm of its denominators, and is
-    given as integer runs (see ``linalg.Row``).  Returns the groups, the
+    given as integer runs (see ``linalg.Runs``).  Returns the groups, the
     number of unknowns and the target exponent of the first group.
     """
     n = a.n
@@ -183,7 +183,7 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Row]]
         ((hi - t) * n + j, v) for j in range(n) for t, v in a[i, j]._terms.items()))
         for i in range(n)])
     ncols = n * (bound + 1)
-    groups: List[List[Row]] = []
+    groups: List[List[Runs]] = []
     for e in range(low, top):
         base = (bound - k + e - hi) * n  # the column of generator offset 0
         first, stop = -base, ncols - base  # the generator offsets of columns 0 and ncols

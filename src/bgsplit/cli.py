@@ -15,7 +15,7 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from . import bundles, fuchsian, linalg, monodromy
-from .errors import BGSplitError, ParseError
+from .errors import BGSplitError, ParseError, _DomainError
 from .io import (
     DomainObject,
     parse_laurent,
@@ -114,9 +114,9 @@ def _parse_factorization_json(text: str) -> bundles.Factorization:
         # A cell is a JSON string with no line of its own: name the entry.
         try:
             return parse_laurent(cell)
-        except ParseError as exc:
-            raise ParseError(f"factorization {key!r} entry ({i}, {j}): {exc.message}",
-                             column=exc.column) from None
+        except (ParseError, _DomainError) as exc:
+            raise type(exc)(f"factorization {key!r} entry ({i}, {j}): {exc.message}",
+                            column=exc.column) from None
 
     def matrix_of(key) -> LaurentMatrix:
         rows = cert[key]

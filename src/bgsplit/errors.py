@@ -13,18 +13,12 @@ from math import log10
 
 
 class BGSplitError(Exception):
-    """Base class for all library errors; by itself an internal failure."""
+    """Base class for all library errors; by itself an internal failure.
+    Carries the message and, for an error in input text, its 1-based line
+    and column numbers, which the text of the error ends with."""
 
     exit_code = 4
     label = "internal consistency failure"
-
-
-class ParseError(BGSplitError):
-    """Malformed input text.  Carries 1-based line and column numbers, and
-    the message without them."""
-
-    exit_code = 2
-    label = "parse error"
 
     def __init__(self, message, line=None, column=None):
         self.message = message
@@ -33,6 +27,13 @@ class ParseError(BGSplitError):
         where = ", ".join(f"{name} {at}" for name, at in (("line", line), ("column", column))
                           if at is not None)
         super().__init__(f"{message} ({where})" if where else message)
+
+
+class ParseError(BGSplitError):
+    """Malformed input text, located by line and column where known."""
+
+    exit_code = 2
+    label = "parse error"
 
 
 class DimensionMismatch(BGSplitError):

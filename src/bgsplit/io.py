@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, decimal
+from .errors import DimensionMismatch, ParseError, WorkBudgetExceeded, _DomainError, decimal
 from .fuchsian import FuchsianSystem, ScalarODE, fuchsian_system, scalar_ode
 from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
@@ -334,6 +334,8 @@ def _evaluate(text: str, line: int, col_offset: int) -> Value:
         raise ParseError(
             "expression nested too deeply", line=line, column=col_offset + 1
         ) from None
+    except _DomainError as exc:  # a zero divisor or a refused power: name the cell
+        raise type(exc)(exc.message, line=line, column=col_offset + 1) from None
     if tok.toks[tok.pos] is not None:
         raise tok.error("trailing input after expression")
     for p in (value,) if isinstance(value, LaurentPoly) else (value.num, value.den):

@@ -6,13 +6,18 @@ clears denominators once through those two attributes, on one path for
 either type: row by row in ``sparse_int_rows``, matrix by matrix in
 ``integer_scaled``.  The sparse core (``echelon_insert``) runs an integer
 echelon reduction on rows kept as dense runs, split only across long
-stretches of zeros (``Row``): two rows combine after their leading
+stretches of zeros (``Runs``): two rows combine after their leading
 entries are divided by their gcd, and a row loses its content only when
-it is stored, which bounds swell without leaving exact arithmetic.
-Rank, kernels, ``solve`` (A X = B, the right-hand side a matrix: a
-vector is one column; ``inverse_q`` solves A X = I), section counts and
-the exact word-span closure use it; kernels and solutions share one
-integer back-substitution to reduced echelon form.
+it is stored, which bounds swell without leaving exact arithmetic.  A
+long row is combined on packed runs: each run one integer built by
+``lmatrix._pack``, so a combination is one multiply-subtract per run,
+with the digit width checked against a proven bound on the entries
+before each combination and widened only when that bound would
+overflow it (``Row``, the width invariant).  Short one-run rows combine
+entry by entry.  Rank, kernels, ``solve`` (A X = B, the right-hand side
+a matrix: a vector is one column; ``inverse_q`` solves A X = I), section
+counts and the exact word-span closure use it; kernels and solutions
+share one integer back-substitution to reduced echelon form.
 Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
 integer each, one big-integer multiply-add per pivot.  The dense
 fraction-free core (``lmatrix.eliminate``) serves ``det_q`` on integer
@@ -30,16 +35,29 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
 from .laurent import LaurentPoly, _trusted
-from .lmatrix import _digit_bytes, _pack, _unpack, eliminate
+from .lmatrix import _digit_bytes, _digit_mask, _pack, _shift, _unpack, eliminate
 from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 SparseRow = Dict[int, int]
-# A row of the echelon core: runs (first column, entries), ascending and disjoint,
-# so that it costs the columns its runs cover; runs at most _GAP zeros apart merge.
-Row = List[Tuple[int, List[int]]]
+# A row as runs (first column, entries), ascending and disjoint, so that it
+# costs the columns its runs cover; runs at most _GAP zeros apart merge.
+Runs = List[Tuple[int, List[int]]]
+# A row the echelon core keeps: [lead, runs, width, bound, packed], primitive,
+# its first entry lead positive at its pivot column.  packed holds its runs at
+# width bytes a digit, each as (first column, value, length): value = sum of
+# e_j * X^j at X = 2^(8*width) (``lmatrix._pack``), with every |e_j| <= bound
+# < 2^(8*width - 1), so its digits are balanced (the width invariant).  A row
+# stored without a combination keeps its runs and is packed when it first meets
+# a packed row (width 0 until then); one stored after a packed combination keeps
+# its packed runs and is unpacked when first read (runs None until then).
+Row = List[Any]
 _GAP = 32
+_WIDTH = 8  # the fewest bytes per digit of a packed row
+# Entries from which a one-run row is combined packed: below it, packing and
+# unpacking cost more than the entry-by-entry pass they save.
+_PACKED_MIN = 16
 
 
 def qmat(rows: Sequence[Sequence]) -> Matrix:
@@ -90,9 +108,9 @@ def trace(a: Matrix) -> Fraction:
 # -- integer echelon engine -------------------------------------------
 
 
-def runs(entries: Iterable[Tuple[int, Any]]) -> Row:
+def runs(entries: Iterable[Tuple[int, Any]]) -> Runs:
     """The row holding the (column, value) pairs, given in ascending column."""
-    row: Row = []
+    row: Runs = []
     for c, v in entries:
         gap = c - row[-1][0] - len(row[-1][1]) if row else _GAP + 1
         if gap > _GAP:
@@ -102,7 +120,7 @@ def runs(entries: Iterable[Tuple[int, Any]]) -> Row:
     return row
 
 
-def sparse_int_rows(rows: Sequence[Sequence[Tuple[int, Sequence]]]) -> List[Row]:
+def sparse_int_rows(rows: Sequence[Sequence[Tuple[int, Sequence]]]) -> List[Runs]:
     """Clear denominators per row: each row of runs with int or Fraction
     entries, scaled by the lcm of its denominators."""
     out = []
@@ -113,64 +131,232 @@ def sparse_int_rows(rows: Sequence[Sequence[Tuple[int, Sequence]]]) -> List[Row]
     return out
 
 
-def echelon_insert(pivots: Dict[int, Row], row: Row) -> Optional[int]:
-    """Reduce an integer row in place against the echelon rows; keep the rest.
+def echelon_insert(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
+    """Reduce an integer row given as runs against the echelon rows; keep
+    the rest.  The row is consumed: it may be reduced in place.
 
-    ``pivots`` maps each pivot column to its row, primitive, whose first
-    run starts at that column with a positive entry; a nonzero remainder
-    joins it under its own first nonzero column, which is returned (None
-    when the row reduces to zero).  Rows combine fraction-free after their
-    leading entries are divided by their gcd, which keeps entries small
-    minors; the remainder is then a multiple of the one a reduction to
-    content 1 at every step keeps, so dividing it out once stores the same.
+    ``pivots`` maps each pivot column to its row (see ``Row``); a nonzero
+    remainder joins it under its own first nonzero column, which is
+    returned (None when the row reduces to zero).  Rows combine
+    fraction-free: with a and b the row's and the pivot's leading entries
+    divided by their gcd, the row R becomes b*R - a*P.  The remainder is
+    then a multiple of the one a reduction to content 1 at every step
+    keeps, so dividing its content out once, when it is stored, stores the
+    same row.  A row of one run shorter than ``_PACKED_MIN`` entries that
+    meets pivots of the same kind is combined entry by entry; any other
+    row is combined packed (``_reduce_packed``), one multiply-subtract per
+    run of P.
     """
-    s = 0  # row[0][1][s] is the entry in column row[0][0] + s
-    while row:
-        c, lead = row[0]
-        while s < len(lead) and not lead[s]:
+    if len(row) != 1 or len(row[0][1]) >= _PACKED_MIN:
+        return _reduce_packed(pivots, row)
+    c, run = row[0]
+    s = 0  # run[s] is the entry in column c + s
+    while True:
+        while s < len(run) and not run[s]:
             s += 1
-        if s == len(lead):
-            del row[0]
-            s = 0
-            continue
+        if s == len(run):
+            return None
         p = pivots.get(c + s)
         if p is None:
-            row[:] = [(c + s, lead[s:])] + [(col, run) for col, run in row[1:] if any(run)]
-            while not row[-1][1][-1]:
-                row[-1][1].pop()
-            g = gcd(*chain.from_iterable(run for _, run in row))
-            g = g if lead[s] > 0 else -g
-            pivots[c + s] = [(col, [v // g for v in run]) for col, run in row] if g != 1 else row
-            return c + s
-        g = gcd(lead[s], p[0][1][0])
-        a, b = lead[s] // g, p[0][1][0] // g
+            return _store(pivots, [(c + s, run[s:] if s else run)])
+        p_runs = _runs(p)
+        if len(p_runs) > 1 or len(p_runs[0][1]) >= _PACKED_MIN:
+            return _reduce_packed(pivots, [(c, run)])
+        entries = p_runs[0][1]
+        g = gcd(run[s], p[0])
+        a, b = run[s] // g, p[0] // g
         if b != 1:
-            row[:] = [(col, [b * x for x in run]) for col, run in row]
-        for col, run in p:
-            _subtract(row, col, a, run)
-    return None
+            run = [b * x for x in run]
+        end = s + len(entries)
+        if end > len(run):
+            run += [0] * (end - len(run))
+        run[s:end] = [x - a * y for x, y in zip(run[s:end], entries)]
 
 
-def _subtract(row: Row, col: int, a: int, entries: List[int]) -> None:
-    """row -= a * entries, placed from column col on, in place; the runs of
-    row within ``_GAP`` columns of that span merge with it into one run."""
-    end, i = col + len(entries), 0
-    while i < len(row) and row[i][0] + len(row[i][1]) + _GAP < col:
+def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
+    """``echelon_insert`` with each run of the row and of the pivots it meets
+    packed into one integer by ``lmatrix._pack``.
+
+    Width: the row and the pivot it meets are packed at one width w, and
+    each digit of either is at most its bound B in absolute value, with
+    B < 2^(8w - 1), so the digits are balanced and, ``_pack`` being
+    Z-linear, b*R - a*P packs the digitwise combination, whose digits are
+    at most |b|*B_R + |a|*B_P.  That sum is checked before each
+    combination; when it would reach 2^(8w - 1), B_R is first tightened to
+    the row's largest digit, and only when that fails are the row and the
+    pivot repacked wider.  The stored row keeps its packed runs, divided
+    by the content (exactly, digit by digit), and its largest digit as B.
+
+    The next leading entry is the lowest nonzero digit, and it lies in the
+    digit of the lowest set bit: with d_k the first nonzero digit, the
+    value is X^k * (d_k + X*r) for an integer r, X = 2^(8w), and d_k + X*r
+    is d_k modulo X, nonzero since 0 < |d_k| < X/2, so its lowest set bit
+    is below bit 8w.  Dropping the k zero digits below it is an exact
+    shift: the value is a multiple of X^k, so the floor of value / X^k is
+    the quotient, whose digits are d_k, d_(k+1), ... (balanced still), and
+    d_k is its residue modulo X read in [-X/2, X/2).
+    """
+    i = 0
+    while i < len(row) and not any(row[i][1]):
+        i += 1
+    if i == len(row):
+        return None
+    c, first = row[i]
+    s = 0
+    while not first[s]:
+        s += 1
+    c, lead = c + s, first[s]
+    p = pivots.get(c)
+    if p is None:
+        return _store(pivots, [(c, first[s:] if s else first)]
+                      + [run for run in row[i + 1:] if any(run[1])])
+    bound = max(max(first), -min(first)) if len(row) == i + 1 else \
+        max(max(max(run), -min(run)) for _, run in row[i:] if run)
+    width = p[2] or _WIDTH
+    if bound.bit_length() >= 8 * width:
+        width = max(width, _digit_width(bound))
+    v, n = _pack(first[s:] if s else first, width), len(first) - s
+    rest = [(col, _pack(run, width), len(run)) for col, run in row[i + 1:]]
+    bits, mask = 8 * width, _digit_mask(width)
+    half = mask >> 1  # the largest balanced digit
+    while True:
+        if p[2] != width:
+            width, v, rest = _common_width(p, width, width, v, rest)
+            bits, mask = 8 * width, _digit_mask(width)
+            half = mask >> 1
+        p_lead, _, _, p_bound, p_runs = p
+        g = gcd(lead, p_lead)
+        a, b = lead // g, p_lead // g
+        new_bound = b * bound + abs(a) * p_bound
+        if new_bound > half:
+            bound = max(abs(d) for x in [v] + [x for _, x, _ in rest] for d in _unpack(x, width))
+            new_bound = b * bound + abs(a) * p_bound
+            if new_bound > half:
+                width, v, rest = _common_width(p, width, _digit_width(new_bound), v, rest)
+                bits, mask, p_runs = 8 * width, _digit_mask(width), p[4]
+                half = mask >> 1
+        bound = new_bound
+        _, pv, pn = p_runs[0]
+        if len(p_runs) == 1 and (not rest or c + pn + _GAP < rest[0][0]):  # run meets run
+            v = b * v - a * pv
+            if pn > n:
+                n = pn
+            if rest and b != 1:
+                rest = [(col, b * x, m) for col, x, m in rest]
+        else:
+            merged = [(c, v, n)] + rest
+            if b != 1:
+                merged = [(col, b * x, m) for col, x, m in merged]
+            for col, x, m in p_runs:
+                _subtract(merged, col, a, x, m, width)
+            (c, v, n), rest = merged[0], merged[1:]
+        if v:  # its digit 0, at column c, is now 0: drop it
+            v >>= bits
+            c, n = c + 1, n - 1
+        else:
+            while not v:
+                if not rest:
+                    return None
+                (c, v, n), rest = rest[0], rest[1:]
+        lead = v & mask
+        if not lead:  # the lowest nonzero digit is further up
+            k = ((v & -v).bit_length() - 1) // bits
+            v >>= bits * k
+            c, n = c + k, n - k
+            lead = v & mask
+        if lead > half:
+            lead -= mask + 1
+        p = pivots.get(c)
+        if p is None:
+            break
+    packed = [(c, v, n)] + [run for run in rest if run[1]] if rest else [(c, v, n)]
+    if len(packed) == 1:
+        digits = _unpack(v, width)[:n]
+        while not digits[-1]:
+            digits.pop()
+    else:
+        digits = [d for _, x, _ in packed for d in _unpack(x, width)]
+    g = gcd(*digits)
+    g = g if lead > 0 else -g
+    runs = [(c, digits)] if len(packed) == 1 else None
+    if g != 1:
+        packed = [(col, x // g, m) for col, x, m in packed]
+        runs = runs and [(c, [d // g for d in digits])]
+    pivots[c] = [lead // g, runs, width, max(max(digits), -min(digits)) // abs(g), packed]
+    return c
+
+
+def _store(pivots: Dict[int, Row], runs: Runs) -> int:
+    """Store a row whose first entry is nonzero, in a column without a
+    pivot, divided by its content with that entry made positive, and
+    return the column."""
+    last = runs[-1][1]
+    while not last[-1]:
+        last.pop()
+    g = gcd(*last) if len(runs) == 1 else gcd(*chain.from_iterable(run for _, run in runs))
+    g = g if runs[0][1][0] > 0 else -g
+    if g != 1:
+        runs = [(col, [v // g for v in run]) for col, run in runs]
+    pivots[runs[0][0]] = [runs[0][1][0], runs, 0, 0, ()]
+    return runs[0][0]
+
+
+def _digit_width(bound: int) -> int:
+    """Bytes per digit for entries up to ``bound`` in absolute value: the
+    least width w = 8 * 2^j with bound < 2^(8w - 1), so that rows of one
+    echelon mostly share a width and widening doubles it."""
+    width = _WIDTH
+    while bound.bit_length() >= 8 * width:
+        width *= 2
+    return width
+
+
+def _common_width(p: Row, width: int, need: int, v: int, rest: List[Tuple[int, int, int]]):
+    """(w, v, rest): the stored row p packed at w, the least width of at
+    least ``need`` bytes, p's own width and what p's entries need; and the
+    partly reduced row, its first run's value v and its other runs, packed
+    at ``width``, repacked at w."""
+    _, _, old, bound, _ = p
+    if not old:
+        bound = p[3] = max(max(max(run), -min(run)) for _, run in p[1])
+    wider = max(need, old, _digit_width(bound))
+    if wider != old:
+        p[2], p[4] = wider, [(c, _pack(run, wider), len(run)) for c, run in _runs(p)]
+    if wider != width:
+        v = _pack(_unpack(v, width), wider)
+        rest = [(col, _pack(_unpack(x, width), wider), m) for col, x, m in rest]
+    return wider, v, rest
+
+
+def _runs(row: Row) -> Runs:
+    """The runs of a stored row, unpacked on the first read."""
+    if row[1] is None:
+        row[1] = [(c, _unpack(x, row[2])[:m]) for c, x, m in row[4]]
+    return row[1]
+
+
+def row_entries(row: Row) -> SparseRow:
+    """The nonzero entries of a stored row, as {column: value}."""
+    return {c + i: v for c, run in row[1] or _runs(row) for i, v in enumerate(run) if v}
+
+
+def _subtract(row: List[Tuple[int, int, int]], col: int, a: int, value: int, length: int,
+              width: int) -> None:
+    """row -= a * (the run ``value`` of ``length`` digits placed at column
+    col), in place; the runs of row within ``_GAP`` columns of that span
+    merge with it into one run, each shifted into place."""
+    end, i = col + length, 0
+    while i < len(row) and row[i][0] + row[i][2] + _GAP < col:
         i += 1
     j = i
     while j < len(row) and row[j][0] <= end + _GAP:
         j += 1
     start = min(col, row[i][0]) if j > i else col
-    if j == i + 1 and start == row[i][0]:
-        run = row[i][1]
-        run += [0] * (end - start - len(run))
-    else:
-        run = [0] * (max(end, row[j - 1][0] + len(row[j - 1][1]) if j > i else end) - start)
-        for c, old in row[i:j]:
-            run[c - start:c - start + len(old)] = old
-        row[i:j] = [(start, run)]
-    o = col - start
-    run[o:o + len(entries)] = [x - a * y for x, y in zip(run[o:o + len(entries)], entries)]
+    stop = max(end, row[j - 1][0] + row[j - 1][2]) if j > i else end
+    total = -a * _shift(value, col - start, width)
+    for c, v, _ in row[i:j]:
+        total += _shift(v, c - start, width)
+    row[i:j] = [(start, total, stop - start)]
 
 
 def echelon_insert_mod(pivots: Dict[int, int], row: int, p: int, width: int) -> Optional[int]:
@@ -202,15 +388,14 @@ def echelon_insert_mod(pivots: Dict[int, int], row: int, p: int, width: int) -> 
     return None
 
 
-def echelon_sparse(rows: Sequence[Row]) -> Dict[int, SparseRow]:
+def echelon_sparse(rows: Sequence[Runs]) -> Dict[int, SparseRow]:
     """Echelon form of integer rows given as runs: a map {pivot column:
     integer row} where each row's minimal column is its pivot (see
     ``echelon_insert``).  The rows are consumed: they are reduced in place."""
     pivots: Dict[int, Row] = {}
     for row in rows:
         echelon_insert(pivots, row)
-    return {c: {col + i: v for col, entries in row for i, v in enumerate(entries) if v}
-            for c, row in pivots.items()}
+    return {c: row_entries(row) for c, row in pivots.items()}
 
 
 def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fraction]]:
@@ -237,7 +422,7 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fracti
             for c, (den, free) in reduced.items()}
 
 
-def sparse_kernel(rows: Sequence[Row], ncols: int) -> List[Dict[int, Fraction]]:
+def sparse_kernel(rows: Sequence[Runs], ncols: int) -> List[Dict[int, Fraction]]:
     """Basis of the exact right kernel of an integer matrix with rows
     given as runs, as sparse vectors {column: value}; the rows are
     consumed (see ``echelon_sparse``).

@@ -34,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from struct import unpack_from
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, NotInvertibleOverLaurentRing
@@ -285,6 +286,9 @@ def _digit_bytes(bound: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of unsigned digits by byte width
+
+
 def _pack(values: Sequence[int], width: int) -> int:
     """sum_j values[j] * X^j at X = 2^(8*width) for any integers, a Z-linear
     map: P(X) for the Z[x] coefficient list of P.  Horner's scheme on up to
@@ -302,15 +306,31 @@ def _pack(values: Sequence[int], width: int) -> int:
 def _unpack(value: int, width: int) -> List[int]:
     """Inverse of ``_pack`` on balanced digits: the balanced base-2^(8*width)
     digits of value, lowest first (possibly with trailing zeros), read as
-    bytes after adding the bias whose digits all equal 2^(8*width - 1)."""
+    bytes after adding the bias whose digits all equal 2^(8*width - 1);
+    digits of 1, 2, 4 or 8 bytes are read by one ``struct`` call."""
     if not value:
         return []
     count = value.bit_length() // (8 * width) + 2
     bias = int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
     raw = (value + bias).to_bytes(width * count, "little")
     half = 1 << (8 * width - 1)
+    if width in _WORDS:
+        return [v - half for v in unpack_from(f"<{count}{_WORDS[width]}", raw)]
     return [int.from_bytes(raw[i:i + width], "little") - half
             for i in range(0, len(raw), width)]
+
+
+def _shift(value: int, digits: int, width: int) -> int:
+    """value * X^digits at X = 2^(8*width): the digits moved up by
+    ``digits`` places, so a packed run placed ``digits`` columns later."""
+    return value << 8 * width * digits
+
+
+def _digit_mask(width: int) -> int:
+    """2^(8*width) - 1: value & mask is the lowest digit of a packed value
+    modulo X = 2^(8*width), its balanced digit less X when its top bit is
+    set."""
+    return (1 << 8 * width) - 1
 
 
 def _laurent(pairs: Iterable[Tuple[int, Scalar]], g: int, shift: int,

@@ -43,6 +43,7 @@ from .linalg import (
     qmat,
     rank,
     rational_roots,
+    row_entries,
     trace,
     transpose,
 )
@@ -236,8 +237,8 @@ def _spin(seed: Sequence[int], gens: Sequence[IntMatrix]) -> Tuple[Tuple[int, ..
 
     def dense(row: Row) -> Tuple[int, ...]:
         out = [0] * n
-        for c, entries in row:
-            out[c:c + len(entries)] = entries
+        for c, v in row_entries(row).items():
+            out[c] = v
         return tuple(out)
 
     add(seed)

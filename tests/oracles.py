@@ -36,10 +36,12 @@ with every column update in Fraction arithmetic on ``LaurentPoly``
 entries, kept verbatim, so B, the exponents and C of the two can be
 compared exactly.
 
-The echelon oracle is the package's sparse integer echelon insertion as
-it was before the lazy, dense-row core: dict rows, and the gcd of the
-whole row divided out after every combination.  It is kept verbatim, so
-the pivot rows of the two can be compared exactly.
+The echelon oracle is the reference for the package's integer echelon
+core, which combines rows as runs of ints or as packed runs: the
+sparse insertion on dict rows {column: value}, the gcd of the whole row
+divided out after every combination.  It shares no representation with
+the core and is kept verbatim, so the pivot rows of the two can be
+compared exactly.
 
 The modular word-span oracle is the F_p branch of the package's word-span
 closure as it was before it ran on packed integer rows: the same

@@ -527,11 +527,39 @@ def test_refused_entry_exits_cleanly(tmp_path, case):
 
 
 def test_zero_denominator_cell_is_a_domain_error(tmp_path):
-    # a numeral cell with a zero denominator is left to the grammar
+    # a numeral cell with a zero denominator is left to the grammar, and the
+    # domain error names the cell, as a parse error does
     path = write(tmp_path, "tuple.txt", BOLI.replace("0, 0, -4, -1", "0, 0, -4, 1/0"))
     code, out, err = _run_process("bolibrukh", path)
     assert code == 3 and out == ""
-    assert err == "domain error: division by the zero rational function\n"
+    assert err == "domain error: division by the zero rational function (line 9, column 10)\n"
+
+
+# (cell on line 3 of a 2 x 2 laurent_matrix, message): a domain error raised
+# while reading a cell keeps its class and exit code 3 and names the cell.
+DOMAIN_ERROR_CELLS = {
+    "zero_divisor": ("0, 3/0*x", "division by the zero rational function (line 3, column 3)"),
+    "refused_power": ("(1+x)^99999, 1", "power with up to 100000 terms exceeds the work "
+                                         "budget of 512 terms (line 3, column 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERROR_CELLS))
+def test_domain_error_in_a_cell_names_its_line_and_column(tmp_path, capsys, case):
+    cell, message = DOMAIN_ERROR_CELLS[case]
+    path = write(tmp_path, "cell.txt", f"kind = laurent_matrix, n = 2\nx, 1\n{cell}\n")
+    code, out, err = run(capsys, "split", path)
+    assert code == 3 and out == ""
+    assert err == f"domain error: {message}\n"
+
+
+def test_domain_error_in_a_factorization_cell_is_named_by_matrix_and_entry(tmp_path, capsys):
+    doc = {"b": [["1", "3/0*x"], ["0", "1"]], "c": [["1", "0"], ["0", "1"]], "diagonal": [0, 0]}
+    path = write(tmp_path, "id.txt", ID2)
+    code, out, err = run(capsys, "verify", path, write(tmp_path, "doc.json", json.dumps(doc)))
+    assert code == 3 and out == ""
+    assert err == ("domain error: factorization 'b' entry (1, 2): "
+                   "division by the zero rational function (column 1)\n")
 
 
 def test_fuchs_ode_with_a_huge_pole_order_at_zero_does_not_hang(tmp_path):

@@ -26,14 +26,20 @@ column, entries), with integer or rational entries, some in a band whose
 first column shifts from row to row as in a section system, and some
 with stretches of zeros longer than ``linalg._GAP`` between their runs,
 which combinations must keep or fill in.  Its pivot map must
-equal that of the per-step-gcd insertion it replaced
-(``oracles.echelon_reference``), and ``sparse_kernel`` and ``solve`` must
-give the vectors read off sympy's ``rref``.
+equal that of the dict-row insertion (``oracles.echelon_reference``), and
+``sparse_kernel`` and ``solve`` must give the vectors read off sympy's
+``rref``.  The same holds at the edges of the packed layout: rows long
+enough to be packed, split into runs exactly ``_GAP`` and ``_GAP + 1``
+zeros apart, with leads of either sign, entries within a factor of 2 of
+the first digit limit (so that a combination must widen the digits), and
+rows that reduce to zero.  ``monodromy._spin`` must give the bases the
+same spins give on dict rows, on the reducible golden tuples.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -44,11 +50,14 @@ from hypothesis import strategies as st
 from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
 from bgsplit.fuchsian import gauge_transform
+from bgsplit.io import parse_matrix_file
 from bgsplit.laurent import LaurentPoly
-from bgsplit.linalg import _GAP, echelon_sparse, solve, sparse_int_rows, sparse_kernel
+from bgsplit.linalg import (_GAP, _PACKED_MIN, echelon_sparse, integer_scaled, solve,
+                            sparse_int_rows, sparse_kernel, transpose)
+from bgsplit.monodromy import _spin
 from bgsplit.ratfunc import RatFunc
 
-from oracles import echelon_reference, rf_mat_mul
+from oracles import echelon_insert, echelon_reference, rf_mat_mul
 
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
 ROOTS = st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2)))
@@ -271,3 +280,81 @@ def test_solve_matches_sympy_rref(drawn, data):
     for i, j in enumerate(pivots):
         want[j] = _fraction(reduced[i, ncols])
     assert [row[0] for row in x] == want
+
+
+@st.composite
+def packed_rows(draw):
+    """Rows of at least ``_PACKED_MIN`` entries, so that they are reduced
+    packed, over columns spread at up to three cuts by exactly _GAP or
+    _GAP + 1 zeros, each row split into runs at the cuts it spans.  Each
+    drawn row starts with a lead of either sign; entries are small, or
+    within a factor of 2 of 2^63, the limit of the first digit width; the
+    rows drawn last are combinations of earlier ones, so reduce to zero."""
+    ncols = draw(st.integers(_PACKED_MIN, _PACKED_MIN + 16))
+    size = st.integers(2**62, 2**63 - 1) if draw(st.booleans()) else st.integers(1, 9)
+    entry = st.builds(lambda v, sign: sign * v, size, st.sampled_from((1, -1)))
+    cuts = {c: draw(st.sampled_from((_GAP, _GAP + 1)))
+            for c in draw(st.sets(st.integers(1, ncols - 1), max_size=3))}
+    spread = [j + sum(gap for c, gap in cuts.items() if c <= j) for j in range(ncols)]
+    dense = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, ncols - _PACKED_MIN))
+        tail = draw(st.lists(st.one_of(st.just(0), entry), min_size=ncols - start - 1,
+                             max_size=ncols - start - 1))
+        dense.append([0] * start + [draw(entry)] + tail)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = (draw(st.integers(0, len(dense) - 1)) for _ in range(2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        dense.append([a * x + b * y for x, y in zip(dense[i], dense[j])])
+    rows = []
+    for row in dense:
+        start = next((j for j, v in enumerate(row) if v), 0)
+        ends = [start, *sorted(c for c in cuts if c > start), ncols]
+        rows.append([(spread[a], row[a:b]) for a, b in zip(ends, ends[1:])])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packed_rows())
+def test_packed_pivots_match_the_reference_at_the_layout_edges(rows):
+    as_dicts = [{c + i: Fraction(v) for c, entries in row for i, v in enumerate(entries)}
+                for row in rows]
+    assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
+
+
+def _spin_reference(seed, gens):
+    """``monodromy._spin`` on dict rows through ``oracles.echelon_insert``."""
+    n = len(seed)
+    pivots, queue = {}, []
+
+    def add(vec):
+        c = echelon_insert(pivots, {j: v for j, v in enumerate(vec) if v})
+        if c is not None:
+            queue.append(c)
+
+    def dense(row):
+        return tuple(row.get(j, 0) for j in range(n))
+
+    add(seed)
+    for c in queue:
+        if len(pivots) == n:
+            break
+        row = dense(pivots[c])
+        for g in gens:
+            add(sum(w * v for w, v in zip(g[i], row)) for i in range(n))
+    return tuple(dense(row) for _, row in sorted(pivots.items()))
+
+
+REDUCIBLE_TUPLES = ("demos/data/monodromy.txt", "tests/data/monodromy_gaussian4.txt",
+                    "tests/data/monodromy_jordan6.txt", "tests/data/monodromy_reducible6.txt")
+
+
+@pytest.mark.parametrize("path", REDUCIBLE_TUPLES)
+def test_spin_bases_match_the_dict_row_spins_on_reducible_tuples(path):
+    text = (Path(__file__).resolve().parents[1] / path).read_text(encoding="utf-8")
+    gens = [integer_scaled(m)[1] for m in parse_matrix_file(text).obj.matrices]
+    n = len(gens[0])
+    seeds = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [g[0] for g in gens]
+    for side in (gens, [transpose(g) for g in gens]):
+        for seed in seeds:
+            assert _spin(seed, side) == _spin_reference(seed, side)

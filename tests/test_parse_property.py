@@ -180,7 +180,8 @@ def monomial_sums(low):
 
 
 _separators = st.lists(st.sampled_from(["", "", " ", "\t"]), min_size=1, max_size=4)
-_ZERO_DIVISION = (NotInvertible, "division by the zero rational function", None, None)
+_ZERO_DIVISION = (NotInvertible, "division by the zero rational function (line 1, column 1)",
+                  1, 1)
 
 
 def _spaced(text, separators):
