@@ -29,9 +29,9 @@ All arithmetic is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg  # sparse_int_rows and det_q, looked up per call: perfbench wraps them
 from .errors import InternalSearchExhausted, InvalidBundle, WorkBudgetExceeded, decimal
@@ -43,12 +43,16 @@ from .orderbasis import factor_to_diagonal
 
 @dataclass(frozen=True)
 class BundleOnP1:
-    """Rank-n bundle presented by its transition matrix (unit det)."""
+    """Rank-n bundle presented by its transition matrix (unit det).
+
+    ``inverse_lo`` is the lowest exponent of A^-1 once known: ``dual``
+    records it, and ``_toeplitz_pass`` keeps what it finds."""
 
     transition: LaurentMatrix
     rank: int
     det_coeff: Fraction
     det_exponent: int
+    inverse_lo: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 def bundle(rows_or_matrix: Union[LaurentMatrix, Sequence[Sequence]]) -> BundleOnP1:
@@ -137,28 +141,94 @@ class RiemannRochReport:
 
 # Most unknowns n*(bound+1), or target exponents, of a section system, and most
 # n*(span+1) of a factorization, whose order-basis loop takes about that many
-# steps.  On the proven degree bound the benchmark's systems have under 10^2
-# unknowns, a planted rank-24 bundle's 5*10^3 and h0 on x^20000 2*10^4; h0 on
-# x^99999999999 would need 10^11, split on it 2.  [[x^N, 1], [0, x^-N]] fits
-# up to N = 16,383 for split and factor and up to N = 32,767 for h0.
+# steps.  A section system is charged on the adjugate degree bound, before the
+# exact one is read, so no refusal depends on the Toeplitz pass.  On that bound
+# the benchmark's systems have under 10^2 unknowns, a planted rank-24 bundle's
+# 5*10^3 (4*10^2 on the exact bound) and h0 on x^20000 2*10^4; h0 on
+# x^99999999999 would need 10^11, split on it 2.  [[x^N, 1], [0, x^-N]] fits up
+# to N = 16,383 for split and factor and up to N = 32,767 for h0.
 SECTION_BUDGET = 1 << 16
+
+
+def _adjugate_lo(e: BundleOnP1) -> int:
+    """(n - 1)*lo - t, the lower bound on the exponents of A^-1 that its
+    adjugate gives (see _degree_bound)."""
+    return (e.rank - 1) * e.transition.exponent_range()[0] - e.det_exponent
+
+
+def _charge(e: BundleOnP1, kmin: int, kmax: int, extra: int) -> None:
+    """WorkBudgetExceeded when the twist-kmin section system on the
+    adjugate degree bound of twist kmax, plus ``extra``, is over
+    SECTION_BUDGET."""
+    lo, hi = e.transition.exponent_range()
+    bound = max(0, kmax - _adjugate_lo(e)) + extra
+    if max(e.rank * (bound + 1), min(0, kmin + hi + 1) - (kmin + lo - bound)) > SECTION_BUDGET:
+        raise WorkBudgetExceeded(f"section system of twist {decimal(kmin)} needs degree bound "
+                                 f"{decimal(bound)} in rank {e.rank}, over the work budget of "
+                                 f"{SECTION_BUDGET}")
 
 
 def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     """Most 1/x-degree of s1 in a section of E(k), plus ``extra``.
 
-    With det A = c*x^t, s0 = x^k*A*s1 gives s1 = c^-1*x^(-k-t)*adj(A)*s0.
-    Every adjugate entry is a sum of products of n - 1 entries of A, so
-    its exponents are at least (n - 1)*lo, lo the lowest entry exponent;
-    s0 has no negative exponent.  So s1 has 1/x-degree at most
-    k + t - (n - 1)*lo.  The bound grows with k, and diag(x^a, x^b)
-    attains it: its top section has degree k + max(a, b).
+    s0 = x^k*A*s1 gives s1 = x^-k*A^-1*s0, and s0 has no negative
+    exponent, so s1 has 1/x-degree at most k - lo(A^-1), lo(A^-1) the
+    lowest exponent of A^-1, which the bundle holds once the dual or
+    _toeplitz_pass has found it.  The bound grows with k, and
+    diag(x^a, x^b) attains it: its top section has degree k + max(a, b).
+
+    lo(A^-1) without A^-1: with lo the lowest entry exponent of A and
+    det A = c*x^t, P = x^-lo*A is polynomial, det P = c*x^tau with
+    tau = t - n*lo.  Over Q[[x]], P = U*diag(x^e_1, ..., x^e_n)*V with U
+    and V invertible and e_1 <= ... <= e_n (the local Smith form at 0), so
+    P^-1 has x-adic order -e_n and lo(A^-1) = -lo - e_n.  The kernel of
+    T_m, the block lower-triangular Toeplitz matrix of P's first m
+    coefficient blocks, is the v of degree below m with P*v = 0 mod x^m;
+    U and V carry it onto the w with x^e_i*w_i = 0 mod x^m, so it has
+    dimension sum(min(e_i, m)), and e_n (<= tau) is the first m at which
+    m*n - rank(T_m) reaches tau.  T_m is the first m target-exponent
+    groups of every section system on a bound of m - 1 or more: with w_q
+    the coefficients of x^(q - bound) in s1, at columns q*n to q*n + n - 1
+    (_section_groups), group r is sum_s P_s*w_(r-s) at any twist and
+    bound.  So _toeplitz_pass inserts the groups one at a time and reads
+    each rank.
+
+    The adjugate gives a lower bound: A^-1 = c^-1*x^-t*adj(A), and every
+    adjugate entry is a sum of products of n - 1 entries of A, so
+    lo(A^-1) >= (n - 1)*lo - t, the bound used until lo(A^-1) is found.
+    It is exact for n <= 2, where adj(A) holds A's own entries up to
+    sign, and for tau = 0, where e_n = 0.
     """
-    lo = e.transition.exponent_range()[0]
-    return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
+    inverse_lo = _adjugate_lo(e) if e.inverse_lo is None else e.inverse_lo
+    return max(0, k - inverse_lo) + extra
 
 
-def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Runs]], int, int]:
+def _toeplitz_pass(e: BundleOnP1, k: int, pivots: Dict[int, Row]) -> int:
+    """Insert the first groups of the section systems into ``pivots`` one
+    at a time until the ranks give e_n (see _degree_bound), record
+    lo(A^-1) = -lo - e_n on the bundle and return how many groups.
+
+    At most min(tau, k - (n - 1)*lo + t) groups are read, no more
+    unknowns than the twist-k system on the adjugate bound has; when e_n
+    lies beyond them nothing is recorded.  For n <= 2 the adjugate bound
+    is exact and no pass runs.
+    """
+    if e.inverse_lo is not None or e.rank <= 2:
+        return 0
+    adjugate, lo = _adjugate_lo(e), e.transition.exponent_range()[0]
+    tau = -lo - adjugate
+    cap = min(tau, k - adjugate)
+    m = 0  # the twist -lo - 1 system on the bound cap - 1 has exactly cap groups
+    for m, group in enumerate(_section_groups(e.transition, -lo - 1, cap - 1), 1):
+        for row in group:
+            echelon_insert(pivots, row)
+        if m * e.rank - len(pivots) == tau:
+            object.__setattr__(e, "inverse_lo", -lo - m)
+            break
+    return m
+
+
+def _section_groups(a: LaurentMatrix, k: int, bound: int, start: int = 0) -> Iterator[List[Runs]]:
     """Linear system 'negative-exponent coefficients of x^k*A*s1 vanish'.
 
     Unknowns are the coefficients c[j, b] of s1_j = sum_b c[j, b] x^-b,
@@ -169,22 +239,16 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Runs]
     an entry are left out.  Each row is a window of row i of the
     generator, which holds the x^t coefficient of A[i, j] at
     (hi - t) * n + j and is scaled by the lcm of its denominators, and is
-    given as integer runs (see ``linalg.Runs``).  Returns the groups, the
-    number of unknowns and the target exponent of the first group.
+    given as integer runs (see ``linalg.Runs``).  Yields the groups from
+    the ``start``-th on.
     """
     n = a.n
     lo, hi = a.exponent_range()
-    low, top = k + lo - bound, min(0, k + hi + 1)  # top: past the last target exponent
-    if max(n * (bound + 1), top - low) > SECTION_BUDGET:
-        raise WorkBudgetExceeded(f"section system of twist {decimal(k)} needs degree bound "
-                                 f"{decimal(bound)} in rank {n}, over the work budget of "
-                                 f"{SECTION_BUDGET}")
     generator = linalg.sparse_int_rows([linalg.runs(sorted(
         ((hi - t) * n + j, v) for j in range(n) for t, v in a[i, j]._terms.items()))
         for i in range(n)])
     ncols = n * (bound + 1)
-    groups: List[List[Runs]] = []
-    for e in range(low, top):
+    for e in range(k + lo - bound + start, min(0, k + hi + 1)):
         base = (bound - k + e - hi) * n  # the column of generator offset 0
         first, stop = -base, ncols - base  # the generator offsets of columns 0 and ncols
         group = []
@@ -193,8 +257,40 @@ def _section_rows(a: LaurentMatrix, k: int, bound: int) -> Tuple[List[List[Runs]
                    and any(window := entries[first - o if o < first else 0:stop - o])]
             if row:
                 group.append(row)
-        groups.append(group)
-    return groups, ncols, low
+        yield group
+
+
+def _section_rows(
+    a: LaurentMatrix, k: int, bound: int, start: int
+) -> Tuple[List[List[Runs]], int, int]:
+    """The groups of the twist-k section system on ``bound`` from the
+    ``start``-th on (_section_groups), the number of unknowns and the
+    target exponent of the first group returned."""
+    return (list(_section_groups(a, k, bound, start)), a.n * (bound + 1),
+            k + a.exponent_range()[0] - bound + start)
+
+
+def _section_system(
+    e: BundleOnP1, kmin: int, kmax: int, extra: int
+) -> Tuple[Dict[int, Row], List[List[Runs]], int, int, int]:
+    """The twist-kmin section system on the degree bound of twist kmax plus
+    ``extra``, charged to SECTION_BUDGET on the adjugate bound first:
+    (pivots, groups, ncols, low, bound), pivots the echelon form of the
+    groups _toeplitz_pass inserted and groups the rest, the first at target
+    exponent low.  The pass's groups are this system's own up to group
+    ``bound``, and the system has at least as many: bound + hi - lo + 1
+    when kmin < -hi - 1, else at least kmax - kmin + e_n (kmax - kmin + tau
+    when nothing was recorded).  Past ``bound`` a group is cut at the last
+    column, so there the system starts afresh.
+    """
+    _charge(e, kmin, kmax, extra)
+    pivots: Dict[int, Row] = {}
+    done = _toeplitz_pass(e, kmax, pivots)
+    bound = _degree_bound(e, kmax, extra)
+    if done > bound + 1:  # a twist below -lo - 1: the pass read past the bound
+        pivots, done = {}, 0
+    groups, ncols, low = _section_rows(e.transition, kmin, bound, done)
+    return pivots, groups, ncols, low, bound
 
 
 def _h0_dimension(e: BundleOnP1, k: int) -> int:
@@ -212,9 +308,7 @@ def section_profile(
     rows are inserted into one echelon form in ascending target exponent,
     and the nullity is read off each time the prefix reaches a cutoff.
     """
-    bound = _degree_bound(e, kmax, extra)  # it grows with k
-    groups, ncols, low = _section_rows(e.transition, kmin, bound)
-    pivots: Dict[int, Row] = {}
+    pivots, groups, ncols, low, _ = _section_system(e, kmin, kmax, extra)  # the bound grows with k
     done = 0
     profile = {}
     for k in range(kmax, kmin - 1, -1):
@@ -237,10 +331,9 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     """
     a = e.transition
     n = e.rank
-    bound = _degree_bound(e, k, 0)
-    groups, ncols, _ = _section_rows(a, k, bound)
+    pivots, groups, ncols, _, bound = _section_system(e, k, k, 0)
     columns = []
-    for vec in sparse_kernel([row for group in groups for row in group], ncols):
+    for vec in sparse_kernel([row for group in groups for row in group], ncols, pivots):
         # column (bound - b) * n + j holds the x^-b coefficient of s1_j
         terms: List[Dict[int, Fraction]] = [{} for _ in range(n)]
         for col, v in vec.items():
@@ -387,9 +480,10 @@ def _clause_report(a: LaurentMatrix, factorization: Factorization) -> Verificati
 
 
 def dual(e: BundleOnP1) -> BundleOnP1:
-    """Dual bundle: transition (A^T)^-1, whose determinant is 1 / det A."""
+    """Dual bundle: transition (A^T)^-1, whose determinant is 1 / det A and
+    whose inverse A^T has A's lowest exponent."""
     return BundleOnP1(e.transition.transpose().inverse(), e.rank,
-                      1 / e.det_coeff, -e.det_exponent)
+                      1 / e.det_coeff, -e.det_exponent, e.transition.exponent_range()[0])
 
 
 def twist(e: BundleOnP1, k: int) -> BundleOnP1:
@@ -419,8 +513,16 @@ def h1_dim(e: BundleOnP1, k: int = 0) -> int:
 
 
 def riemann_roch_check(e: BundleOnP1, k: int = 0) -> RiemannRochReport:
-    """h0 - h1 = deg + rank on E(k); holds for every bundle (self-test)."""
-    h0, h1, deg_k = _h0_dimension(e, k), h1_dim(e, k), e.det_exponent + e.rank * k
+    """h0 - h1 = deg + rank on E(k); holds for every bundle (self-test).
+
+    h1 is h1_dim's h0 on the dual, which also gives E's degree bounds:
+    A^-1 = ((A^T)^-1)^T has the lowest exponent of the dual's transition.
+    The twist-k system is charged before the dual is inverted, as in h0.
+    """
+    _charge(e, k, k, 0)
+    d = dual(e)
+    h0 = _h0_dimension(replace(e, inverse_lo=d.transition.exponent_range()[0]), k)
+    h1, deg_k = _h0_dimension(d, -k - 2), e.det_exponent + e.rank * k
     return RiemannRochReport(h0=h0, h1=h1, degree=deg_k, rank=e.rank,
                              holds=(h0 - h1 == deg_k + e.rank))
 

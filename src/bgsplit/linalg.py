@@ -44,14 +44,15 @@ SparseRow = Dict[int, int]
 # A row as runs (first column, entries), ascending and disjoint, so that it
 # costs the columns its runs cover; runs at most _GAP zeros apart merge.
 Runs = List[Tuple[int, List[int]]]
-# A row the echelon core keeps: [lead, runs, width, bound, packed], primitive,
-# its first entry lead positive at its pivot column.  packed holds its runs at
-# width bytes a digit, each as (first column, value, length): value = sum of
-# e_j * X^j at X = 2^(8*width) (``lmatrix._pack``), with every |e_j| <= bound
-# < 2^(8*width - 1), so its digits are balanced (the width invariant).  A row
-# stored without a combination keeps its runs and is packed when it first meets
-# a packed row (width 0 until then); one stored after a packed combination keeps
-# its packed runs and is unpacked when first read (runs None until then).
+# A row the echelon core keeps, primitive, its first entry lead positive at its
+# pivot column: light, its runs alone, or full, [lead, runs, width, bound,
+# packed].  packed holds its runs at width bytes a digit, each as (first column,
+# value, length): value = sum of e_j * X^j at X = 2^(8*width) (``lmatrix._pack``),
+# with every |e_j| <= bound < 2^(8*width - 1), so its digits are balanced (the
+# width invariant).  A row is stored light, and turns full in place when it first
+# meets a packed row (``_make_full``; width 0 until it is packed there); one
+# stored after a packed combination keeps its packed runs and is unpacked when
+# first read (runs None until then).
 Row = List[Any]
 _GAP = 32
 _WIDTH = 8  # the fewest bytes per digit of a packed row
@@ -158,15 +159,15 @@ def echelon_insert(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
             return None
         p = pivots.get(c + s)
         if p is None:
-            return _store(pivots, [(c + s, run[s:] if s else run)])
+            return _store(pivots, [(c + s, run[s:])] if s else row)
         p_runs = _runs(p)
         if len(p_runs) > 1 or len(p_runs[0][1]) >= _PACKED_MIN:
-            return _reduce_packed(pivots, [(c, run)])
+            return _reduce_packed(pivots, row)
         entries = p_runs[0][1]
-        g = gcd(run[s], p[0])
-        a, b = run[s] // g, p[0] // g
+        g = gcd(run[s], entries[0])
+        a, b = run[s] // g, entries[0] // g
         if b != 1:
-            run = [b * x for x in run]
+            run[:] = [b * x for x in run]  # in place: row stays [(c, run)]
         end = s + len(entries)
         if end > len(run):
             run += [0] * (end - len(run))
@@ -208,8 +209,11 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
     c, lead = c + s, first[s]
     p = pivots.get(c)
     if p is None:
-        return _store(pivots, [(c, first[s:] if s else first)]
-                      + [run for run in row[i + 1:] if any(run[1])])
+        rest = [run for run in row[i + 1:] if any(run[1])]
+        if i or s or len(rest) < len(row) - 1:
+            row = [(c, first[s:] if s else first)] + rest
+        return _store(pivots, row)
+    _make_full(p)
     bound = max(max(first), -min(first)) if len(row) == i + 1 else \
         max(max(max(run), -min(run)) for _, run in row[i:] if run)
     width = p[2] or _WIDTH
@@ -269,6 +273,7 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
         p = pivots.get(c)
         if p is None:
             break
+        _make_full(p)
     packed = [(c, v, n)] + [run for run in rest if run[1]] if rest else [(c, v, n)]
     if len(packed) == 1:
         digits = _unpack(v, width)[:n]
@@ -289,7 +294,8 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
 def _store(pivots: Dict[int, Row], runs: Runs) -> int:
     """Store a row whose first entry is nonzero, in a column without a
     pivot, divided by its content with that entry made positive, and
-    return the column."""
+    return the column.  The row is kept light: its runs alone, the very
+    list given when the content is 1."""
     last = runs[-1][1]
     while not last[-1]:
         last.pop()
@@ -297,8 +303,14 @@ def _store(pivots: Dict[int, Row], runs: Runs) -> int:
     g = g if runs[0][1][0] > 0 else -g
     if g != 1:
         runs = [(col, [v // g for v in run]) for col, run in runs]
-    pivots[runs[0][0]] = [runs[0][1][0], runs, 0, 0, ()]
+    pivots[runs[0][0]] = runs
     return runs[0][0]
+
+
+def _make_full(p: Row) -> None:
+    """Turn the stored row p full in place, width 0, if it is light."""
+    if type(p[0]) is tuple:
+        p[:] = [p[0][1][0], p[:], 0, 0, ()]
 
 
 def _digit_width(bound: int) -> int:
@@ -330,6 +342,8 @@ def _common_width(p: Row, width: int, need: int, v: int, rest: List[Tuple[int, i
 
 def _runs(row: Row) -> Runs:
     """The runs of a stored row, unpacked on the first read."""
+    if type(row[0]) is tuple:  # light
+        return row
     if row[1] is None:
         row[1] = [(c, _unpack(x, row[2])[:m]) for c, x, m in row[4]]
     return row[1]
@@ -337,7 +351,7 @@ def _runs(row: Row) -> Runs:
 
 def row_entries(row: Row) -> SparseRow:
     """The nonzero entries of a stored row, as {column: value}."""
-    return {c + i: v for c, run in row[1] or _runs(row) for i, v in enumerate(run) if v}
+    return {c + i: v for c, run in _runs(row) for i, v in enumerate(run) if v}
 
 
 def _subtract(row: List[Tuple[int, int, int]], col: int, a: int, value: int, length: int,
@@ -388,11 +402,14 @@ def echelon_insert_mod(pivots: Dict[int, int], row: int, p: int, width: int) -> 
     return None
 
 
-def echelon_sparse(rows: Sequence[Runs]) -> Dict[int, SparseRow]:
-    """Echelon form of integer rows given as runs: a map {pivot column:
-    integer row} where each row's minimal column is its pivot (see
-    ``echelon_insert``).  The rows are consumed: they are reduced in place."""
-    pivots: Dict[int, Row] = {}
+def echelon_sparse(
+    rows: Sequence[Runs], pivots: Optional[Dict[int, Row]] = None
+) -> Dict[int, SparseRow]:
+    """Echelon form of integer rows given as runs, after the rows of
+    ``pivots`` when given (an ``echelon_insert`` form, which grows): a map
+    {pivot column: integer row} where each row's minimal column is its
+    pivot.  The rows are consumed: they are reduced in place."""
+    pivots = {} if pivots is None else pivots
     for row in rows:
         echelon_insert(pivots, row)
     return {c: row_entries(row) for c, row in pivots.items()}
@@ -422,18 +439,20 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fracti
             for c, (den, free) in reduced.items()}
 
 
-def sparse_kernel(rows: Sequence[Runs], ncols: int) -> List[Dict[int, Fraction]]:
+def sparse_kernel(
+    rows: Sequence[Runs], ncols: int, pivots: Optional[Dict[int, Row]] = None
+) -> List[Dict[int, Fraction]]:
     """Basis of the exact right kernel of an integer matrix with rows
-    given as runs, as sparse vectors {column: value}; the rows are
-    consumed (see ``echelon_sparse``).
+    given as runs, and the rows of ``pivots`` when given, as sparse
+    vectors {column: value}; the rows are consumed (see ``echelon_sparse``).
 
     The basis is in the reduced-echelon normal form parametrization: one
     vector per free column in ascending order, with a 1 in the free
     position.
     """
-    pivots = echelon_sparse(rows)
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
-    for c, frow in _back_substitute(pivots).items():
+    echelon = echelon_sparse(rows, pivots)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in echelon}
+    for c, frow in _back_substitute(echelon).items():
         for f, coeff in frow.items():
             basis[f][c] = -coeff
     return list(basis.values())

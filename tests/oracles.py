@@ -43,6 +43,11 @@ divided out after every combination.  It shares no representation with
 the core and is kept verbatim, so the pivot rows of the two can be
 compared exactly.
 
+The adjugate degree bound is the section route's degree bound as it
+was before it read the lowest exponent of A^-1 from Toeplitz ranks:
+k + t - (n - 1)*lo, the worst case of adj(A), kept verbatim, so the
+section counts, bases and h1 of the two bounds can be compared exactly.
+
 The modular word-span oracle is the F_p branch of the package's word-span
 closure as it was before it ran on packed integer rows: the same
 breadth-first search, each candidate reduced entry by entry into [0, p)
@@ -207,6 +212,19 @@ def splitting_oracle(entries, det_exponent, bound_pad=4):
     assert len(indices) == n, (indices, h)
     assert sum(indices) == det_exponent
     return tuple(indices)
+
+
+def adjugate_degree_bound(e, k, extra):
+    """Most 1/x-degree of s1 in a section of E(k), plus ``extra``.
+
+    With det A = c*x^t, s0 = x^k*A*s1 gives s1 = c^-1*x^(-k-t)*adj(A)*s0.
+    Every adjugate entry is a sum of products of n - 1 entries of A, so
+    its exponents are at least (n - 1)*lo, lo the lowest entry exponent;
+    s0 has no negative exponent.  So s1 has 1/x-degree at most
+    k + t - (n - 1)*lo.
+    """
+    lo = e.transition.exponent_range()[0]
+    return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
 
 
 def raw_entries(matrix):

@@ -624,6 +624,34 @@ def test_section_route_answers_wide_sparse_bundles(tmp_path, power):
     assert time.monotonic() - start < 30
 
 
+def test_section_route_keeps_its_refusals_on_a_large_determinant_order(tmp_path):
+    # Rank 3 and det A = x^30000: split is refused on the adjugate-sized
+    # system, before any Toeplitz pass, and h0 far below every jump has the
+    # degree bound 0 and needs no pass.  At x^20000 and twist -19990 the
+    # pass stops at its cap of 10 groups, short of e_n = 20000, and the
+    # system goes on from them on the adjugate bound.
+    path = write(tmp_path, "tall.txt",
+                 "kind = laurent_matrix, n = 3\nx^30000, 0, 0\n0, 1, 0\n0, 0, 1\n")
+    start = time.monotonic()
+    code, out, err = _run_process("split", path)
+    assert code == 3 and out == ""
+    assert err == ("domain error: section system of twist -30002 needs degree bound 30001 "
+                   "in rank 3, over the work budget of 65536\n")
+    code, out, err = _run_process("h0", path, "-k", "-40000")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["result"] == {"dimension": 0, "twist": -40000}
+    assert doc["certificate"] == {"basis": []}
+    path = write(tmp_path, "tall2.txt",
+                 "kind = laurent_matrix, n = 3\nx^20000, 0, 0\n0, 1, 0\n0, 0, 1\n")
+    code, out, err = _run_process("h0", path, "-k", "-19990")
+    assert code == 0 and err == ""
+    basis = json.loads(out)["certificate"]["basis"]
+    assert [section["s1"] for section in basis] == [
+        [f"x^-{b}", "0", "0"] for b in range(10, 1, -1)] + [["x^-1", "0", "0"], ["1", "0", "0"]]
+    assert time.monotonic() - start < 10
+
+
 @pytest.mark.parametrize("point", ("1", "1/2"))
 def test_indicial_at_a_nonzero_point_refuses_an_over_budget_shift(tmp_path, point):
     # The chart at p != 0 shifts each coefficient by p: x^99999999 ran past

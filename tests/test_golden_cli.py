@@ -1,8 +1,8 @@
 """Byte-identical CLI documents.
 
 The files under ``tests/data/golden/`` are the exact stdout of
-``split``, ``h0 -k 1``, ``rr -k -1``, ``iso`` (a file against itself),
-``factor`` and ``verify`` (against the pinned ``factor`` document) on the
+``split``, ``h0 -k 1``, ``h0 -k 4``, ``h1 -k 0``, ``rr -k -1``, ``iso``
+(a file against itself), ``factor`` and ``verify`` (against the pinned ``factor`` document) on the
 demo extension and on a planted rank-4 bundle, and of the commands that
 read rational fields (``bolibrukh``, ``fuchs-ode``, ``indicial -p`` at 0,
 1 and oo, ``fuchs-system``, ``frobenius -N 4``) on the demo inputs, of ``frobenius
@@ -46,6 +46,8 @@ FACTOR_INPUTS = {
 COMMANDS = {
     "split": lambda stem: ["split", INPUTS[stem]],
     "h0_k1": lambda stem: ["h0", INPUTS[stem], "-k", "1"],
+    "h0_k4": lambda stem: ["h0", INPUTS[stem], "-k", "4"],
+    "h1_k0": lambda stem: ["h1", INPUTS[stem], "-k", "0"],
     "rr_km1": lambda stem: ["rr", INPUTS[stem], "-k", "-1"],
     "iso": lambda stem: ["iso", INPUTS[stem], INPUTS[stem]],
     "factor": lambda stem: ["factor", INPUTS[stem]],

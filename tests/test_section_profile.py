@@ -2,15 +2,19 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgsplit import bundles
 from bgsplit.bundles import (
-    _degree_bound, _h0_dimension, bundle, degree, dual, h0_dim, h1_dim, section_profile,
+    _degree_bound, _h0_dimension, _toeplitz_pass, bundle, degree, dual, h0_dim, h1_dim,
+    section_profile,
 )
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import sparse_int_rows
 from bgsplit.lmatrix import LaurentMatrix
+from oracles import adjugate_degree_bound
 
 # The acceptance recipe's elementary-factor coefficients.
 COEFFS = (1, -1, 2, Fraction(1, 2))
@@ -24,11 +28,11 @@ def _elementary(n, i, j, term):
 
 
 @st.composite
-def planted_bundles(draw, max_rank=4):
+def planted_bundles(draw, max_rank=4, lowest=-2):
     """(A, d) with A = U diag(x^d) V, U polynomial and V antipolynomial
     products of elementary factors, as in the acceptance suite."""
     n = draw(st.integers(1, max_rank))
-    d = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    d = draw(st.lists(st.integers(lowest, 2), min_size=n, max_size=n))
     a = LaurentMatrix.diagonal_powers(d)
     if n > 1:
         for sign in (1, -1):
@@ -121,3 +125,38 @@ int_rows = st.lists(st.lists(
 def test_sparse_int_rows_same_for_int_and_fraction_input(rows):
     as_fractions = [[(c, [Fraction(v) for v in entries]) for c, entries in row] for row in rows]
     assert sparse_int_rows(rows) == sparse_int_rows(as_fractions) == rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(planted_bundles(max_rank=8, lowest=-4), st.integers(-30, 30))
+def test_toeplitz_pass_finds_the_lowest_exponent_of_the_inverse(planted, k):
+    # At a twist far from the profile the pass may stop at its cap and
+    # record nothing; at split's top twist it always reaches e_n, and the
+    # degree bound of a twist that high is k - lo(A^-1).  For n <= 2 no
+    # pass runs and the adjugate bound is exact.
+    a, _ = planted
+    e = bundle(a)
+    exact = a.inverse().exponent_range()[0]
+    _toeplitz_pass(e, k, {})
+    assert e.inverse_lo in (None, exact)
+    top = -a.exponent_range()[0] + 1
+    _toeplitz_pass(e, top, {})
+    assert _degree_bound(e, top, 0) == top - exact
+    assert dual(e).inverse_lo == a.exponent_range()[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(planted_bundles(max_rank=8, lowest=-4), st.integers(-14, 4), st.integers(0, 6))
+def test_sections_equal_those_on_the_adjugate_bound(planted, k, above):
+    # The profile over a window reaching far below the jumps, the h0 basis
+    # and h1 at a twist down there, each against the adjugate bound, on
+    # which the system is built afresh, with no Toeplitz pass.
+    a, _ = planted
+    lo, hi = a.exponent_range()
+    k, kmax = k - hi, -lo + above
+    answers = [section_profile(bundle(a), k, kmax), h0_dim(bundle(a), k), h1_dim(bundle(a), k)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundles, "_degree_bound", adjugate_degree_bound)
+        patch.setattr(bundles, "_toeplitz_pass", lambda e, k, pivots: 0)
+        assert answers == [section_profile(bundle(a), k, kmax), h0_dim(bundle(a), k),
+                           h1_dim(bundle(a), k)]
