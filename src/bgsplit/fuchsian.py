@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -481,9 +481,11 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     Horner, y <- M y + K_i, on rows packed into one integer each by
     ``lmatrix._pack`` at X = 2^(8w): a step costs n^2 products of
     an entry of M with a packed row, and the K_i are plain integer
-    products.  The solution is kept as one integer matrix over its least
-    common denominator, which the next steps read; each output entry is
-    one Fraction.
+    products.  S_k is the solution divided by e, entry by entry, and the
+    next steps read it as ``integer_scaled(S_k)`` = (s, S') with no gcd:
+    reduced entries make s coprime to the content of S'.  Were a prime p
+    to divide s and every s*a/b, an entry a/b whose b holds all of p's
+    power in s has p not dividing s/b, so p | a, against gcd(a, b) = 1.
 
     Width: ``_pack`` is Z-linear on any integers, and each Horner step is
     an integer combination of packed rows, so the packed sum is the
@@ -523,9 +525,10 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     series: List[Matrix] = [identity_q(n)]
     scaled = [(1, powers[0])]
     for k, g_k in enumerate(shifted, start=1):
-        e, c = _over_lcm(n, [
-            (1, mat_mul(t_mat, s_mat), t * s)
-            for (t, t_mat), (s, s_mat) in zip(tails, reversed(scaled))])
+        terms = [(t * s, mat_mul(t_mat, s_mat))
+                 for (t, t_mat), (s, s_mat) in zip(tails, reversed(scaled))]
+        e = lcm(*(den for den, _ in terms))
+        c = _lincomb(n, ((e // den, m) for den, m in terms))
         m_rows = [list(row) for row in big_n]
         for i, row in enumerate(m_rows):
             row[i] -= k * d
@@ -544,14 +547,9 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
             raise BGSplitError(
                 "Frobenius step became singular despite the resonance check; defect"
             )
-        s, s_mat = integer_scaled(s_k)
-        s *= e
-        common = gcd(s, *chain.from_iterable(s_mat))
-        if common != 1:
-            s //= common
-            s_mat = tuple(tuple(v // common for v in row) for row in s_mat)
-        series.append(tuple(tuple(Fraction(v, s) for v in row) for row in s_mat))
-        scaled.append((s, s_mat))
+        series.append(tuple(tuple(Fraction(v.numerator, v.denominator * e) for v in row)
+                            for row in s_k))
+        scaled.append(integer_scaled(series[-1]))
     return FrobeniusSeries(r=local.r, s=tuple(series))
 
 
@@ -570,13 +568,6 @@ def _lincomb(n: int, terms: Iterable[Tuple[int, IntMatrix]]) -> IntMatrix:
     flat = [sum(map(operator.mul, cs, entries))
             for entries in zip(*(chain.from_iterable(m) for _, m in terms))]
     return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
-
-
-def _over_lcm(n: int, terms: Sequence[Tuple[int, IntMatrix, int]]) -> Tuple[int, IntMatrix]:
-    """(e, E) with E / e = sum of c * M / den over the (c, M, den) terms and
-    e the lcm of the dens (1 for no terms)."""
-    e = lcm(*(den for _, _, den in terms))
-    return e, _lincomb(n, ((c * (e // den), m) for c, m, den in terms))
 
 
 def ode_residual(local: LocalSystemData, series: FrobeniusSeries) -> int:

@@ -2,10 +2,11 @@
 
 Input files are line oriented: a header line of comma-separated
 ``key = value`` pairs (``kind`` and ``n`` always; ``count``, ``points``
-and ``format_version`` per kind), then payload rows with comma-separated
-entries.  ``#`` starts a comment; blank lines are ignored.  A header
-key appears once.  Integer header values (``n``, ``count``) are numerals
-of the entry grammar, optionally negated, and at least 1.  Entries are
+and ``format_version`` per kind, and no other key), then payload rows
+with comma-separated entries.  ``#`` starts a comment; blank lines are
+ignored.  A header key appears once.  Integer header values (``n``,
+``count``, ``format_version``) are numerals of the entry grammar,
+optionally negated, and at least 1; ``format_version`` is 1.  Entries are
 arithmetic expressions in the variable x (z is accepted as a synonym)
 with integer or fraction coefficients and ``^`` powers, e.g.
 ``x^-1 + 3/2*x^2``.
@@ -59,6 +60,7 @@ from .monodromy import MonodromyRep, monodromy_rep
 from .ratfunc import INF, Infinity, RatFunc
 
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("kind", "n", "count", "points", "format_version")
 
 
 # -- expression parsing --------------------------------------------------
@@ -378,11 +380,20 @@ def parse_fraction(text: str, line: int = 1, col_offset: int = 0) -> Fraction:
     return value.coeff(0)
 
 
+def _rational_point(text: str, line: Optional[int] = None) -> Fraction:
+    """A rational point.  Its text is not a cell of its own line, so an
+    error names the point, at ``line`` and no column."""
+    try:
+        return parse_fraction(text)
+    except (ParseError, _DomainError) as exc:
+        raise type(exc)(f"point {text.strip()!r}: {exc.message}", line=line) from None
+
+
 def parse_point(text: str) -> Union[Fraction, Infinity]:
     stripped = text.strip().lower()
     if stripped in ("oo", "inf", "infinity"):
         return INF
-    return parse_fraction(text)
+    return _rational_point(text)
 
 
 # -- input files ---------------------------------------------------------
@@ -414,6 +425,8 @@ def _parse_header(line_no: int, line: str) -> Header:
             raise ParseError("header items must be 'key = value'", line=line_no)
         key, value = chunk.split("=", 1)
         key = key.strip()
+        if key not in _HEADER_KEYS:
+            raise ParseError(f"unknown header key {key!r}", line=line_no)
         if key in header:
             raise ParseError(f"header repeats {key}", line=line_no)
         header[key] = value.strip()
@@ -421,12 +434,14 @@ def _parse_header(line_no: int, line: str) -> Header:
         raise ParseError("header must declare a kind", line=line_no)
     if header["kind"] not in _KINDS:
         raise ParseError(f"unknown kind {header['kind']!r}", line=line_no)
+    if _int_header(header, "format_version", line_no, default="1") != FORMAT_VERSION:
+        raise ParseError(f"format_version must be {FORMAT_VERSION}", line=line_no)
     return header
 
 
 def _int_header(header: Header, key: str, line_no: int, default=None) -> int:
     """An integer header value, an optionally signed numeral of the entry
-    grammar; every one (n, count) is at least 1."""
+    grammar; every one (n, count, format_version) is at least 1."""
     raw = header.get(key, default)
     if raw is None:
         raise ParseError(f"header must declare {key}", line=line_no)
@@ -475,7 +490,7 @@ def _read_rat_matrix_list(header: Header, line_no: int, n: int, body: Rows) -> L
 def _read_fuchsian_system(header: Header, line_no: int, n: int, body: Rows) -> FuchsianSystem:
     if "points" not in header:
         raise ParseError("fuchsian_system header needs points", line=line_no)
-    points = [parse_fraction(p) for p in header["points"].split()]
+    points = [_rational_point(p, line_no) for p in header["points"].split()]
     return fuchsian_system(points, _parse_rat_rows(body, n, len(points)))
 
 

@@ -562,6 +562,34 @@ def test_domain_error_in_a_factorization_cell_is_named_by_matrix_and_entry(tmp_p
                    "division by the zero rational function (column 1)\n")
 
 
+BAD_HEADER_POINTS = {
+    "zero_divisor": ("# c\n\nkind = fuchsian_system, n = 1, points = 0 1/0 abc\n1\n2\n3\n",
+                     3, "domain error: point '1/0': division by the zero rational function "
+                        "(line 3)"),
+    "cut_short": ("# c\nkind = fuchsian_system, n = 1, points = 0 2*\n1\n2\n",
+                  2, "parse error: point '2*': unexpected end of expression (line 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADER_POINTS))
+def test_bad_header_point_is_named_at_the_header_line(tmp_path, capsys, case):
+    text, exit_code, message = BAD_HEADER_POINTS[case]
+    code, out, err = run(capsys, "fuchs-system", write(tmp_path, "system.txt", text))
+    assert code == exit_code and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("point, exit_code, message", [
+    ("abc", 2, "parse error: point 'abc': unexpected character 'a'"),
+    ("1/0", 3, "domain error: point '1/0': division by the zero rational function"),
+])
+def test_bad_point_argument_is_named_without_a_line(tmp_path, capsys, point, exit_code, message):
+    path = write(tmp_path, "ode.txt", "kind = scalar_ode, n = 1\nx\n")
+    code, out, err = run(capsys, "indicial", path, "-p", point)
+    assert code == exit_code and out == ""
+    assert err == message + "\n"
+
+
 def test_fuchs_ode_with_a_huge_pole_order_at_zero_does_not_hang(tmp_path):
     # The multiplicity of the root 0 is the lowest exponent; dividing by x
     # once per unit of multiplicity would take 10^8 steps here.

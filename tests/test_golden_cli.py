@@ -26,6 +26,7 @@ stops.  Any change to the numbers, the
 certificates, the parsers or the rendering shows up here.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -90,6 +91,15 @@ FIELD_CASES = {
         os.path.join(HERE, "data", "gauge_p4.txt"),
     ],
 }
+
+
+def test_long_frobenius_series_document_is_pinned(capsys):
+    # frobenius -N 24 on local_system4.txt: 217,285 bytes with denominators
+    # of about 1,900 bits, pinned by its SHA-256 rather than as a golden
+    argv = ["frobenius", os.path.join(HERE, "data", "local_system4.txt"), "-N", "24"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "85437ad179b19af1304043b8e83850c6a967d378e6b3a231bec080fde971cbf5"
 
 
 def _assert_golden(argv, name, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,33 @@ def test_header_integer_of_the_longest_numeral_is_read():
 def test_repeated_header_key_is_a_parse_error(header, key):
     with pytest.raises(ParseError, match=f"^header repeats {key} \\(line 1\\)$"):
         parse_matrix_file(header + "\n1\n")
+
+
+@pytest.mark.parametrize("header, message", [
+    ("kind = laurent_matrix, n = 1, format_version = 7, colour = blue",
+     "unknown header key 'colour'"),
+    ("kind = laurent_matrix, n = 1, Kind = laurent_matrix", "unknown header key 'Kind'"),
+    ("kind = laurent_matrix, n = 1, = 1", "unknown header key ''"),
+    ("kind = laurent_matrix, n = 1, format_version = 7", "format_version must be 1"),
+    ("kind = laurent_matrix, n = 1, format_version = 2", "format_version must be 1"),
+    ("kind = laurent_matrix, n = 1, format_version = 0", "format_version must be at least 1"),
+    ("kind = laurent_matrix, n = 1, format_version = 1.0", "format_version must be an integer"),
+    ("kind = laurent_matrix, n = 1, format_version = +1", "format_version must be an integer"),
+])
+def test_header_key_outside_the_grammar_is_a_parse_error(header, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)} \\(line 1\\)$"):
+        parse_matrix_file(header + "\nx\n")
+
+
+@pytest.mark.parametrize("version", ["1", "01", "0001"])
+def test_every_header_key_of_the_grammar_is_read(version):
+    # count and points are accepted on any kind; format_version is a numeral
+    doc = parse_matrix_file("kind = laurent_matrix, n = 1, count = 1, points = 0, "
+                            f"format_version = {version}\nx\n")
+    assert doc.obj.n == 1
+    doc = parse_matrix_file(f"kind = scalar_ode, n = 1, points = 0 1, format_version = {version}"
+                            "\nx\n")
+    assert doc.obj.order == 1
 
 
 def test_comments_and_blank_lines_ignored():
