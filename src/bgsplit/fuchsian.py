@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -61,9 +61,11 @@ from .ratfunc import (
     poly_shift,
 )
 
-# Most coefficients (order + 1)*n^2 of a Frobenius series.  Each order is one
-# n x n solve whose entries grow with the order, so a 2 x 2 series to order
-# 1,000 takes under a second; past the budget it is refused before any work.
+# Most coefficients (order + 1)*n^2 of a Frobenius series; past it a series is
+# refused before any work.  It counts coefficients, not their size: each order
+# is one n x n solve whose entries grow with the order, so a 2 x 2 series to
+# order 1,000 takes under a second on demos/data/local_system.txt, but seconds
+# when the residue and the tail have several coprime denominators.
 FROBENIUS_BUDGET = 1 << 12
 
 ORDINARY = "ordinary"
@@ -481,11 +483,10 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
     Horner, y <- M y + K_i, on rows packed into one integer each by
     ``lmatrix._pack`` at X = 2^(8w): a step costs n^2 products of
     an entry of M with a packed row, and the K_i are plain integer
-    products.  S_k is the solution divided by e, entry by entry, and the
-    next steps read it as ``integer_scaled(S_k)`` = (s, S') with no gcd:
-    reduced entries make s coprime to the content of S'.  Were a prime p
-    to divide s and every s*a/b, an entry a/b whose b holds all of p's
-    power in s has p not dividing s/b, so p | a, against gcd(a, b) = 1.
+    products.  ``solve`` returns the solution on integers, as V/v, so
+    S_k = V/(v*e), and the next steps read it as the pair (v*e, V)
+    divided by gcd(v*e, V): a matrix has one primitive pair (s, S') with
+    S'/s equal to it and s > 0, so that pair is ``integer_scaled(S_k)``.
 
     Width: ``_pack`` is Z-linear on any integers, and each Horner step is
     an integer combination of packed rows, so the packed sum is the
@@ -547,9 +548,11 @@ def frobenius_series(local: LocalSystemData, order: int) -> FrobeniusSeries:
             raise BGSplitError(
                 "Frobenius step became singular despite the resonance check; defect"
             )
-        series.append(tuple(tuple(Fraction(v.numerator, v.denominator * e) for v in row)
-                            for row in s_k))
-        scaled.append(integer_scaled(series[-1]))
+        den, x = s_k
+        content = gcd(den * e, *chain.from_iterable(x))
+        den, x = den * e // content, tuple(tuple(v // content for v in row) for row in x)
+        series.append(tuple(tuple(Fraction(v, den) for v in row) for row in x))
+        scaled.append((den, x))
     return FrobeniusSeries(r=local.r, s=tuple(series))
 
 

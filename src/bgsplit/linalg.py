@@ -17,12 +17,17 @@ overflow it (``Row``, the width invariant).  Short one-run rows combine
 entry by entry.  Rank, kernels, ``solve`` (A X = B, the right-hand side
 a matrix: a vector is one column; ``inverse_q`` solves A X = I), section
 counts and the exact word-span closure use it; kernels and solutions
-share one integer back-substitution to reduced echelon form.
+share one integer back-substitution to reduced echelon form, whose rows
+stay on integers, each with its own denominator.  ``solve`` returns its
+solution on integers too, as (d, X) for X/d, and its callers build
+``Fraction``s only where they need them.
 Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
 integer each, one big-integer multiply-add per pivot.  The dense
 fraction-free core (``lmatrix.eliminate``) serves ``det_q`` on integer
-rows and ``charpoly`` on the rows of lambda*I - A, each entry packed
-into one integer.
+rows (and through it ``resultant``, whose rows are pseudo-remainders by
+``ratfunc._pseudo_remainder``) and ``charpoly`` on the rows of
+lambda*I - A, each entry packed into one integer and read back by
+``lmatrix._laurent``.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
-from .laurent import LaurentPoly, _trusted
-from .lmatrix import _digit_bytes, _digit_mask, _pack, _shift, _unpack, eliminate
-from .ratfunc import _primitive_coeffs, poly_radical, root_multiplicity
+from .laurent import LaurentPoly
+from .lmatrix import _digit_bytes, _digit_mask, _laurent, _pack, _shift, _unpack, eliminate
+from .ratfunc import _primitive_coeffs, _pseudo_remainder, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -388,7 +393,7 @@ def echelon_insert_mod(pivots: Dict[int, int], row: int, p: int, width: int) -> 
     and (k + m)*p^2 <= 2^(8*width - 1), m the number of columns: each of at
     most m steps, one per pivot, adds at most (p - 1)^2 to a digit.
     """
-    mask, c = (1 << 8 * width) - 1, 0
+    mask, c = _digit_mask(width), 0
     while row:
         f = (row & mask) % p
         if f:
@@ -415,11 +420,11 @@ def echelon_sparse(
     return {c: row_entries(row) for c, row in pivots.items()}
 
 
-def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fraction]]:
-    """Reduced echelon form over Q of the echelon rows, as {pivot column c:
-    {free column f: v}} for the rows x_c + sum of v * x_f.  Each row is
-    cleared of the other pivot columns on integers, as d * x_c + sum of
-    w * x_f with no common factor, and divided by d only at the end."""
+def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Tuple[int, SparseRow]]:
+    """Reduced echelon form of the echelon rows on integers, as {pivot
+    column c: (d, {free column f: w})} for the rows d * x_c + sum of
+    w * x_f, each primitive with d > 0: over Q, x_c + sum of (w/d) * x_f.
+    Each row is cleared of the pivot columns after it, last row first."""
     reduced: Dict[int, Tuple[int, SparseRow]] = {}
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -435,8 +440,7 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, Dict[int, Fracti
         den *= row[c]
         g = gcd(den, *free.values())
         reduced[c] = (den // g, {f: w // g for f, w in free.items() if w})
-    return {c: {f: Fraction(w, den) for f, w in free.items()}
-            for c, (den, free) in reduced.items()}
+    return reduced
 
 
 def sparse_kernel(
@@ -452,9 +456,9 @@ def sparse_kernel(
     """
     echelon = echelon_sparse(rows, pivots)
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in echelon}
-    for c, frow in _back_substitute(echelon).items():
-        for f, coeff in frow.items():
-            basis[f][c] = -coeff
+    for c, (den, frow) in _back_substitute(echelon).items():
+        for f, w in frow.items():
+            basis[f][c] = Fraction(-w, den)
     return list(basis.values())
 
 
@@ -469,11 +473,16 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(echelon_sparse(sparse_int_rows([[(0, row)] for row in matrix])))
 
 
-def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[Matrix]:
-    """One exact solution X of A X = B, or None when inconsistent.
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[Tuple[int, IntMatrix]]:
+    """One exact solution of A X = B as (d, X'), X = X'/d with X' an
+    integer matrix and d > 0 the lcm of the denominators of
+    ``_back_substitute``'s rows; None when the system is inconsistent.
 
     B is a matrix given by its rows (a vector is one column); X has one
     column per column of B.  Free variables, if any, are set to zero.
+    When A is square and nonsingular, each row is primitive over the
+    columns of B alone, so gcd(d, X') = 1: X' = d*X with d the lcm of
+    X's denominators.
     """
     ncols = _width(a)
     if len(b) != len(a):
@@ -482,10 +491,12 @@ def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[Matrix]:
     pivots = echelon_sparse(sparse_int_rows([[(0, (*arow, *brow))] for arow, brow in zip(a, b)]))
     if pivots and max(pivots) >= ncols:
         return None
-    x = [[Fraction(0)] * width for _ in range(ncols)]
-    for c, frow in _back_substitute(pivots).items():
-        x[c] = [frow.get(ncols + t, Fraction(0)) for t in range(width)]
-    return tuple(map(tuple, x))
+    reduced = _back_substitute(pivots)
+    d = lcm(*(den for den, _ in reduced.values()))
+    x = [(0,) * width] * ncols
+    for c, (den, frow) in reduced.items():
+        x[c] = tuple(frow.get(ncols + t, 0) * (d // den) for t in range(width))
+    return d, tuple(x)
 
 
 # -- square-matrix routines -------------------------------------------
@@ -507,10 +518,11 @@ def inverse_q(a: Sequence[Sequence]) -> Matrix:
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("inverse of a non-square matrix")
-    inverse = solve(a, identity_q(n))
-    if inverse is None:
+    solution = solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    if solution is None:
         raise NotInvertible("singular rational matrix")
-    return inverse
+    d, x = solution
+    return tuple(tuple(Fraction(v, d) for v in row) for row in x)
 
 
 def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
@@ -549,7 +561,7 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
         row[i] += _pack((0, s), width)
     sign, det = eliminate(rows, n, jordan=False)
     den = prod(scales)
-    return _trusted({k: Fraction(sign * c, den) for k, c in enumerate(_unpack(det, width)) if c})
+    return _laurent(enumerate(_unpack(det, width)), 1, 0, sign, den)
 
 
 def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:
@@ -622,9 +634,10 @@ def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
     of size deg q.
 
     The rows run on integers: with P = a*p and Q = b*q integral and c the
-    leading coefficient of P, each top coefficient u of a row of degree m
-    is cleared as c*row - u*t^(deg - m)*P, so row i is c^(e_i)*(t^i*Q mod P)
-    for the number e_i of such steps so far, and
+    leading coefficient of P, a row of k > m coefficients (its top one
+    possibly 0) is replaced by its pseudo-remainder
+    c^(k - m) * row mod P (``ratfunc._pseudo_remainder``), so row i is
+    c^(e_i)*(t^i*Q mod P) with e_i the sum of those k - m so far, and
     det M = det(rows) / (c^(sum e_i) * b^m); ``det_q`` takes the rows.
     """
     if p.is_zero or q.is_zero:
@@ -634,18 +647,14 @@ def resultant(p: LaurentPoly, q: LaurentPoly) -> Fraction:
     m, n = p.deg(), q.deg()
     if m == 0:
         return p.coeff(0) ** n
-    (a, (low,)), (b, (row,)) = (integer_scaled([[f.coeff(e) for e in range(f.deg() + 1)]])
-                                for f in (p, q))
-    c, low, row = low[-1], low[:-1], list(row)
+    (a, (big_p,)), (b, (row,)) = (integer_scaled([[f.coeff(e) for e in range(f.deg() + 1)]])
+                                  for f in (p, q))
+    c, row = big_p[-1], list(row)
     rows, power, total = [], 0, 0
     for _ in range(m):
-        while len(row) > m:
-            top = row.pop()
-            if c != 1:
-                row = [c * v for v in row]
-            for j, w in enumerate(low, start=len(row) - m):
-                row[j] -= top * w
-            power += 1
+        if len(row) > m:
+            power += len(row) - m
+            row = _pseudo_remainder(row, big_p)
         rows.append(row + [0] * (m - len(row)))
         total += power
         row = [0] + rows[-1]

@@ -110,10 +110,11 @@ def _primitive_coeffs(p: LaurentPoly) -> List[int]:
 
 
 def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
-    """The pseudo-remainder lead(g)^(deg f - deg g + 1) * f mod g, on Z[x]
-    coefficient lists (lowest first, nonzero last entry, deg f >= deg g).
-    f is scaled once up front; each quotient coefficient is then an exact
-    integer division by lead(g)."""
+    """The pseudo-remainder lead(g)^(len f - len g + 1) * f mod g, on Z[x]
+    coefficient lists (lowest first, len f >= len g), g's last entry
+    nonzero; f's last entry may be 0, and the power still counts every
+    entry of f.  f is scaled once up front; each quotient coefficient is
+    then an exact integer division by lead(g)."""
     lead, dg = g[-1], len(g) - 1
     scale = lead ** (len(f) - dg)
     f = [scale * v for v in f]

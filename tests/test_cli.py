@@ -8,7 +8,7 @@ import time
 import pytest
 
 import bgsplit
-from bgsplit import bundles, lmatrix
+from bgsplit import bundles, fuchsian, lmatrix
 from bgsplit.cli import main
 from bgsplit.errors import InternalSearchExhausted
 
@@ -464,6 +464,15 @@ def test_internal_error_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bundles, "birkhoff_factor", explode)
     code, _, err = run(capsys, "factor", path)
     assert code == 4 and "internal consistency failure" in err
+
+
+def test_singular_frobenius_step_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(fuchsian, "solve", lambda a, b: None)
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "local_system.txt")
+    code, out, err = run(capsys, "frobenius", demo)
+    assert code == 4 and out == ""
+    assert err == ("internal consistency failure: Frobenius step became singular "
+                   "despite the resonance check; defect\n")
 
 
 def test_text_format_and_out_flag(tmp_path, capsys):

@@ -8,7 +8,9 @@ from unittest import mock
 
 import pytest
 
+from bgsplit import fuchsian
 from bgsplit.errors import (
+    BGSplitError,
     NotFirstKind,
     NotFuchsian,
     NotInvertible,
@@ -337,6 +339,15 @@ def test_frobenius_resonant_rejected():
         frobenius_series(local_system([[3, 0], [0, 0]]), 3)
     # gap beyond the truncation order is acceptable
     frobenius_series(local_system([[3, 0], [0, 0]]), 2)
+
+
+def test_frobenius_singular_step_is_an_internal_failure(monkeypatch):
+    """A step that ``solve`` finds inconsistent past the resonance check is
+    a defect: the base error, never a domain error or a silent series."""
+    monkeypatch.setattr(fuchsian, "solve", lambda a, b: None)
+    with pytest.raises(BGSplitError, match="despite the resonance check") as raised:
+        frobenius_series(local_system([[F(1, 2), 0], [0, 0]], [[[0, 1], [1, 0]]]), 1)
+    assert type(raised.value) is BGSplitError
 
 
 def test_frobenius_residual_certificate_random():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm, prod
+from itertools import chain
+from math import gcd, lcm, prod
 
 import pytest
 import sympy as sp
@@ -69,8 +70,29 @@ def test_solve_random_consistent_and_inconsistent():
         b = mat_mul(a, x)
         sol = solve(a, b)
         assert sol is not None
-        assert mat_mul(a, sol) == b
+        d, x = sol
+        assert mat_mul(a, [[Fraction(v, d) for v in row] for row in x]) == b
     assert solve([[1, 0], [1, 0]], [[1], [2]]) is None
+
+
+def test_solve_returns_a_primitive_integer_solution():
+    """On square nonsingular systems of int, Fraction or mixed entries,
+    n = 1-8 with 1-3 right-hand columns, solve gives (d, X) with d > 0,
+    X an integer matrix, A X = d B exactly and gcd(d, X) = 1."""
+    rng = random.Random(31)
+    for n in range(1, 9):
+        done = 0
+        while done < 6:
+            a = rand_matrix(rng, n, n)
+            if det_q(a) == 0:
+                continue
+            done += 1
+            b = rand_matrix(rng, n, rng.randint(1, 3))
+            d, x = solve(a, b)
+            assert d > 0 and all(type(v) is int for v in chain.from_iterable(x))
+            assert mat_mul(a, x) == tuple(tuple(d * v for v in row) for row in b)
+            assert gcd(d, *chain.from_iterable(x)) == 1
+    assert solve([[1, 2], [2, 4]], [[1], [3]]) is None
 
 
 def test_inverse_round_trip_and_singular():
