@@ -40,12 +40,16 @@ value the grammar gives.
 
 Result documents are JSON objects carrying the command echo, a digest of
 the input bytes, the result payload and a certificate payload; fractions
-are serialized as strings so no consumer ever rounds.
+are serialized as strings so no consumer ever rounds.  The digest is
+SHA-256 from CPython's built-in hash module (``_sha2`` on 3.12+,
+``_sha256`` before), as ``random`` takes it: ``hashlib`` would load
+OpenSSL's libcrypto, about 3.6 MB of resident memory for one hash of a
+few kilobytes.  ``hashlib`` is the fallback on a build without either;
+the digest bytes are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -58,6 +62,14 @@ from .laurent import X, LaurentPoly, _trusted
 from .lmatrix import LaurentMatrix
 from .monodromy import MonodromyRep, monodromy_rep
 from .ratfunc import INF, Infinity, RatFunc
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FORMAT_VERSION = 1
 _HEADER_KEYS = ("kind", "n", "count", "points", "format_version")
@@ -591,7 +603,7 @@ def result_document(command: str, inputs: Dict[str, str], result, certificate=No
     doc = {
         "format_version": FORMAT_VERSION,
         "command": command,
-        "inputs": {name: "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        "inputs": {name: "sha256:" + sha256(text.encode("utf-8")).hexdigest()
                    for name, text in inputs.items()},
         "result": jsonable(result),
     }

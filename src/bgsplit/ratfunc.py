@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import NotInvertible, WorkBudgetExceeded, decimal
 from .laurent import LaurentPoly, Scalar, _coerce, _long_division, _trusted
+from .lmatrix import _digit_bytes, _laurent, _pack, _unpack
 
 
 class Infinity:
@@ -63,14 +64,16 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd over Q[x] (gcd(0, 0) = 0).
 
-    The common power of x is split off; the rest runs as the primitive
-    polynomial remainder sequence in Z[x] (Brown, JACM 1971): each
-    pseudo-remainder is divided by the gcd of its coefficients, so no
-    fraction appears until the last primitive remainder is made monic.
-    When either operand is a monomial the gcd is that power of x, found
-    without the dense coefficient lists; otherwise an operand of degree
-    above GCD_DEGREE_BUDGET, once its power of x is split off, is refused
-    before the lists are built.
+    The common power of x is split off and the rest is the gcd of the
+    primitive Z[x] parts f and g: first by the heuristic ``_heuristic_gcd``
+    (GCDHEU; Char, Geddes and Gonnet, JSC 1989), and when that gives no
+    answer by the primitive polynomial remainder sequence (Brown, JACM
+    1971), where each pseudo-remainder is divided by the gcd of its
+    coefficients, so no fraction appears until the last primitive
+    remainder is made monic.  When either operand is a monomial the gcd is
+    that power of x, found without the dense coefficient lists; otherwise
+    an operand of degree above GCD_DEGREE_BUDGET, once its power of x is
+    split off, is refused before the lists are built.
     """
     _require_poly(a), _require_poly(b)
     if a.is_zero or b.is_zero:
@@ -86,11 +89,52 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 f"of degree {GCD_DEGREE_BUDGET}"
             )
     f, g = _primitive_coeffs(a), _primitive_coeffs(b)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f, g = g, _primitive(_pseudo_remainder(f, g))
-    return LaurentPoly({e + low: Fraction(c, f[-1]) for e, c in enumerate(f)})
+    h = _heuristic_gcd(f, g)
+    if h is None:
+        if len(f) < len(g):
+            f, g = g, f
+        while g:
+            f, g = g, _primitive(_pseudo_remainder(f, g))
+        h = f
+    return _laurent(enumerate(h), 1, low, 1, h[-1])
+
+
+# Widths the heuristic gcd tries, as multiples of its first width, before
+# the remainder sequence takes over.
+_HEURISTIC_WIDENINGS = (1, 2, 4)
+
+
+def _heuristic_gcd(f: List[int], g: List[int]) -> Optional[List[int]]:
+    """The primitive gcd of the primitive Z[x] lists f and g (lowest first,
+    positive leading coefficient) by GCDHEU, or None when no tried width
+    gives it.
+
+    At X = 2^(8*w), with w a widening times _digit_bytes(2*m + 2) for m
+    the smaller of the two sup norms, gamma = gcd(f(X), g(X)) is read back
+    as the balanced base-X digits of a polynomial H, so H(X) = gamma, and
+    the candidate h is the primitive part of H with a positive leading
+    coefficient.  It is returned only when it divides f and g exactly, and
+    then it is the gcd d.  Proof: take a in {f, g} of norm m; Cauchy's
+    bound puts every root of a below 1 + m in absolute value, and
+    X/2 > 2*m + 2, so a(X) != 0 and gamma != 0.  h divides d, and d = h*q
+    with q in Z[x] by Gauss's lemma, both being primitive.  d(X) divides
+    f(X) and g(X), so it divides gamma = c*h(X), c the content of H, and
+    q(X) divides c (h(X) != 0 since gamma != 0).  The balanced digits have
+    absolute value at most X/2, so 0 < |c| <= X/2.  If q had a root, each
+    of its roots would be one of a's, and |q(X)| >= prod |X - root| >
+    X - 1 - m > X/2 >= |c|: no divisor of c is that large, so q is a
+    constant, and 1 as d and h are primitive with positive leading
+    coefficients.  A wider X keeps every bound."""
+    first = _digit_bytes(2 * min(max(map(abs, f)), max(map(abs, g))) + 2)
+    for widening in _HEURISTIC_WIDENINGS:
+        width = first * widening
+        h = _unpack(gcd(_pack(f, width), _pack(g, width)), width)
+        while not h[-1]:
+            h.pop()
+        h = _primitive(h if h[-1] > 0 else [-c for c in h])
+        if _exact_quotient(f, h) is not None and _exact_quotient(g, h) is not None:
+            return h
+    return None
 
 
 def _primitive(coeffs: List[int]) -> List[int]:
@@ -129,11 +173,44 @@ def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
     return f
 
 
+def _exact_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
+    """f / g on Z[x] coefficient lists (lowest first, g's last entry
+    nonzero) when g divides f in Z[x], else None.  Long division from the
+    top, stopped at the first quotient coefficient that is not an integer;
+    when g is primitive and divides f over Q, Gauss's lemma makes every
+    step exact, so no fraction is ever built."""
+    lead, dg = g[-1], len(g) - 1
+    f, quot = list(f), []
+    while len(f) > dg:
+        q, r = divmod(f.pop(), lead)
+        if r:
+            return None
+        quot.append(q)
+        if q:
+            shift = len(f) - dg
+            for i, w in enumerate(g[:-1]):
+                f[shift + i] -= q * w
+    return None if any(f) else quot[::-1]
+
+
+def _divide(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """p / g for nonzero polynomials with g dividing p.  A monomial g
+    shifts p's sparse terms.  Otherwise p = s*x^i*F and g = t*x^j*G with F
+    and G primitive in Z[x], so p / g is (s/t)*x^(i-j)*(F / G), F / G an
+    exact division on integers."""
+    mono = g.as_monomial()
+    if mono is not None:
+        return p.scale(1 / mono[0]).shift(-mono[1])
+    f, h = _primitive_coeffs(p), _primitive_coeffs(g)
+    scale = p.coeff(p.deg()) * h[-1] / (g.coeff(g.deg()) * f[-1])
+    return _laurent(enumerate(_exact_quotient(f, h)), 1, p.ord() - g.ord(),
+                    scale.numerator, scale.denominator)
+
+
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero or b.is_zero:
         return LaurentPoly.zero()
-    g = poly_gcd(a, b)
-    m = a * b // g
+    m = a * _divide(b, poly_gcd(a, b))
     return m.scale(1 / m.coeff(m.deg()))
 
 
@@ -145,7 +222,7 @@ def poly_radical(p: LaurentPoly) -> LaurentPoly:
     g = poly_gcd(p, p.derivative())
     if g.is_zero or g.deg() == 0:
         return p.scale(1 / p.coeff(p.deg()))
-    rad = p // g
+    rad = _divide(p, g)
     return rad.scale(1 / rad.coeff(rad.deg()))
 
 
@@ -228,7 +305,7 @@ class RatFunc:
         else:
             g = poly_gcd(num, den)
             if g.deg() > 0:
-                num, den = num // g, den // g
+                num, den = _divide(num, g), _divide(den, g)
             lead = den.coeff(den.deg())
             if lead != 1:
                 num = num.scale(1 / lead)

@@ -332,7 +332,9 @@ def test_wide_span_bundle_is_refused_by_both_routes(tmp_path, command):
 
 
 SLOW_SHORT_INPUTS = {
-    # (exit code, input documents): 240 s, then exit 0
+    # (exit code, input documents).  Both ran for minutes in poly_gcd's
+    # remainder sequence until the heuristic gcd went in front of it.
+    # 240 s, then exit 0
     "gauge": (0, (
         "kind = laurent_matrix, n = 2\n3/4*x, 3\nx + 1, 3/4*x^3 + 3/4*x + 999999999999\n",
         "kind = laurent_matrix, n = 2\n1, x^40 - x^2 - x\n7, (x - (x/2 + x^-39)^3)^3\n",
@@ -344,14 +346,26 @@ SLOW_SHORT_INPUTS = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                   reason="primitive remainder sequence in poly_gcd; ROADMAP item 6")
 @pytest.mark.parametrize("command", sorted(SLOW_SHORT_INPUTS))
 def test_short_input_answers_within_seconds(tmp_path, command):
     want, texts = SLOW_SHORT_INPUTS[command]
     paths = [write(tmp_path, f"in{i}.txt", text) for i, text in enumerate(texts)]
     code, _, err = _run_process(command, *paths, timeout=5)
     assert code == want and "Traceback" not in err
+
+
+def test_cli_run_loads_no_openssl_hash_module(tmp_path):
+    # -S: no site hook preloads a module, so sys.modules holds only what
+    # importing and running the CLI loaded; the input digest must not map
+    # OpenSSL's libcrypto through hashlib.
+    path = write(tmp_path, "ext.txt", EXT)
+    script = ("import sys\nfrom bgsplit.cli import main\ncode = main(['split', sys.argv[1]])\n"
+              "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bgsplit.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_h0_basis_memory_grows_with_its_terms_not_nullity_times_columns(tmp_path):

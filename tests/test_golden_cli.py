@@ -19,7 +19,10 @@ the reason "representation is irreducible", and of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
-x^2 - 2x - 2), and of ``factor`` and ``verify`` on a 1 x 1 unit and on
+x^2 - 2x - 2), and on ``tests/data/gauge_gcd_a.txt``, ``gauge_gcd_p.txt``,
+whose entries reduce by gcds of degree 350 to 701 on operands of degree
+up to 1,094 (recorded with the remainder sequence alone, which took
+about 4 minutes), and of ``factor`` and ``verify`` on a 1 x 1 unit and on
 the det-1 matrix ``[[1, 1 + x], [0, 1]]``, where every column pivots at
 order 0 and the order-basis loop must still take that step before it
 stops.  Any change to the numbers, the
@@ -89,6 +92,10 @@ FIELD_CASES = {
     "gauge_a4.gauge_p4": [
         "gauge", os.path.join(HERE, "data", "gauge_a4.txt"),
         os.path.join(HERE, "data", "gauge_p4.txt"),
+    ],
+    "gauge_gcd_a.gauge_gcd_p": [
+        "gauge", os.path.join(HERE, "data", "gauge_gcd_a.txt"),
+        os.path.join(HERE, "data", "gauge_gcd_p.txt"),
     ],
 }
 

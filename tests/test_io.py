@@ -1,7 +1,10 @@
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bgsplit.errors import DimensionMismatch, ParseError
 from bgsplit.fuchsian import INF, FuchsianSystem, ScalarODE
@@ -16,6 +19,7 @@ from bgsplit.io import (
     parse_ratfunc,
     render_json,
     render_text,
+    result_document,
 )
 from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.lmatrix import LaurentMatrix
@@ -211,3 +215,14 @@ def test_jsonable_and_renderers():
     as_text = render_text(data)
     assert "fraction: 3/2" in as_text
     assert "nested.values: [1/3, 2]" in as_text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(), st.text())
+@example("", "kind = laurent_matrix, n = 1\nx\n")
+def test_input_digest_is_the_sha256_of_the_utf8_bytes(first, second):
+    doc = result_document("split", {"file_a": first, "file_b": second}, None)
+    assert doc["inputs"] == {
+        name: "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in (("file_a", first), ("file_b", second))
+    }

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgsplit import ratfunc
 from bgsplit.errors import NotInvertible
 from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.ratfunc import (
     INF,
     RatFunc,
+    _heuristic_gcd,
     _pseudo_remainder,
     poly_divmod,
     poly_gcd,
@@ -188,6 +191,18 @@ def from_sympy(expr, x):
 @given(a=POLYS, b=POLYS, common=POLYS)
 def test_poly_gcd_matches_sympy(a, b, common):
     """Planted common factors, zero, constant and one-sided-zero operands."""
+    _check_gcd_against_sympy(a, b, common)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=POLYS, b=POLYS, common=POLYS)
+def test_remainder_sequence_alone_matches_sympy(a, b, common):
+    """With the heuristic switched off every gcd takes the fallback."""
+    with mock.patch.object(ratfunc, "_heuristic_gcd", lambda f, g: None):
+        _check_gcd_against_sympy(a, b, common)
+
+
+def _check_gcd_against_sympy(a, b, common):
     if not common.is_zero:
         a, b = a * common, b * common
     x = sp.Symbol("x")
@@ -195,6 +210,41 @@ def test_poly_gcd_matches_sympy(a, b, common):
     if g != 0:
         g = g / sp.Poly(g, x).LC()
     assert poly_gcd(a, b) == from_sympy(sp.expand(g), x)
+
+
+def test_heuristic_gcd_widens_before_it_gives_up():
+    # (x - 1)*(-2 + 37x + 35x^2 + x^3) and (x - 1)*(-32 - x + 5x^2 + 5x^3):
+    # at the first width X = 2^8 the integer gcd carries a factor that
+    # breaks the digits of x - 1, and at twice the width it does not
+    f, g = [2, -39, 2, 34, 1], [32, -31, -6, 0, 5]
+    assert _heuristic_gcd(f, g) == [-1, 1]
+    with mock.patch.object(ratfunc, "_HEURISTIC_WIDENINGS", (1,)):
+        assert _heuristic_gcd(f, g) is None
+        a, b = LaurentPoly(dict(enumerate(f))), LaurentPoly(dict(enumerate(g)))
+        assert poly_gcd(a, b) == lp({0: -1, 1: 1})
+
+
+def test_reduction_equals_gcd_then_floor_division():
+    # num and den share a product of non-monomial factors with rational
+    # coefficients; RatFunc divides them out on integers, poly_gcd and
+    # LaurentPoly // by Fraction long division
+    rng = random.Random(35)
+    reduced = 0
+    for _ in range(150):
+        common = LaurentPoly.one()
+        for _ in range(rng.randint(1, 3)):
+            common = common * LaurentPoly({e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                           for e in range(rng.randint(1, 3) + 1)})
+        num, den = rand_poly(rng, 6) * common, rand_poly(rng, 6) * common * lp({1: 1, 0: 2})
+        if num.is_zero or den.is_zero:
+            continue
+        g = poly_gcd(num, den)
+        want_num, want_den = num // g, den // g
+        lead = want_den.coeff(want_den.deg())
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == (want_num.scale(1 / lead), want_den.scale(1 / lead))
+        reduced += g.deg() > 0 and g.as_monomial() is None
+    assert reduced > 100
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
