@@ -13,8 +13,9 @@ of the n x n matrices, and the dimension of the word span over Q equals
 its dimension over any extension field.  The cheapest certificate
 decides, as in the MeatAxe (Holt-Rees 1994): a proper invariant subspace
 spun from a rational eigenvector (reducible), else n^2 words independent
-modulo a prime (irreducible), else the exact word-span closure over Q,
-the only step that sees a tuple reducible over C but not over Q.
+modulo the prime WORD_SPAN_PRIME = 2^25 - 39 (irreducible), else the
+exact word-span closure over Q, the only step that sees a tuple
+reducible over C but not over Q.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .linalg import (
     transpose,
 )
 
-WORD_SPAN_PRIME = 2**61 - 1  # of the modular word-span closure
+WORD_SPAN_PRIME = 2**25 - 39  # of the modular word-span closure, the largest prime below 2^25
 Word = Tuple[int, ...]
 
 
@@ -116,9 +117,10 @@ class IrreducibilityCertificate:
     ``subspace`` is an integer basis of a proper nonzero subspace that
     every matrix maps into itself (reducible).  ``words`` are n^2 words
     whose loop images ``rep.loop_image(word)`` are linearly independent,
-    so they span all n x n matrices (irreducible).  Both are None when
-    the exact closure found a word span below n^2: reducible over C, with
-    no rational witness.
+    modulo ``WORD_SPAN_PRIME`` = 2^25 - 39 or, after an unlucky prime,
+    over Q, so they span all n x n matrices (irreducible).  Both are None
+    when the exact closure found a word span below n^2: reducible over C,
+    with no rational witness.
     """
 
     irreducible: bool
@@ -183,14 +185,17 @@ def _word_span_dimension(
     packed in turn at X^n, are M G flattened, with digits below n*p^2.
     By the bound of ``echelon_insert_mod`` with k = n and m = n^2
     columns, a width with (n^2 + n)*p^2 < 2^(8*width - 1) keeps every
-    digit exact.
+    digit exact, and so does any wider one.  The width is at least 8
+    bytes: at ``WORD_SPAN_PRIME`` = 2^25 - 39 and n <= 90, where
+    (n^2 + n)*p^2 < 2^63, every digit is then exactly one unsigned 8-byte
+    word, which ``_unpack`` reads by one ``struct`` call; n >= 91 needs 9.
     """
     n = rep.size
     pivots: dict = {}
     frontier: deque = deque()
     gens = [integer_scaled(m)[1] for m in rep.matrices]
     if prime:
-        width = _digit_bytes((n * n + n) * prime * prime)
+        width = max(8, _digit_bytes((n * n + n) * prime * prime))
         gens = [tuple((_pack([v % prime for v in row], width),) for row in g) for g in gens]
         start = tuple((_pack([0] * i + [1], width),) for i in range(n))  # the packed rows of I
 

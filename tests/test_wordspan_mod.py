@@ -9,16 +9,25 @@ small primes, where ranks drop modulo p and the exact closure decides.
 The bound-edge cases put every digit at the top of the proven bound of
 ``linalg.echelon_insert_mod``: generators whose integer forms are p - 1
 modulo p in every entry, and rows whose digits are the largest below
-k*p^2 in their residue class.
+k*p^2 in their residue class.  The prime 2^61 - 1 keeps 17-byte digits,
+which ``lmatrix._unpack`` reads one at a time, under the same checks.
+
+At ``WORD_SPAN_PRIME`` itself, the closure must pack every digit as one
+8-byte word up to n = 90, and a tuple irreducible over Q whose span
+drops modulo that prime must still be answered irreducible, by the
+exact closure.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from bgsplit import monodromy
+from bgsplit.cli import main
 from bgsplit.errors import NotInvertible
-from bgsplit.linalg import echelon_insert_mod
+from bgsplit.linalg import echelon_insert_mod, rank
 from bgsplit.lmatrix import _digit_bytes, _pack, _unpack
 from bgsplit.monodromy import (
     WORD_SPAN_PRIME,
@@ -29,7 +38,7 @@ from bgsplit.monodromy import (
 
 import oracles
 
-PRIMES = (WORD_SPAN_PRIME, 2, 3, 5, 7, 2**31 - 1)
+PRIMES = (WORD_SPAN_PRIME, 2, 3, 5, 7, 2**31 - 1, 2**61 - 1)
 FAMILIES = ("reducible", "irreducible", "jordan", "scalar", "generic")
 
 
@@ -128,3 +137,47 @@ def test_echelon_insert_mod_at_the_digit_bound(prime, m):
             oracles.echelon_insert_mod(listed, residues, prime)
     assert packed.keys() == listed.keys()
     assert all(_unpack(comp, width)[0] == prime - 1 for comp in packed.values())
+
+
+def test_closure_digits_are_one_8_byte_word_up_to_n_90(monkeypatch):
+    """At ``WORD_SPAN_PRIME`` every digit of the closure is one unsigned
+    8-byte word, the ``struct`` path of ``_unpack``, for n = 1..90, where
+    (n^2 + n)*p^2 < 2^63; n = 91 needs 9 bytes."""
+    p = WORD_SPAN_PRIME
+    widths = {}
+
+    def spy(pivots, row, prime, width):
+        widths.setdefault(n, set()).add(width)
+        return echelon_insert_mod(pivots, row, prime, width)
+
+    monkeypatch.setattr(monodromy, "echelon_insert_mod", spy)
+    for n in range(1, 92):
+        scalar = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+        assert _word_span_dimension(monodromy_rep([scalar]), p) == 1
+    assert widths == {n: {8} if n <= 90 else {9} for n in range(1, 92)}
+    assert all((n * n + n) * p * p < 2**63 for n in range(1, 91))
+    assert (91 * 91 + 91) * p * p >= 2**63
+
+
+UNLUCKY = ([[1, 1], [0, 1]], [[1, 0], [WORD_SPAN_PRIME, 1]])
+
+
+def test_unlucky_production_prime_falls_back_to_the_exact_closure():
+    """The second generator is the identity modulo ``WORD_SPAN_PRIME``, so
+    the span there stops at 2; over Q the pair is irreducible, and the
+    certificate's 4 words come from the exact closure."""
+    rep = monodromy_rep(UNLUCKY)
+    assert _word_span_dimension(rep, WORD_SPAN_PRIME) == 2
+    cert = irreducibility_certificate(rep)
+    assert cert.irreducible and cert.subspace is None
+    assert len(cert.words) == 4
+    assert rank([[v for row in rep.loop_image(w) for v in row] for w in cert.words]) == 4
+
+
+def test_bolibrukh_on_the_unlucky_pair(tmp_path, capsys):
+    rows = "".join(", ".join(map(str, row)) + "\n" for m in UNLUCKY for row in m)
+    path = tmp_path / "unlucky.txt"
+    path.write_text("kind = monodromy_rep, n = 2, count = 2\n" + rows, encoding="utf-8")
+    code = main(["bolibrukh", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"]["reducible"] is False
