@@ -45,8 +45,8 @@ from .orderbasis import factor_to_diagonal
 class BundleOnP1:
     """Rank-n bundle presented by its transition matrix (unit det).
 
-    ``inverse_lo`` is the lowest exponent of A^-1 once known: ``dual``
-    records it, and ``_toeplitz_pass`` keeps what it finds."""
+    ``inverse_lo`` is the lowest exponent of A^-1 when the constructor is
+    given it, as ``dual`` is; the section route never writes it back."""
 
     transition: LaurentMatrix
     rank: int
@@ -156,26 +156,25 @@ def _adjugate_lo(e: BundleOnP1) -> int:
     return (e.rank - 1) * e.transition.exponent_range()[0] - e.det_exponent
 
 
-def _charge(e: BundleOnP1, kmin: int, kmax: int, extra: int) -> None:
+def _charge(e: BundleOnP1, kmin: int, kmax: int) -> None:
     """WorkBudgetExceeded when the twist-kmin section system on the
-    adjugate degree bound of twist kmax, plus ``extra``, is over
-    SECTION_BUDGET."""
+    adjugate degree bound of twist kmax is over SECTION_BUDGET."""
     lo, hi = e.transition.exponent_range()
-    bound = max(0, kmax - _adjugate_lo(e)) + extra
+    bound = max(0, kmax - _adjugate_lo(e))
     if max(e.rank * (bound + 1), min(0, kmin + hi + 1) - (kmin + lo - bound)) > SECTION_BUDGET:
         raise WorkBudgetExceeded(f"section system of twist {decimal(kmin)} needs degree bound "
                                  f"{decimal(bound)} in rank {e.rank}, over the work budget of "
                                  f"{SECTION_BUDGET}")
 
 
-def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
-    """Most 1/x-degree of s1 in a section of E(k), plus ``extra``.
+def _degree_bound(e: BundleOnP1, k: int, inverse_lo: Optional[int] = None) -> int:
+    """Most 1/x-degree of s1 in a section of E(k).
 
     s0 = x^k*A*s1 gives s1 = x^-k*A^-1*s0, and s0 has no negative
     exponent, so s1 has 1/x-degree at most k - lo(A^-1), lo(A^-1) the
-    lowest exponent of A^-1, which the bundle holds once the dual or
-    _toeplitz_pass has found it.  The bound grows with k, and
-    diag(x^a, x^b) attains it: its top section has degree k + max(a, b).
+    lowest exponent of A^-1, given as ``inverse_lo`` once known.  The
+    bound grows with k, and diag(x^a, x^b) attains it: its top section
+    has degree k + max(a, b).
 
     lo(A^-1) without A^-1: with lo the lowest entry exponent of A and
     det A = c*x^t, P = x^-lo*A is polynomial, det P = c*x^tau with
@@ -199,22 +198,22 @@ def _degree_bound(e: BundleOnP1, k: int, extra: int) -> int:
     It is exact for n <= 2, where adj(A) holds A's own entries up to
     sign, and for tau = 0, where e_n = 0.
     """
-    inverse_lo = _adjugate_lo(e) if e.inverse_lo is None else e.inverse_lo
-    return max(0, k - inverse_lo) + extra
+    return max(0, k - (_adjugate_lo(e) if inverse_lo is None else inverse_lo))
 
 
-def _toeplitz_pass(e: BundleOnP1, k: int, pivots: Dict[int, Row]) -> int:
+def _toeplitz_pass(e: BundleOnP1, k: int, pivots: Dict[int, Row]) -> Tuple[int, Optional[int]]:
     """Insert the first groups of the section systems into ``pivots`` one
-    at a time until the ranks give e_n (see _degree_bound), record
-    lo(A^-1) = -lo - e_n on the bundle and return how many groups.
+    at a time until the ranks give e_n (see _degree_bound); return how
+    many groups, and lo(A^-1) = -lo - e_n or None.
 
     At most min(tau, k - (n - 1)*lo + t) groups are read, no more
     unknowns than the twist-k system on the adjugate bound has; when e_n
-    lies beyond them nothing is recorded.  For n <= 2 the adjugate bound
-    is exact and no pass runs.
+    lies beyond them lo(A^-1) is None.  No pass runs when the bundle
+    holds lo(A^-1), which is returned, nor for n <= 2, where the
+    adjugate bound is exact.
     """
     if e.inverse_lo is not None or e.rank <= 2:
-        return 0
+        return 0, e.inverse_lo
     adjugate, lo = _adjugate_lo(e), e.transition.exponent_range()[0]
     tau = -lo - adjugate
     cap = min(tau, k - adjugate)
@@ -223,9 +222,8 @@ def _toeplitz_pass(e: BundleOnP1, k: int, pivots: Dict[int, Row]) -> int:
         for row in group:
             echelon_insert(pivots, row)
         if m * e.rank - len(pivots) == tau:
-            object.__setattr__(e, "inverse_lo", -lo - m)
-            break
-    return m
+            return m, -lo - m
+    return m, None
 
 
 def _section_groups(a: LaurentMatrix, k: int, bound: int, start: int = 0) -> Iterator[List[Runs]]:
@@ -271,22 +269,22 @@ def _section_rows(
 
 
 def _section_system(
-    e: BundleOnP1, kmin: int, kmax: int, extra: int
+    e: BundleOnP1, kmin: int, kmax: int
 ) -> Tuple[Dict[int, Row], List[List[Runs]], int, int, int]:
-    """The twist-kmin section system on the degree bound of twist kmax plus
-    ``extra``, charged to SECTION_BUDGET on the adjugate bound first:
+    """The twist-kmin section system on the degree bound of twist kmax,
+    charged to SECTION_BUDGET on the adjugate bound first:
     (pivots, groups, ncols, low, bound), pivots the echelon form of the
     groups _toeplitz_pass inserted and groups the rest, the first at target
     exponent low.  The pass's groups are this system's own up to group
     ``bound``, and the system has at least as many: bound + hi - lo + 1
     when kmin < -hi - 1, else at least kmax - kmin + e_n (kmax - kmin + tau
-    when nothing was recorded).  Past ``bound`` a group is cut at the last
-    column, so there the system starts afresh.
+    when the pass found no lo(A^-1)).  Past ``bound`` a group is cut at the
+    last column, so there the system starts afresh.
     """
-    _charge(e, kmin, kmax, extra)
+    _charge(e, kmin, kmax)
     pivots: Dict[int, Row] = {}
-    done = _toeplitz_pass(e, kmax, pivots)
-    bound = _degree_bound(e, kmax, extra)
+    done, inverse_lo = _toeplitz_pass(e, kmax, pivots)
+    bound = _degree_bound(e, kmax, inverse_lo)
     if done > bound + 1:  # a twist below -lo - 1: the pass read past the bound
         pivots, done = {}, 0
     groups, ncols, low = _section_rows(e.transition, kmin, bound, done)
@@ -297,9 +295,7 @@ def _h0_dimension(e: BundleOnP1, k: int) -> int:
     return section_profile(e, k, k)[k]
 
 
-def section_profile(
-    e: BundleOnP1, kmin: int, kmax: int, extra: int = 0
-) -> Dict[int, int]:
+def section_profile(e: BundleOnP1, kmin: int, kmax: int) -> Dict[int, int]:
     """{k: dim H^0(E(k))} for kmin <= k <= kmax, from one elimination.
 
     With one degree bound valid for every twist in the range, the twist-k
@@ -308,7 +304,7 @@ def section_profile(
     rows are inserted into one echelon form in ascending target exponent,
     and the nullity is read off each time the prefix reaches a cutoff.
     """
-    pivots, groups, ncols, low, _ = _section_system(e, kmin, kmax, extra)  # the bound grows with k
+    pivots, groups, ncols, low, _ = _section_system(e, kmin, kmax)  # the bound grows with k
     done = 0
     profile = {}
     for k in range(kmax, kmin - 1, -1):
@@ -331,7 +327,7 @@ def h0_dim(e: BundleOnP1, k: int = 0) -> SectionSpace:
     """
     a = e.transition
     n = e.rank
-    pivots, groups, ncols, _, bound = _section_system(e, k, k, 0)
+    pivots, groups, ncols, _, bound = _section_system(e, k, k)
     columns = []
     for vec in sparse_kernel([row for group in groups for row in group], ncols, pivots):
         # column (bound - b) * n + j holds the x^-b coefficient of s1_j
@@ -357,39 +353,27 @@ def splitting_type_and_profile(e: BundleOnP1) -> Tuple[SplittingType, Dict[int, 
 
     With h(k) = dim H^0(E(k)), the increment h(k) - h(k-1) counts the
     indices d_i >= -k, so consecutive increments recover every
-    multiplicity.  All indices lie within the entry exponent range of
-    the transition matrix, which bounds the scan.  The whole profile
-    comes from one elimination (section_profile): each twist's section
-    system is a prefix of the lowest twist's, so ranks of the nested
-    prefixes give every h(k) -- the partial indices from ranks of nested
-    block-Toeplitz sections (Gohberg-Feldman, Convolution Equations and
-    Projection Methods, 1974; Adukov, Wiener-Hopf factorization of
-    meromorphic matrix functions, 1992).  The result must account for
-    all n indices and sum to the determinant exponent, and on any
-    inconsistency the scan widens, the section degree bound doubles, and
-    the profile is recomputed.  The profile returned covers at least
-    -hi - 2 <= k <= -lo + 1, (lo, hi) the entry exponent range.
+    multiplicity.  All indices lie within the entry exponent range
+    (lo, hi) of the transition matrix, so the profile over
+    -hi - 2 <= k <= -lo + 1 holds them all.  It comes from one
+    elimination (section_profile): each twist's section system is a
+    prefix of the lowest twist's, so ranks of the nested prefixes give
+    every h(k) -- the partial indices from ranks of nested block-Toeplitz
+    sections (Gohberg-Feldman, Convolution Equations and Projection
+    Methods, 1974; Adukov, Wiener-Hopf factorization of meromorphic
+    matrix functions, 1992).  On the exact degree bound (_degree_bound)
+    h(-hi - 2) is 0, every multiplicity is nonnegative, and the indices
+    number n and sum to the determinant exponent; a profile that fails
+    any of these is a defect and raises InternalSearchExhausted.
     """
     lo, hi = e.transition.exponent_range()
-    n, t, pad, extra = e.rank, e.det_exponent, 1, 0
-    for _ in range(4):
-        kmin, kmax = -hi - pad, -lo + pad
-        h = section_profile(e, kmin - 1, kmax, extra)
-        delta = {k: h[k] - h[k - 1] for k in range(kmin, kmax + 1)}
-        indices: List[int] = []
-        ok = h[kmin - 1] == 0
-        for v in range(-kmin - 1, -kmax - 1, -1):
-            mult = delta[-v] - delta[-v - 1]
-            if mult < 0:
-                ok = False
-                break
-            indices.extend([v] * mult)
-        if ok and len(indices) == n and sum(indices) == t:
-            return SplittingType(tuple(indices)), h
-        pad *= 2
-        extra = 2 * extra + n * (hi - lo + 1)
-    raise InternalSearchExhausted("section-count profile stayed inconsistent after widening; "
-                                  "this indicates a defect, not bad input")
+    h = section_profile(e, -hi - 2, -lo + 1)
+    mults = {v: h[-v] - 2 * h[-v - 1] + h[-v - 2] for v in range(hi, lo - 2, -1)}
+    if (h[-hi - 2] or min(mults.values()) < 0 or sum(mults.values()) != e.rank
+            or sum(v * m for v, m in mults.items()) != e.det_exponent):
+        raise InternalSearchExhausted("section-count profile is inconsistent; "
+                                      "this indicates a defect, not bad input")
+    return SplittingType(tuple(v for v, m in mults.items() for _ in range(m))), h
 
 
 # -- explicit factorization ---------------------------------------------
@@ -519,7 +503,7 @@ def riemann_roch_check(e: BundleOnP1, k: int = 0) -> RiemannRochReport:
     A^-1 = ((A^T)^-1)^T has the lowest exponent of the dual's transition.
     The twist-k system is charged before the dual is inverted, as in h0.
     """
-    _charge(e, k, k, 0)
+    _charge(e, k, k)
     d = dual(e)
     h0 = _h0_dimension(replace(e, inverse_lo=d.transition.exponent_range()[0]), k)
     h1, deg_k = _h0_dimension(d, -k - 2), e.det_exponent + e.rank * k

@@ -80,10 +80,9 @@ def _roots(pairs):
 def _cmd_split(args, inputs: _Inputs):
     e = inputs.bundle("file")
     st, profile = bundles.splitting_type_and_profile(e)
-    lo, hi = e.transition.exponent_range()
     certificate = {
         "determinant": LaurentPoly({e.det_exponent: e.det_coeff}),
-        "section_counts": {k: profile[k] for k in range(-hi - 2, -lo + 2)},
+        "section_counts": profile,
     }
     return {"indices": st.indices}, certificate
 

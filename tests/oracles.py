@@ -214,8 +214,8 @@ def splitting_oracle(entries, det_exponent, bound_pad=4):
     return tuple(indices)
 
 
-def adjugate_degree_bound(e, k, extra):
-    """Most 1/x-degree of s1 in a section of E(k), plus ``extra``.
+def adjugate_degree_bound(e, k, inverse_lo=None):
+    """Most 1/x-degree of s1 in a section of E(k), whatever lo(A^-1) is known.
 
     With det A = c*x^t, s0 = x^k*A*s1 gives s1 = c^-1*x^(-k-t)*adj(A)*s0.
     Every adjugate entry is a sum of products of n - 1 entries of A, so
@@ -224,7 +224,7 @@ def adjugate_degree_bound(e, k, extra):
     k + t - (n - 1)*lo.
     """
     lo = e.transition.exponent_range()[0]
-    return max(0, k + e.det_exponent - (e.rank - 1) * lo) + extra
+    return max(0, k + e.det_exponent - (e.rank - 1) * lo)
 
 
 def raw_entries(matrix):

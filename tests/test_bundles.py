@@ -17,7 +17,8 @@ from bgsplit.bundles import (
     splitting_type,
     twist,
 )
-from bgsplit.errors import InvalidBundle
+from bgsplit.cli import main
+from bgsplit.errors import InternalSearchExhausted, InvalidBundle
 from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.lmatrix import LaurentMatrix
 
@@ -221,25 +222,22 @@ def test_is_isomorphic():
     assert not is_isomorphic(line(0), bundle(LaurentMatrix.identity(2)))
 
 
-def test_splitting_backstop_recovers_from_small_degree_bound(monkeypatch):
-    # Cripple the initial section degree bound; the profile consistency
-    # check must notice the undercount and rescan with a doubled bound
-    # until the answer is right.
+def test_a_crippled_degree_bound_is_caught(monkeypatch, tmp_path, capsys):
+    # Starve the section degree bound: the profile undercounts, and the
+    # count/sum check must report a defect rather than answer.
     import bgsplit.bundles as bundles_module
 
-    original = bundles_module._degree_bound
-    extras = []
-
-    def starved(e, k, extra):
-        extras.append(extra)
-        if extra == 0:
-            return 0
-        return original(e, k, extra)
-
-    monkeypatch.setattr(bundles_module, "_degree_bound", starved)
-    assert splitting_type(EXT_UP).indices == (1, -1)
-    assert splitting_type(bundle(LaurentMatrix.diagonal_powers([3, -1]))).indices == (3, -1)
-    assert 0 in extras and any(extra > 0 for extra in extras)
+    monkeypatch.setattr(bundles_module, "_degree_bound", lambda e, k, inverse_lo=None: 0)
+    for e in (EXT_UP, bundle(LaurentMatrix.diagonal_powers([3, -1]))):
+        with pytest.raises(InternalSearchExhausted):
+            splitting_type(e)
+    path = tmp_path / "ext.txt"
+    path.write_text("kind = laurent_matrix, n = 2\nx, 1\n0, x^-1\n", encoding="utf-8")
+    assert main(["split", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure: ")
+    assert "Traceback" not in captured.err
 
 
 def test_invalid_bundle_rejected():

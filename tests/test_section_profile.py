@@ -1,6 +1,8 @@
 """Property tests for the one-elimination section-count profile."""
 
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 from bgsplit import bundles
 from bgsplit.bundles import (
     _degree_bound, _h0_dimension, _toeplitz_pass, bundle, degree, dual, h0_dim, h1_dim,
-    section_profile,
+    riemann_roch_check, section_profile, splitting_type,
 )
+from bgsplit.io import parse_matrix_file
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import sparse_int_rows
 from bgsplit.lmatrix import LaurentMatrix
 from oracles import adjugate_degree_bound
+
+PLANTED_RANK4 = Path(__file__).resolve().parent / "data" / "planted_rank4.txt"
 
 # The acceptance recipe's elementary-factor coefficients.
 COEFFS = (1, -1, 2, Fraction(1, 2))
@@ -76,30 +81,23 @@ def test_profile_window_inside_the_scan(kmin, width):
     assert profile == {k: max(0, k + 2) + max(0, k) for k in range(kmin, kmin + width + 1)}
 
 
-def _old_bound(e, k):
-    """The static bound the proven one replaced; it had room to spare."""
-    lo, hi = e.transition.exponent_range()
-    return e.rank * (max(0, -lo) + max(0, hi)) + abs(k) + e.rank
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(planted_bundles(max_rank=5))
 def test_proven_degree_bound_loses_no_section(planted):
     # On a planted bundle and on its dual, whose indices are -d: the profile
-    # equals the planted counts and the one on the bound padded by the old
-    # formula, and every basis section stays within the bound.
+    # equals the planted counts, and every basis section stays within the
+    # bound, with lo(A^-1) from the Toeplitz pass at the top twist.
     a, d = planted
     e = bundle(a)
     for bundle_, indices in ((e, d), (dual(e), [-di for di in d])):
         lo, hi = bundle_.transition.exponent_range()
         kmin, kmax = -hi - 2, -lo + 1
         profile = section_profile(bundle_, kmin, kmax)
-        padded = max(_old_bound(bundle_, kmin), _old_bound(bundle_, kmax))
-        assert profile == section_profile(bundle_, kmin, kmax, padded)
         assert profile == {k: sum(max(0, di + k + 1) for di in indices)
                            for k in range(kmin, kmax + 1)}
+        inverse_lo = _toeplitz_pass(bundle_, kmax, {})[1]
         for k in (kmin, -min(indices) - 1, kmax):
-            bound = _degree_bound(bundle_, k, 0)
+            bound = _degree_bound(bundle_, k, inverse_lo)
             for _, s1 in h0_dim(bundle_, k).basis:
                 assert all(-p.ord() <= bound for p in s1 if not p.is_zero)
 
@@ -109,7 +107,7 @@ def test_proven_degree_bound_loses_no_section(planted):
 def test_degree_bound_is_attained_on_a_diagonal_bundle(a, b, k):
     a, b = min(a, b), max(a, b)
     e = bundle([[LaurentPoly({a: 1}), 0], [0, LaurentPoly({b: 1})]])
-    assert _degree_bound(e, k, 0) == max(0, k + b)
+    assert _degree_bound(e, k) == max(0, k + b)
     top = max((-p.ord() for _, s1 in h0_dim(e, k).basis for p in s1 if not p.is_zero),
               default=0)
     assert top == max(0, k + b)
@@ -131,17 +129,16 @@ def test_sparse_int_rows_same_for_int_and_fraction_input(rows):
 @given(planted_bundles(max_rank=8, lowest=-4), st.integers(-30, 30))
 def test_toeplitz_pass_finds_the_lowest_exponent_of_the_inverse(planted, k):
     # At a twist far from the profile the pass may stop at its cap and
-    # record nothing; at split's top twist it always reaches e_n, and the
+    # find nothing; at split's top twist it always reaches e_n, and the
     # degree bound of a twist that high is k - lo(A^-1).  For n <= 2 no
     # pass runs and the adjugate bound is exact.
     a, _ = planted
     e = bundle(a)
     exact = a.inverse().exponent_range()[0]
-    _toeplitz_pass(e, k, {})
-    assert e.inverse_lo in (None, exact)
+    assert _toeplitz_pass(e, k, {})[1] in (None, exact)
     top = -a.exponent_range()[0] + 1
-    _toeplitz_pass(e, top, {})
-    assert _degree_bound(e, top, 0) == top - exact
+    inverse_lo = _toeplitz_pass(e, top, {})[1]
+    assert _degree_bound(e, top, inverse_lo) == top - exact
     assert dual(e).inverse_lo == a.exponent_range()[0]
 
 
@@ -157,6 +154,22 @@ def test_sections_equal_those_on_the_adjugate_bound(planted, k, above):
     answers = [section_profile(bundle(a), k, kmax), h0_dim(bundle(a), k), h1_dim(bundle(a), k)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundles, "_degree_bound", adjugate_degree_bound)
-        patch.setattr(bundles, "_toeplitz_pass", lambda e, k, pivots: 0)
+        patch.setattr(bundles, "_toeplitz_pass", lambda e, k, pivots: (0, None))
         assert answers == [section_profile(bundle(a), k, kmax), h0_dim(bundle(a), k),
                            h1_dim(bundle(a), k)]
+
+
+def test_the_section_route_leaves_the_bundle_as_it_found_it():
+    # Every answer is a function of the bundle alone: asked twice on one
+    # object, each is the same, and no field of the object has moved.
+    e = bundle(parse_matrix_file(PLANTED_RANK4.read_text(encoding="utf-8")).obj)
+    before = {f.name: getattr(e, f.name) for f in fields(e)}
+    lo, hi = e.transition.exponent_range()
+
+    def answers():
+        return [section_profile(e, -hi - 2, -lo + 1), splitting_type(e), h0_dim(e, 4),
+                h1_dim(e, 0), riemann_roch_check(e, -1)]
+
+    assert answers() == answers()
+    assert {f.name: getattr(e, f.name) for f in fields(e)} == before
+    assert e.inverse_lo is None
