@@ -25,22 +25,22 @@ Its F_p counterpart (``echelon_insert_mod``) runs on rows packed into one
 integer each, one big-integer multiply-add per pivot.  The dense
 fraction-free core (``lmatrix.eliminate``) serves ``det_q`` on integer
 rows (and through it ``resultant``, whose rows are pseudo-remainders by
-``ratfunc._pseudo_remainder``) and ``charpoly`` on the rows of
-lambda*I - A, each entry packed into one integer and read back by
-``lmatrix._laurent``.
+``ratfunc._pseudo_remainder``).  ``charpoly`` needs no elimination: it
+runs Berkowitz's division-free recurrence on the integer matrix d*A,
+with vector-matrix products on plain integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, NotInvertible
-from .laurent import LaurentPoly
-from .lmatrix import _digit_bytes, _digit_mask, _laurent, _pack, _shift, _unpack, eliminate
+from .laurent import LaurentPoly, _trusted
+from .lmatrix import _digit_mask, _pack, _shift, _unpack, eliminate
 from .ratfunc import _primitive_coeffs, _pseudo_remainder, poly_radical, root_multiplicity
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -529,39 +529,46 @@ def charpoly(a: Sequence[Sequence]) -> LaurentPoly:
     """Monic characteristic polynomial det(lambda*I - A), exact, with
     lambda written as x, so the exponent is the power of lambda.
 
-    Row i of lambda*I - A, scaled by s_i (the lcm of its denominators),
-    is the Z[lambda] row N_i: s_i*lambda - m_ii on the diagonal and -m_ij
-    elsewhere, m_ij = s_i*a_ij.  Each entry is packed at lambda = X =
-    2^(8w) by ``lmatrix._pack``, and ``lmatrix.eliminate`` runs Bareiss on
-    these integers; its last pivot is sign * det N(X), with
-    det N = prod(s_i) * det(lambda*I - A).
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) on
+    the one integer matrix M = d*A of ``integer_scaled``: with
+    c = (c_0, ..., c_n) the coefficients of det(lambda*I - M), highest
+    power first, det(lambda*I - A) = d^-n * det(d*lambda*I - M), so the
+    coefficient of lambda^(n-k) is c_k / d^k.  Write M_r for the leading
+    r x r block, p = (p_0 = 1, ..., p_r) for the coefficients of
+    det(lambda*I - M_r), R for row r left of the diagonal and C for
+    column r above it.  By the Schur complement,
 
-    Width: every value the elimination forms is a minor of N (Sylvester's
-    identity), so by ``lmatrix._minor_bound`` each of its coefficients is
-    at most B = prod_i (1 + s_i + sum_j |m_ij|) in absolute value.
-    w = ``_digit_bytes(B)`` gives B < 2^(8w - 1), so each minor is one
-    balanced base-X numeral: a packed minor is 0 only when the minor is,
-    the exact integer divisions are the exact divisions of Z[lambda], and
-    ``_unpack`` reads det N back coefficient by coefficient.
+        det(lambda*I - M_(r+1)) = (lambda - m_rr) * det(lambda*I - M_r)
+                                  - R * adj(lambda*I - M_r) * C,
+
+    and Cayley-Hamilton (p(M_r) = 0) expands the adjugate as
+    adj(lambda*I - M_r) = sum_(j<r) lambda^(r-1-j) sum_(i<=j) p_i M_r^(j-i).
+    So the coefficients of det(lambda*I - M_(r+1)) are T * p, T the
+    (r+2) x (r+1) lower-triangular Toeplitz matrix whose first column is
+    (1, -m_rr, -R*C, -R*M_r*C, ..., -R*M_r^(r-1)*C).  Starting from
+    c = (1) for the 0 x 0 block, n such steps give c on integers, with no
+    division and no bound to size anything by.
     """
     n = len(a)
     if any(len(r) != n for r in a):
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    if not n:
-        return LaurentPoly.one()
-    scales, rows, bound = [], [], 1
-    for row in a:
-        s = lcm(*(v.denominator for v in row))
-        negated = [-v.numerator * (s // v.denominator) for v in row]
-        bound *= 1 + s + sum(map(abs, negated))
-        scales.append(s)
-        rows.append(negated)
-    width = _digit_bytes(bound)
-    for i, (s, row) in enumerate(zip(scales, rows)):
-        row[i] += _pack((0, s), width)
-    sign, det = eliminate(rows, n, jordan=False)
-    den = prod(scales)
-    return _laurent(enumerate(_unpack(det, width)), 1, 0, sign, den)
+    d, m = integer_scaled(a)
+    c = [1]
+    for r, row in enumerate(m):
+        block = m[:r]
+        col, t = [v[r] for v in block], [1, -row[r]]
+        for j in range(r):  # map stops at len(col) = r: rows are read left of column r
+            if j:
+                col = [sum(map(mul, v, col)) for v in block]
+            t.append(-sum(map(mul, row, col)))
+        t.reverse()  # c_k of T * c is sum_j c_j t_(k-j): c against the last k + 1 of t
+        c = [sum(map(mul, c, t[r + 1 - k:])) for k in range(r + 2)]
+    scale, terms = d**n, {}
+    for k in range(n, -1, -1):
+        if c[k]:
+            terms[n - k] = Fraction(c[k], scale)
+        scale //= d
+    return _trusted(terms)
 
 
 def rational_roots(p: LaurentPoly) -> List[Tuple[Fraction, int]]:

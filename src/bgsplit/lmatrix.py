@@ -8,9 +8,9 @@ c*x^t.
 ``det``, ``inverse``, ``__matmul__``, ``apply`` and the gauge
 transform of rational-function matrices in ``fuchsian`` share one
 exact kernel over Z[x]; the
-characteristic polynomial ``linalg.charpoly`` (the determinant of
-lambda*I - A) packs its integer rows with ``_pack`` and feeds them to
-``eliminate``.  An operand is converted once: shifted by x^-lo (lo its
+characteristic polynomial ``linalg.charpoly`` needs none of it, since
+its recurrence (Berkowitz's) is division-free and runs on plain
+integers.  An operand is converted once: shifted by x^-lo (lo its
 lowest exponent), written in y = x^g (g the gcd of the shifted
 exponents) and scaled per row, or per column for a right factor, by the
 lcm of the denominators.  Each integer polynomial entry P is packed into

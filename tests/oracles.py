@@ -355,8 +355,9 @@ def charpoly_oracle(matrix):
 
 def faddeev_leverrier(matrix):
     """Coefficients of det(lambda*I - A), highest power first, as Fractions,
-    by the Faddeev-LeVerrier recurrence: the loop ``linalg.charpoly`` ran
-    before it became a Laurent determinant, kept as its reference.
+    by the Faddeev-LeVerrier recurrence, which divides by k at step k: a
+    reference independent of ``linalg.charpoly``'s division-free
+    Berkowitz recurrence.
 
     It runs on the integer matrix N = d*A (d the lcm of A's denominators),
     whose iterates M_k = N*M_(k-1) + c_(k-1)*I and coefficients

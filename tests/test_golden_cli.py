@@ -15,7 +15,12 @@ n = 6, irreducible n = 5 pair, Jordan n = 6, a 4 x 4 pair reducible
 only over Q(i), which only the exact word-span closure decides, and an
 irreducible n = 5 pair with denominator 999991) and on an irreducible
 4 x 4 triple whose product is the identity, the one input that reaches
-the reason "representation is irreducible", and of ``gauge`` on the
+the reason "representation is irreducible", and on a Jordan n = 6 tuple
+conjugated by entries +-999983 (about 250-bit entries; the criterion
+applies and its eigenvalues print), of ``fuchs-system`` on rank-8
+residues at -2, 3 and oo with rational eigenvalues and entries of about
+100 bits, and
+of ``gauge`` on the
 demo extension with the gauge matrix ``tests/data/gauge_p.txt``, whose
 determinant x + 2 is not a unit, so P^-1 has denominators, and on the
 rank-4 pair ``tests/data/gauge_a4.txt``, ``gauge_p4.txt`` (det P =
@@ -65,7 +70,7 @@ FIELD_CASES = {
         f"{stem}.bolibrukh": ["bolibrukh", os.path.join(HERE, "data", f"{stem}.txt")]
         for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6",
                      "monodromy_gaussian4", "monodromy_irreducible5_wide",
-                     "monodromy_irreducible4_identity")
+                     "monodromy_irreducible4_identity", "monodromy_jordan6_wide")
     },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
     **{
@@ -76,6 +81,9 @@ FIELD_CASES = {
     },
     "residue_system.fuchs_system": [
         "fuchs-system", os.path.join(DEMOS, "residue_system.txt")
+    ],
+    "residue_system8_wide.fuchs_system": [
+        "fuchs-system", os.path.join(HERE, "data", "residue_system8_wide.txt")
     ],
     "local_system.frobenius_n4": [
         "frobenius", os.path.join(DEMOS, "local_system.txt"), "-N", "4"
