@@ -13,8 +13,9 @@ long row is combined on packed runs: each run one integer built by
 ``lmatrix._pack``, so a combination is one multiply-subtract per run,
 with the digit width checked against a proven bound on the entries
 before each combination and widened only when that bound would
-overflow it (``Row``, the width invariant).  Short one-run rows combine
-entry by entry.  Rank, kernels, ``solve`` (A X = B, the right-hand side
+overflow it (``Row``, the width invariant).  One-run rows shorter than
+``_PACKED_MIN`` = 48 entries, the measured crossover, combine entry by
+entry.  Rank, kernels, ``solve`` (A X = B, the right-hand side
 a matrix: a vector is one column; ``inverse_q`` solves A X = I), section
 counts and the exact word-span closure use it; kernels and solutions
 share one integer back-substitution to reduced echelon form, whose rows
@@ -33,7 +34,6 @@ with vector-matrix products on plain integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -61,9 +61,12 @@ Runs = List[Tuple[int, List[int]]]
 Row = List[Any]
 _GAP = 32
 _WIDTH = 8  # the fewest bytes per digit of a packed row
-# Entries from which a one-run row is combined packed: below it, packing and
-# unpacking cost more than the entry-by-entry pass they save.
-_PACKED_MIN = 16
+# Entries from which a one-run row is combined packed: the measured crossover.
+# Below it the entry-by-entry pass wins on the section rows (at most 40
+# entries), the n = 8 Frobenius solves and the exact word-span closure at
+# n <= 6; at 56 and above it already slows the growth bundles of rank 8 and 16
+# by about a tenth (see ``echelon_insert``).
+_PACKED_MIN = 48
 
 
 def qmat(rows: Sequence[Sequence]) -> Matrix:
@@ -151,7 +154,13 @@ def echelon_insert(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
     same row.  A row of one run shorter than ``_PACKED_MIN`` entries that
     meets pivots of the same kind is combined entry by entry; any other
     row is combined packed (``_reduce_packed``), one multiply-subtract per
-    run of P.
+    run of P.  Both paths store the same primitive row.  On replayed
+    rows of 16 to 128 entries, the entry-by-entry pass is 1.8-2.8x faster
+    on entries near 2^63 or of 1,000 bits, since packing pads each digit
+    to the widest entry, and the packed one up to 1.4x faster on small
+    entries from 24 entries on.  Section rows start small and grow: on
+    the benchmark's rows and the growth bundles' the two cross at about
+    48 entries.
     """
     if len(row) != 1 or len(row[0][1]) >= _PACKED_MIN:
         return _reduce_packed(pivots, row)
@@ -304,7 +313,11 @@ def _store(pivots: Dict[int, Row], runs: Runs) -> int:
     last = runs[-1][1]
     while not last[-1]:
         last.pop()
-    g = gcd(*last) if len(runs) == 1 else gcd(*chain.from_iterable(run for _, run in runs))
+    g = 0
+    for _, run in runs:  # the content, run by run, stopping at 1
+        g = gcd(g, *run)
+        if g == 1:
+            break
     g = g if runs[0][1][0] > 0 else -g
     if g != 1:
         runs = [(col, [v // g for v in run]) for col, run in runs]

@@ -336,10 +336,17 @@ class RatFunc:
         in the denominator."""
         if p.is_zero:
             return RatFunc.zero()
-        o = p.ord()
-        if o >= 0:
-            return RatFunc(p)
-        return RatFunc(p.shift(-o), LaurentPoly.x_power(-o))
+        o = min(p.ord(), 0)  # for o < 0, p*x^-o has a nonzero constant term: prime to x^-o
+        return RatFunc._reduced(p.shift(-o), LaurentPoly.x_power(-o))
+
+    @staticmethod
+    def _reduced(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
+        """num/den as given, with no gcd: the caller knows that num and den
+        are coprime polynomials, den monic and num nonzero or den 1."""
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     # -- inspection ----------------------------------------------------
 
@@ -398,7 +405,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         other = self._lift(other)
@@ -439,10 +446,7 @@ class RatFunc:
         monic, so num^n/den^n is already reduced: no gcd runs."""
         if n < 0:
             return (RatFunc.one() / self) ** -n
-        power = object.__new__(RatFunc)
-        object.__setattr__(power, "num", self.num**n)
-        object.__setattr__(power, "den", self.den**n)
-        return power
+        return RatFunc._reduced(self.num**n, self.den**n)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(
@@ -451,8 +455,9 @@ class RatFunc:
         )
 
     def shift(self, c: Scalar) -> "RatFunc":
-        """The function f(x + c)."""
-        return RatFunc(poly_shift(self.num, c), poly_shift(self.den, c))
+        """The function f(x + c).  x -> x + c keeps num and den coprime
+        and den's leading coefficient, so no gcd runs."""
+        return RatFunc._reduced(poly_shift(self.num, c), poly_shift(self.den, c))
 
     # -- comparison and display ---------------------------------------
 

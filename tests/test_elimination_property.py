@@ -33,7 +33,10 @@ equal that of the dict-row insertion (``oracles.echelon_reference``), and
 enough to be packed, split into runs exactly ``_GAP`` and ``_GAP + 1``
 zeros apart, with leads of either sign, entries within a factor of 2 of
 the first digit limit (so that a combination must widen the digits), and
-rows that reduce to zero.  ``monodromy._spin`` must give the bases the
+rows that reduce to zero.  Below the layout, one-run rows of the 16
+lengths just under ``_PACKED_MIN``, with small, 2^63-sized and 1,000-bit
+entries, must match it entry by entry, without reaching the packed path.
+``monodromy._spin`` must give the bases the
 same spins give on dict rows, on the reducible golden tuples.
 """
 
@@ -48,6 +51,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgsplit import linalg as linalg_module
 from bgsplit import lmatrix as lmatrix_module
 from bgsplit.errors import NotInvertible
 from bgsplit.fuchsian import gauge_transform
@@ -329,6 +333,39 @@ def test_packed_pivots_match_the_reference_at_the_layout_edges(rows):
     as_dicts = [{c + i: Fraction(v) for c, entries in row for i, v in enumerate(entries)}
                 for row in rows]
     assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
+
+
+@st.composite
+def short_rows(draw):
+    """One-run rows of ``_PACKED_MIN - 16`` to ``_PACKED_MIN - 1`` entries,
+    just below the switch, so that they combine entry by entry: the
+    lengths that a switch at 16 sent to the packed path.  Each drawn row
+    starts with a lead of either sign after up to 4 zeros; entries are
+    small, within a factor of 2 of 2^63, or of about 1,000 bits; the rows
+    drawn last are combinations of earlier ones, so reduce to zero."""
+    length = draw(st.integers(_PACKED_MIN - 16, _PACKED_MIN - 1))
+    size = draw(st.sampled_from((st.integers(1, 9), st.integers(2**62, 2**63 - 1),
+                                 st.integers(2**999, 2**1000))))
+    entry = st.builds(lambda v, sign: sign * v, size, st.sampled_from((1, -1)))
+    dense = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 4))
+        tail = draw(st.lists(st.one_of(st.just(0), entry), min_size=length - start - 1,
+                             max_size=length - start - 1))
+        dense.append([0] * start + [draw(entry)] + tail)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(dense) - 1)) for _ in range(2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        dense.append([a * x + b * y for x, y in zip(dense[i], dense[j])])
+    return [[(0, row)] for row in dense]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(short_rows())
+def test_rows_below_the_switch_match_the_reference_entry_by_entry(rows):
+    as_dicts = [{i: Fraction(v) for i, v in enumerate(row[0][1])} for row in rows]
+    with mock.patch.object(linalg_module, "_reduce_packed", side_effect=AssertionError):
+        assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
 
 
 def _spin_reference(seed, gens):

@@ -17,7 +17,9 @@ irreducible n = 5 pair with denominator 999991) and on an irreducible
 4 x 4 triple whose product is the identity, the one input that reaches
 the reason "representation is irreducible", and on a Jordan n = 6 tuple
 conjugated by entries +-999983 (about 250-bit entries; the criterion
-applies and its eigenvalues print), of ``fuchs-system`` on rank-8
+applies and its eigenvalues print), and on a 6 x 6 pair reducible only
+over Q(i) conjugated by entries +-1000, whose exact word-span closure
+runs on rows of 36 entries of about 100 bits, of ``fuchs-system`` on rank-8
 residues at -2, 3 and oo with rational eigenvalues and entries of about
 100 bits, and
 of ``gauge`` on the
@@ -70,7 +72,8 @@ FIELD_CASES = {
         f"{stem}.bolibrukh": ["bolibrukh", os.path.join(HERE, "data", f"{stem}.txt")]
         for stem in ("monodromy_reducible6", "monodromy_irreducible5", "monodromy_jordan6",
                      "monodromy_gaussian4", "monodromy_irreducible5_wide",
-                     "monodromy_irreducible4_identity", "monodromy_jordan6_wide")
+                     "monodromy_irreducible4_identity", "monodromy_jordan6_wide",
+                     "monodromy_gaussian6_wide")
     },
     "hypergeometric.fuchs_ode": ["fuchs-ode", os.path.join(DEMOS, "hypergeometric.txt")],
     **{

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bgsplit import monodromy
 from bgsplit.errors import NotInvertible
+from bgsplit.io import parse_matrix_file
 from bgsplit.laurent import LaurentPoly
 from bgsplit.linalg import charpoly, det_q, inverse_q, mat_mul, qmat
 from bgsplit.monodromy import (
@@ -57,6 +59,19 @@ def test_irreducibility_word_span():
     assert is_irreducible(monodromy_rep([[[1, 1], [0, 1]], [[1, 0], [1, 1]]]))
     assert not is_irreducible(monodromy_rep(COUNTEREXAMPLE_MATRICES))
     assert not is_irreducible(monodromy_rep([[[1, 1], [0, 1]]]))
+
+
+def test_gaussian_pair_with_wide_entries_needs_the_exact_closure():
+    # two 3 x 3 Gaussian-integer matrices as 6 x 6 rational ones, conjugated
+    # by L U with entries +-1000: their algebra is M_3(Q(i)), of dimension
+    # 18, so the F_p span stops short of 36 and the exact closure, on rows
+    # of 36 entries of about 100 bits, finds no certificate either
+    path = Path(__file__).parent / "data" / "monodromy_gaussian6_wide.txt"
+    rep = parse_matrix_file(path.read_text(encoding="utf-8")).obj
+    assert monodromy._word_span_dimension(rep, monodromy.WORD_SPAN_PRIME) < 36
+    assert monodromy._word_span_dimension(rep) == 18
+    cert = monodromy.irreducibility_certificate(rep)
+    assert not cert.irreducible and cert.words is None and cert.subspace is None
 
 
 def test_irreducibility_vs_bruteforce_coordinate_subspaces():

@@ -257,6 +257,25 @@ def test_ratfunc_normal_form_matches_sympy(num, den, common):
     assert (f.num, f.den) == (from_sympy(sp.expand(n / lead), x), from_sympy(sp.expand(d / lead), x))
 
 
+LAURENTS = st.builds(lambda cs, low: LaurentPoly({e + low: c for e, c in enumerate(cs)}),
+                     st.lists(COEFF, max_size=5), st.integers(-3, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=LAURENTS, num=POLYS, den=POLYS.filter(bool), c=COEFF, n=st.integers(0, 3))
+def test_values_reduced_by_construction_equal_the_reduced_quotient(p, num, den, c, n):
+    """from_laurent, negation, shift and nonnegative powers build their
+    values with no gcd; each equals RatFunc(num, den) reduced as usual."""
+    o = 0 if p.is_zero else min(p.ord(), 0)
+    cases = [(RatFunc.from_laurent(p), p.shift(-o), LaurentPoly.x_power(-o))]
+    f = RatFunc(num, den)
+    cases += [(-f, -f.num, f.den), (f.shift(c), poly_shift(f.num, c), poly_shift(f.den, c)),
+              (f**n, f.num**n, f.den**n)]
+    for got, want_num, want_den in cases:
+        want = RatFunc(want_num, want_den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def _sympy_terms(poly):
     return {e: Fraction(int(c.p), int(c.q)) for (e,), c in poly.as_dict().items()}
 
