@@ -13,9 +13,11 @@ long row is combined on packed runs: each run one integer built by
 ``lmatrix._pack``, so a combination is one multiply-subtract per run,
 with the digit width checked against a proven bound on the entries
 before each combination and widened only when that bound would
-overflow it (``Row``, the width invariant).  One-run rows shorter than
+overflow it (the width invariant).  One-run rows shorter than
 ``_PACKED_MIN`` = 48 entries, the measured crossover, combine entry by
-entry.  Rank, kernels, ``solve`` (A X = B, the right-hand side
+entry.  Every stored row has one shape (``Row``): its runs, always
+present, and a cache of them packed, filled when a packed row first
+meets it.  Rank, kernels, ``solve`` (A X = B, the right-hand side
 a matrix: a vector is one column; ``inverse_q`` solves A X = I), section
 counts and the exact word-span closure use it; kernels and solutions
 share one integer back-substitution to reduced echelon form, whose rows
@@ -49,15 +51,15 @@ SparseRow = Dict[int, int]
 # A row as runs (first column, entries), ascending and disjoint, so that it
 # costs the columns its runs cover; runs at most _GAP zeros apart merge.
 Runs = List[Tuple[int, List[int]]]
-# A row the echelon core keeps, primitive, its first entry lead positive at its
-# pivot column: light, its runs alone, or full, [lead, runs, width, bound,
-# packed].  packed holds its runs at width bytes a digit, each as (first column,
-# value, length): value = sum of e_j * X^j at X = 2^(8*width) (``lmatrix._pack``),
-# with every |e_j| <= bound < 2^(8*width - 1), so its digits are balanced (the
-# width invariant).  A row is stored light, and turns full in place when it first
-# meets a packed row (``_make_full``; width 0 until it is packed there); one
-# stored after a packed combination keeps its packed runs and is unpacked when
-# first read (runs None until then).
+# A row the echelon core keeps: [lead, runs, width, bound, packed], primitive,
+# lead = runs[0][1][0] > 0 its entry at its pivot column, the last entry of its
+# last run nonzero.  packed caches its runs at width bytes a digit, each as
+# (first column, value, length, which may count zero digits past the run's
+# end): value = sum of e_j * X^j at X = 2^(8*width)
+# (``lmatrix._pack``), with every |e_j| <= bound < 2^(8*width - 1), so its
+# digits are balanced (the width invariant).  Width 0 means that the row has
+# not met a packed row yet: packed is empty, and the bound is found when the
+# row is first packed (``_common_width``).
 Row = List[Any]
 _GAP = 32
 _WIDTH = 8  # the fewest bytes per digit of a packed row
@@ -174,7 +176,7 @@ def echelon_insert(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
         p = pivots.get(c + s)
         if p is None:
             return _store(pivots, [(c + s, run[s:])] if s else row)
-        p_runs = _runs(p)
+        p_runs = p[1]
         if len(p_runs) > 1 or len(p_runs[0][1]) >= _PACKED_MIN:
             return _reduce_packed(pivots, row)
         entries = p_runs[0][1]
@@ -199,8 +201,10 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
     at most |b|*B_R + |a|*B_P.  That sum is checked before each
     combination; when it would reach 2^(8w - 1), B_R is first tightened to
     the row's largest digit, and only when that fails are the row and the
-    pivot repacked wider.  The stored row keeps its packed runs, divided
-    by the content (exactly, digit by digit), and its largest digit as B.
+    pivot repacked wider.  The remainder is unpacked run by run (every
+    digit is read for its content anyway) and stored with its packed runs
+    and its runs, both divided by the content (exactly, digit by digit),
+    and its largest digit as B.
 
     The next leading entry is the lowest nonzero digit, and it lies in the
     digit of the lowest set bit: with d_k the first nonzero digit, the
@@ -227,7 +231,6 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
         if i or s or len(rest) < len(row) - 1:
             row = [(c, first[s:] if s else first)] + rest
         return _store(pivots, row)
-    _make_full(p)
     bound = max(max(first), -min(first)) if len(row) == i + 1 else \
         max(max(max(run), -min(run)) for _, run in row[i:] if run)
     width = p[2] or _WIDTH
@@ -287,29 +290,25 @@ def _reduce_packed(pivots: Dict[int, Row], row: Runs) -> Optional[int]:
         p = pivots.get(c)
         if p is None:
             break
-        _make_full(p)
     packed = [(c, v, n)] + [run for run in rest if run[1]] if rest else [(c, v, n)]
-    if len(packed) == 1:
-        digits = _unpack(v, width)[:n]
-        while not digits[-1]:
-            digits.pop()
-    else:
-        digits = [d for _, x, _ in packed for d in _unpack(x, width)]
-    g = gcd(*digits)
+    runs = [(col, _unpack(x, width)[:m]) for col, x, m in packed]
+    last = runs[-1][1]
+    while not last[-1]:
+        last.pop()
+    g = gcd(*(d for _, run in runs for d in run))
     g = g if lead > 0 else -g
-    runs = [(c, digits)] if len(packed) == 1 else None
     if g != 1:
         packed = [(col, x // g, m) for col, x, m in packed]
-        runs = runs and [(c, [d // g for d in digits])]
-    pivots[c] = [lead // g, runs, width, max(max(digits), -min(digits)) // abs(g), packed]
+        runs = [(col, [d // g for d in run]) for col, run in runs]
+    pivots[c] = [lead // g, runs, width, max(max(max(run), -min(run)) for _, run in runs), packed]
     return c
 
 
 def _store(pivots: Dict[int, Row], runs: Runs) -> int:
     """Store a row whose first entry is nonzero, in a column without a
     pivot, divided by its content with that entry made positive, and
-    return the column.  The row is kept light: its runs alone, the very
-    list given when the content is 1."""
+    return the column.  The row is stored unpacked, width 0, on the very
+    runs given when the content is 1."""
     last = runs[-1][1]
     while not last[-1]:
         last.pop()
@@ -321,14 +320,8 @@ def _store(pivots: Dict[int, Row], runs: Runs) -> int:
     g = g if runs[0][1][0] > 0 else -g
     if g != 1:
         runs = [(col, [v // g for v in run]) for col, run in runs]
-    pivots[runs[0][0]] = runs
+    pivots[runs[0][0]] = [runs[0][1][0], runs, 0, 0, ()]
     return runs[0][0]
-
-
-def _make_full(p: Row) -> None:
-    """Turn the stored row p full in place, width 0, if it is light."""
-    if type(p[0]) is tuple:
-        p[:] = [p[0][1][0], p[:], 0, 0, ()]
 
 
 def _digit_width(bound: int) -> int:
@@ -351,25 +344,16 @@ def _common_width(p: Row, width: int, need: int, v: int, rest: List[Tuple[int, i
         bound = p[3] = max(max(max(run), -min(run)) for _, run in p[1])
     wider = max(need, old, _digit_width(bound))
     if wider != old:
-        p[2], p[4] = wider, [(c, _pack(run, wider), len(run)) for c, run in _runs(p)]
+        p[2], p[4] = wider, [(c, _pack(run, wider), len(run)) for c, run in p[1]]
     if wider != width:
         v = _pack(_unpack(v, width), wider)
         rest = [(col, _pack(_unpack(x, width), wider), m) for col, x, m in rest]
     return wider, v, rest
 
 
-def _runs(row: Row) -> Runs:
-    """The runs of a stored row, unpacked on the first read."""
-    if type(row[0]) is tuple:  # light
-        return row
-    if row[1] is None:
-        row[1] = [(c, _unpack(x, row[2])[:m]) for c, x, m in row[4]]
-    return row[1]
-
-
 def row_entries(row: Row) -> SparseRow:
     """The nonzero entries of a stored row, as {column: value}."""
-    return {c + i: v for c, run in _runs(row) for i, v in enumerate(run) if v}
+    return {c + i: v for c, run in row[1] for i, v in enumerate(run) if v}
 
 
 def _subtract(row: List[Tuple[int, int, int]], col: int, a: int, value: int, length: int,

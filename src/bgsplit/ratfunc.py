@@ -153,34 +153,18 @@ def _primitive_coeffs(p: LaurentPoly) -> List[int]:
     return _primitive(out)
 
 
-def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
-    """The pseudo-remainder lead(g)^(len f - len g + 1) * f mod g, on Z[x]
-    coefficient lists (lowest first, len f >= len g), g's last entry
-    nonzero; f's last entry may be 0, and the power still counts every
-    entry of f.  f is scaled once up front; each quotient coefficient is
-    then an exact integer division by lead(g)."""
-    lead, dg = g[-1], len(g) - 1
-    scale = lead ** (len(f) - dg)
-    f = [scale * v for v in f]
-    while len(f) > dg:
-        q = f.pop() // lead
-        if q:
-            shift = len(f) - dg
-            for i, w in enumerate(g[:-1]):
-                f[shift + i] -= q * w
-    while f and not f[-1]:
-        f.pop()
-    return f
+def _long_divide(f: List[int], g: List[int]) -> Optional[Tuple[List[int], List[int]]]:
+    """(q, r) with f = q*g + r over Z and len r = len g - 1 (r padded with
+    zeros), on Z[x] coefficient lists lowest first, g's last entry
+    nonzero; None when q has a coefficient that is not an integer.
 
-
-def _exact_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
-    """f / g on Z[x] coefficient lists (lowest first, g's last entry
-    nonzero) when g divides f in Z[x], else None.  Long division from the
-    top, stopped at the first quotient coefficient that is not an integer;
-    when g is primitive and divides f over Q, Gauss's lemma makes every
-    step exact, so no fraction is ever built."""
+    Long division from the top.  While the quotient coefficients found so
+    far are integers, the running remainder is the one over Q, so the next
+    coefficient over Q is its top entry over lead(g), an integer exactly
+    when ``divmod`` leaves nothing.  The loop stops at the first that is
+    not, so no fraction is ever built."""
     lead, dg = g[-1], len(g) - 1
-    f, quot = list(f), []
+    f, quot = f + [0] * (dg - len(f)), []
     while len(f) > dg:
         q, r = divmod(f.pop(), lead)
         if r:
@@ -190,7 +174,32 @@ def _exact_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
             shift = len(f) - dg
             for i, w in enumerate(g[:-1]):
                 f[shift + i] -= q * w
-    return None if any(f) else quot[::-1]
+    return quot[::-1], f
+
+
+def _pseudo_remainder(f: List[int], g: List[int]) -> List[int]:
+    """The pseudo-remainder lead(g)^(len f - len g + 1) * f mod g, on Z[x]
+    coefficient lists (lowest first, len f >= len g), g's last entry
+    nonzero, with no trailing zeros; f's last entry may be 0, and the
+    power still counts every entry of f.  Over Q the i-th quotient
+    coefficient from the top has a denominator dividing lead(g)^i, and
+    there are len f - len g + 1 of them, so f scaled by that power has an
+    integer quotient and ``_long_divide`` returns its remainder."""
+    scale = g[-1] ** (len(f) - len(g) + 1)
+    _, r = _long_divide([scale * v for v in f], g)
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _exact_quotient(f: List[int], g: List[int]) -> Optional[List[int]]:
+    """f / g on Z[x] coefficient lists (lowest first, g's last entry
+    nonzero) when g divides f in Z[x], else None: ``_long_divide``'s
+    quotient when its remainder is zero, so most non-divisors are refused
+    after a few steps.  For g primitive, Gauss's lemma makes a quotient
+    over Q integral, so None means that g does not divide f over Q."""
+    out = _long_divide(f, g)
+    return None if out is None or any(out[1]) else out[0]
 
 
 def _divide(p: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -262,29 +271,18 @@ def root_multiplicity(p: LaurentPoly, point: Scalar) -> int:
     """Multiplicity of (x - point) in the nonzero polynomial p.
 
     With point = u/v in lowest terms, v*x - u is primitive, so by Gauss's
-    lemma x - point divides p exactly when v*x - u divides the primitive
-    integer form f of p over Z, with a primitive quotient.  Synthetic
-    division from the top coefficient forms that quotient with one
-    ``divmod`` by v per coefficient, and stops at the first nonzero
-    remainder."""
+    lemma (x - point)^m divides p exactly when (v*x - u)^m divides the
+    primitive integer form f of p in Z[x].  The multiplicity is the number
+    of times ``_exact_quotient`` divides v*x - u out of f, each division
+    stopped at its first non-integer quotient coefficient."""
     _require_poly(p)
     if p.is_zero:
         raise ValueError("zero polynomial")
     if point == 0:
         return p.ord()
     point = _coerce(point)
-    u, v = point.numerator, point.denominator
-    f, mult = _primitive_coeffs(p), 0
-    while len(f) > 1:
-        quot, q = [], 0
-        for c in reversed(f[1:]):  # c_k = v*q_(k-1) - u*q_k
-            q, r = divmod(c + u * q, v)
-            if r:
-                return mult
-            quot.append(q)
-        if f[0] + u * q:
-            return mult
-        f = quot[::-1]
+    f, g, mult = _primitive_coeffs(p), [-point.numerator, point.denominator], 0
+    while (f := _exact_quotient(f, g)) is not None:
         mult += 1
     return mult
 

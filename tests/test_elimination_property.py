@@ -36,13 +36,15 @@ the first digit limit (so that a combination must widen the digits), and
 rows that reduce to zero.  Below the layout, one-run rows of the 16
 lengths just under ``_PACKED_MIN``, with small, 2^63-sized and 1,000-bit
 entries, must match it entry by entry, without reaching the packed path.
+Mixed together in one echelon, all of these leave stored rows that keep
+the row invariant of ``linalg.Row``, packed cache included.
 ``monodromy._spin`` must give the bases the
 same spins give on dict rows, on the reducible golden tuples.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -366,6 +368,45 @@ def test_rows_below_the_switch_match_the_reference_entry_by_entry(rows):
     as_dicts = [{i: Fraction(v) for i, v in enumerate(row[0][1])} for row in rows]
     with mock.patch.object(linalg_module, "_reduce_packed", side_effect=AssertionError):
         assert echelon_sparse(sparse_int_rows(rows)) == echelon_reference(as_dicts)
+
+
+@st.composite
+def mixed_rows(draw):
+    """The rows of ``short_rows``, ``packed_rows`` and ``run_rows``, drawn
+    together and interleaved, so that one echelon holds rows stored by the
+    entry-by-entry pass and by the packed one, rows packed where a packed
+    row met them, and rows that reduce to zero."""
+    rows = sparse_int_rows(draw(run_rows())[0]) + draw(short_rows()) + draw(packed_rows())
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mixed_rows())
+def test_stored_rows_keep_the_row_invariant(rows):
+    """Every stored row is [lead, runs, width, bound, packed]: runs
+    primitive, ascending and disjoint, lead = runs[0][1][0] > 0 at the
+    pivot column, the last entry nonzero; at width > 0 packed unpacks to
+    runs and every |digit| <= bound < 2^(8*width - 1) (``linalg.Row``)."""
+    as_dicts = [{c + i: Fraction(v) for c, entries in row for i, v in enumerate(entries)}
+                for row in rows]
+    pivots = {}
+    for row in rows:
+        linalg_module.echelon_insert(pivots, row)
+    for c, (lead, runs, width, bound, packed) in pivots.items():
+        assert lead == runs[0][1][0] > 0 and runs[0][0] == c and runs[-1][1][-1]
+        assert all(a + len(x) < b for (a, x), (b, _) in zip(runs, runs[1:]))
+        assert gcd(*(v for _, run in runs for v in run)) == 1
+        if not width:
+            assert packed == ()
+            continue
+        assert bound < 2 ** (8 * width - 1)
+        assert [col for col, _, _ in packed] == [col for col, _ in runs]
+        for (_, value, m), (_, run) in zip(packed, runs):
+            digits = lmatrix_module._unpack(value, width)
+            assert m >= len(run) and not any(digits[m:])
+            assert digits[:m] + [0] * (m - len(digits)) == run + [0] * (m - len(run))
+            assert max(map(abs, run)) <= bound
+    assert echelon_sparse([], pivots) == echelon_reference(as_dicts)
 
 
 def _spin_reference(seed, gens):

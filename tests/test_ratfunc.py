@@ -13,7 +13,9 @@ from bgsplit.laurent import LaurentPoly, lp
 from bgsplit.ratfunc import (
     INF,
     RatFunc,
+    _exact_quotient,
     _heuristic_gcd,
+    _long_divide,
     _pseudo_remainder,
     poly_divmod,
     poly_gcd,
@@ -318,3 +320,71 @@ def test_pseudo_remainder_matches_sympy_prem(f, g):
                    sum(c * x**e for e, c in enumerate(g)), x)
     coeffs = [] if want == 0 else [int(c) for c in reversed(sp.Poly(want, x).all_coeffs())]
     assert _pseudo_remainder(f, g) == coeffs
+
+
+# Divisors of degree 0-4 with leads +-1 and composite, and v*x - u; the
+# dividend is random, a planted multiple h*g plus a remainder that is zero
+# or shorter than g, zero, or shorter than the divisor.
+LEADS = st.sampled_from((1, -1, 4, -6, 12))
+DIVISORS = st.one_of(
+    st.builds(lambda cs, lead: cs + [lead], st.lists(st.integers(-6, 6), max_size=4), LEADS),
+    st.builds(lambda u, v: [-u, v], st.integers(-6, 6), LEADS),
+)
+
+
+def _int_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _stripped(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+@st.composite
+def division_cases(draw):
+    g = draw(DIVISORS)
+    small = st.integers(-20, 20)
+    kind = draw(st.sampled_from(("random", "planted", "zero", "short")))
+    if kind == "random":
+        return draw(st.lists(small, max_size=9)), g
+    if kind == "zero":
+        return [], g
+    if kind == "short":
+        return draw(st.lists(small, max_size=len(g) - 1)), g
+    h = draw(st.lists(small, min_size=1, max_size=5))
+    r = draw(st.one_of(st.just([]), st.lists(small, max_size=len(g) - 1)))
+    f = _int_mul(h, g)
+    return [x + y for x, y in zip(f, r + [0] * (len(f) - len(r)))], g
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(division_cases())
+def test_long_divide_matches_fraction_long_division(case):
+    """``_long_divide`` against ``poly_divmod`` (``laurent._long_division``
+    on Fractions): None exactly when a quotient coefficient over Q is not
+    an integer, else q*g + r = f with len r = len g - 1, the same q and r;
+    ``_exact_quotient`` is q when r is zero and None otherwise."""
+    f, g = case
+    want_q, want_r = poly_divmod(LaurentPoly({e: Fraction(c) for e, c in enumerate(f) if c}),
+                                 LaurentPoly({e: Fraction(c) for e, c in enumerate(g) if c}))
+    out = _long_divide(f, g)
+    if any(c.denominator != 1 for c in want_q.terms.values()):
+        assert out is None and _exact_quotient(f, g) is None
+        return
+    assert out is not None
+    q, r = out
+    assert len(r) == len(g) - 1
+    total = _int_mul(q, g) + [0] * len(r)
+    for i, c in enumerate(r):
+        total[i] += c
+    assert _stripped(total) == _stripped(f)
+    assert {e: c for e, c in enumerate(q) if c} == want_q.terms
+    assert {e: c for e, c in enumerate(r) if c} == want_r.terms
+    assert _exact_quotient(f, g) == (None if any(r) else q)
