@@ -50,12 +50,19 @@ class _Inputs:
         self.texts: Dict[str, str] = {}
 
     def read(self, name: str) -> str:
+        """The file's UTF-8 text with its line ends read as text mode
+        reads them: CR LF and CR become LF."""
         path = getattr(self.args, name)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.texts[name] = text
         return text
 

@@ -17,26 +17,39 @@ rows).  ``parse_matrix_file`` and ``emit`` each dispatch once through
 that table.  Emission is canonical, so ``emit(parse_matrix_file(text))``
 is a fixed point: emitting the re-parsed document gives the same bytes.
 
-Entries are read in one pass: one compiled regex splits an entry into
+A cell that is a sum of monomial terms, ``NUM [/ NUM] [* x [^ [-] NUM]]``
+or ``x [^ [-] NUM]`` with z for x and a sign before every term but the
+first, is read by one compiled term regex in front of the grammar
+(``_scan_terms``), with whitespace wherever the tokenizer allows it: its
+terms add into one term map.  Any other text, a zero denominator and a
+numeral past MAX_NUMERAL_DIGITS go to the grammar, which reads the text
+with its own values and errors.  A term with both a constant and a power
+of x stays the ring product the grammar makes of it, ``c * x^e`` through
+``LaurentPoly.__mul__`` (an x^e factor only shifts the constant), so both
+routes make the same ring products and the traced count of them
+(``laurent.mul_calls`` in ``perfbench``) does not depend on the route.
+
+The grammar reads an entry in one pass: one compiled regex splits it into
 ASCII digit runs and single non-space characters, and a sum adds its
 Laurent terms into one term map, so parsing is linear in the number of
 terms.  Numerals are ASCII digits only, at most MAX_NUMERAL_DIGITS of
 them; ``^`` refuses, with WorkBudgetExceeded and before computing, a
 power whose size bound exceeds POWER_TERM_BUDGET terms or
-POWER_BIT_BUDGET coefficient bits.  Atoms, monomial powers and the sums
-are built with the trusted constructor ``laurent._trusted``, whose
-contract (int exponents, nonzero Fraction coefficients, a map nobody
-mutates afterwards) the parser guarantees by construction.  Two atom
-rules read the common shapes of a term without the general rules: a
-term that starts ``[-] NUM [/ NUM]`` takes that as one Fraction constant
+POWER_BIT_BUDGET coefficient bits, and a product, a quotient or a sum of
+rational functions is refused when two polynomials it would multiply are
+past the same size.  Atoms, monomial powers and the sums are built with
+the trusted constructor ``laurent._trusted``, whose contract (int
+exponents, nonzero Fraction coefficients, a map nobody mutates
+afterwards) the parser guarantees by construction.  Two atom rules read
+the common shapes of a term inside the cells the scanner does not take,
+the rational-function entries of ``scalar_ode`` files above all: a term
+that starts ``[-] NUM [/ NUM]`` takes that as one Fraction constant
 unless the denominator is zero, a numeral is too long or ``^`` follows
 (those fall through to the general rules at the same token), and
-``x^[-]NUM`` is one monomial.  ``*`` stays the ring product, so
-``3/4*x^9`` is one product of two monomials, which only shifts the
-constant.  A constant cell that is a numeral, optionally negated, or a
-quotient of two with a nonzero denominator (``-12/8``) skips the
-grammar: ``parse_fraction`` reads it straight into a Fraction, the
-value the grammar gives.
+``x^[-]NUM`` is one monomial.  A constant cell that is a numeral,
+optionally negated, or a quotient of two with a nonzero denominator
+(``-12/8``) skips the grammar: ``parse_fraction`` reads it straight into
+a Fraction, the value the grammar gives.
 
 Result documents are JSON objects carrying the command echo, a digest of
 the input bytes, the result payload and a certificate payload; fractions
@@ -105,6 +118,16 @@ _HEADER_INT = re.compile(f"-?[0-9]{{1,{MAX_NUMERAL_DIGITS}}}")
 # tokenizer allows; ``parse_fraction`` reads it without the grammar.
 _NUMERAL = f"([0-9]{{1,{MAX_NUMERAL_DIGITS}}})"
 _RATIONAL_CELL = re.compile(rf"\s*(-?)\s*{_NUMERAL}\s*(?:/\s*{_NUMERAL}\s*)?")
+# One term of a monomial sum with the whitespace around it: a sign, which
+# only the first term may omit, then ``NUM [/ NUM] [* x [^ [-] NUM]]`` or
+# ``x [^ [-] NUM]``, z for x, with a nonzero denominator.  Groups: the
+# whole term, its sign, numerator, denominator, the x after a constant and
+# its exponent's sign and digits, then a lone x's exponent sign and digits.
+_EXPONENT = rf"(?:\s*\^\s*(-?)\s*{_NUMERAL})?"
+_SUM_TERM = re.compile(
+    rf"((?:^|(?=\s*[+-]))\s*([+-]?)\s*(?:{_NUMERAL}(?:\s*/\s*(?=[0-9]*[1-9]){_NUMERAL})?"
+    rf"(?:\s*\*\s*([xz]){_EXPONENT})?|[xz]{_EXPONENT})\s*)"
+)
 
 
 class _Tokenizer:
@@ -164,6 +187,14 @@ def _check_product(left: Tuple[int, int], right: Tuple[int, int]) -> None:
             f"product of {decimal(p)} by {decimal(q)} terms exceeds the work budget of "
             f"{decimal(POWER_TERM_BUDGET**2)} term pairs"
         )
+
+
+def _check_sum(left: Value, right: Value) -> None:
+    """Refuse, before it is computed, a sum a/b + c/d whose products a*d,
+    c*b or b*d exceed the budget of ``_check_product``."""
+    (a, b), (c, d) = _sizes(left), _sizes(right)
+    _check_product((a, b), (d, d))
+    _check_product((c, c), (b, b))
 
 
 def _check_power(p: LaurentPoly, exp: int) -> None:
@@ -234,7 +265,10 @@ def _parse_expression(tok: _Tokenizer) -> Value:
         if isinstance(value, RatFunc):
             if sign == "-":
                 value = -value
-            lifted = value if lifted is None else lifted + value
+            if lifted is not None:
+                _check_sum(lifted, value)
+                value = lifted + value
+            lifted = value
         else:
             for e, c in value._terms.items():
                 if sign == "-":
@@ -247,7 +281,10 @@ def _parse_expression(tok: _Tokenizer) -> Value:
         tok.pos += 1
         value = _parse_term(tok)
     total = _trusted({e: c for e, c in terms.items() if c})
-    return total if lifted is None else lifted + total
+    if lifted is None:
+        return total
+    _check_sum(lifted, total)
+    return lifted + total
 
 
 def _parse_term(tok: _Tokenizer) -> Value:
@@ -340,7 +377,36 @@ def _parse_atom(tok: _Tokenizer) -> Value:
     raise tok.error(f"unexpected character {c!r}")
 
 
+def _scan_terms(text: str) -> Optional[LaurentPoly]:
+    """A cell that is a sum of monomial terms, read with one regex pass and
+    the value the grammar gives it; None for any other text, which the
+    grammar then reads with its own values and errors.  A constant times a
+    power of x stays the ring product the grammar makes of it."""
+    found = _SUM_TERM.findall(text)
+    if not found or sum(len(term[0]) for term in found) != len(text):
+        return None
+    terms: Dict[int, Fraction] = {}
+    for _, sign, num, den, var, sign_e, exp, lone_sign_e, lone_exp in found:
+        if not num:
+            term = {int(lone_sign_e + lone_exp) if lone_exp else 1: -_ONE if sign == "-" else _ONE}
+        else:
+            n = -int(num) if sign == "-" else int(num)
+            c = Fraction(n, int(den)) if den else Fraction(n)
+            if var:
+                power = _trusted({int(sign_e + exp): _ONE}) if exp else X
+                term = (_trusted({0: c} if n else {}) * power)._terms
+            else:
+                term = {0: c}
+        for e, c in term.items():
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
+    return _trusted({e: c for e, c in terms.items() if c})
+
+
 def _evaluate(text: str, line: int, col_offset: int) -> Value:
+    value = _scan_terms(text)
+    if value is not None:
+        return value
     tok = _Tokenizer(text, line, col_offset)
     try:
         value = _parse_expression(tok)

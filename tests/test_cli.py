@@ -262,6 +262,23 @@ def test_deeply_nested_factorization_document_is_a_parse_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe kind = laurent_matrix, n = 1\n1\n")
+    code, out, err = _run_process("split", str(path))
+    assert code == 2 and out == ""
+    assert err == f"parse error: {path}: not UTF-8 text (byte offset 0)\n"
+
+
+def test_factorization_document_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = write(tmp_path, "id.txt", ID2)
+    doc = tmp_path / "latin.json"
+    doc.write_bytes(b'{"b": "\xe9"}')
+    code, out, err = _run_process("verify", path, str(doc))
+    assert code == 2 and out == ""
+    assert err == f"parse error: {doc}: not UTF-8 text (byte offset 7)\n"
+
+
 @pytest.mark.parametrize("entry", ("x^99999999999 + 1", "x^99999999999 + x + 1"))
 def test_wide_exponent_non_unit_is_a_domain_error(tmp_path, entry):
     path = write(tmp_path, "wide.txt", "kind = laurent_matrix, n = 1\n" + entry + "\n")
@@ -332,23 +349,29 @@ def test_wide_span_bundle_is_refused_by_both_routes(tmp_path, command):
 
 
 SLOW_SHORT_INPUTS = {
-    # (exit code, input documents).  Both ran for minutes in poly_gcd's
-    # remainder sequence until the heuristic gcd went in front of it.
+    # case: (command, exit code, input documents).  The first two ran for
+    # minutes in poly_gcd's remainder sequence until the heuristic gcd went
+    # in front of it.
     # 240 s, then exit 0
-    "gauge": (0, (
+    "gauge": ("gauge", 0, (
         "kind = laurent_matrix, n = 2\n3/4*x, 3\nx + 1, 3/4*x^3 + 3/4*x + 999999999999\n",
         "kind = laurent_matrix, n = 2\n1, x^40 - x^2 - x\n7, (x - (x/2 + x^-39)^3)^3\n",
     )),
     # 46 s, then exit 3 (a pole of order above 1); 12 s with x^40 for x^60
-    "fuchs-ode": (3, (
+    "fuchs-ode": ("fuchs-ode", 3, (
         "kind = scalar_ode, n = 1\n1/(x + x^60) + ((x+1) - 999999999999/(x^60-x^-1)^3)^3\n",
+    )),
+    # 16 s multiplying denominators for the last sum, then exit 3 (a pole of
+    # order above 1), until a rational-function sum checked the work budget
+    "fuchs-ode-sum": ("fuchs-ode", 3, (
+        "kind = scalar_ode, n = 1\n1/(x+1)^511 + 1/(x+2)^511 + 1/(x+3)^511\n",
     )),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SLOW_SHORT_INPUTS))
-def test_short_input_answers_within_seconds(tmp_path, command):
-    want, texts = SLOW_SHORT_INPUTS[command]
+@pytest.mark.parametrize("case", sorted(SLOW_SHORT_INPUTS))
+def test_short_input_answers_within_seconds(tmp_path, case):
+    command, want, texts = SLOW_SHORT_INPUTS[case]
     paths = [write(tmp_path, f"in{i}.txt", text) for i, text in enumerate(texts)]
     code, _, err = _run_process(command, *paths, timeout=5)
     assert code == want and "Traceback" not in err

@@ -158,7 +158,7 @@ def test_integer_columns_match_the_fraction_loop_on_1000_bundles():
 def test_integer_columns_match_the_fraction_loop_on_the_golden_inputs():
     stems = [os.path.basename(path).split(".")[0]
              for path in sorted(glob.glob(os.path.join(HERE, "data", "golden", "*.factor.json")))]
-    assert len(stems) == 4
+    assert len(stems) == 5
     for stem in stems:
         path = os.path.join(HERE, "data", f"{stem}.txt")
         if not os.path.exists(path):

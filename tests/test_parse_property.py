@@ -9,10 +9,13 @@ it must; whatever the route, its values must be the oracle's.
 on numeral-shaped cells and near misses it must give what the grammar
 gives, value or error.  Inside the grammar, a term's leading constant
 and ``x^k`` are read directly; monomial-shaped cells must agree with the
-oracle, and their near misses must give the errors recorded below.
+oracle, and their near misses must give the errors recorded below.  A
+monomial sum is read by a term scanner in front of the grammar; every
+cell must read as it does with the scanner off.
 """
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -110,8 +113,14 @@ _numeral_cells = st.builds(
 )
 
 
+def _scanner_off():
+    """The entry grammar alone: ``io._scan_terms`` passes every cell on."""
+    return mock.patch.object(io, "_scan_terms", lambda text: None)
+
+
 def _by_grammar(text, line, col_offset):
-    value = io._as_laurent(io._evaluate(text, line, col_offset))
+    with _scanner_off():
+        value = io._as_laurent(io._evaluate(text, line, col_offset))
     if value is None or value != value.coeff(0):
         raise ParseError("constant rational expected", line=line, column=col_offset + 1)
     return value.coeff(0)
@@ -294,3 +303,63 @@ def test_monomial_near_misses_read_as_before(cell):
         return
     for read in (parse_laurent, parse_ratfunc):
         assert _outcome(read, text, line, col_offset) == want, text[:40]
+
+
+
+# Monomial-sum cells, which ``io._scan_terms`` reads with one regex pass in
+# front of the grammar, and their near misses: a spliced token breaks the
+# shape, and the grammar must then read the cell with its own values and
+# errors.  The oracle is the same call with the scanner off.
+_gaps = st.sampled_from(["", "", " ", "\t", "  ", "\u00a0"])
+_numerals = st.one_of(st.integers(0, 12).map(str), st.sampled_from(["000", "007", "30"]))
+_splices = st.sampled_from(["^", "*", "/", "(", ")", "x", "3", "-", "+", "^2", "/0", _LONG])
+
+
+@st.composite
+def monomial_sum_cells(draw):
+    """Canonical sums of ``[+-] NUM [/ NUM] [* x [^ [-] NUM]]`` and
+    ``[+-] x [^ [-] NUM]`` terms with random spacing, z for x, zero
+    coefficients and repeated or cancelling exponents, now and then with
+    one token spliced in."""
+    tokens = []
+    for i in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(["", "", "-", "+"] if i == 0 else ["-", "+"]))
+        tokens += [sign] if sign else []
+        constant = draw(st.booleans())
+        if constant:
+            tokens.append(draw(_numerals))
+            if draw(st.booleans()):
+                tokens += ["/", draw(st.one_of(_numerals, st.just("0")))]
+        if not constant or draw(st.booleans()):
+            tokens += ["*"] if constant else []
+            tokens.append(draw(st.sampled_from("xxz")))
+            if draw(st.booleans()):
+                exp = draw(st.integers(-3, 3))
+                tokens += ["^", "-", str(-exp)] if exp < 0 else ["^", str(exp)]
+    if draw(st.integers(0, 3)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_splices))
+    return draw(_gaps) + "".join(tok + draw(_gaps) for tok in tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(monomial_sum_cells(), st.integers(1, 9), st.integers(0, 40))
+@example("-3^2", 1, 0)
+@example("3/4x", 3, 5)
+@example("x^2^3", 2, 0)
+@example("x^+3", 1, 0)
+@example("--3", 1, 0)
+@example("3 4", 1, 0)
+@example("1/0", 1, 0)
+@example("+ -3", 1, 0)
+@example("3*x*2", 1, 0)
+@example("", 4, 7)
+@example("- 3 / 4 * x ^ - 2 + z^3 - x", 1, 0)
+@example(_LONG + "*x + 1", 1, 0)
+@example("1 - 3/" + _LONG + "*x", 2, 3)
+@example("3*x^" + _LONG, 1, 0)
+@example("x - z^-" + _LONG, 1, 4)
+def test_term_scanner_reads_as_the_grammar_reads(text, line, col_offset):
+    for read in (parse_laurent, parse_ratfunc, parse_fraction):
+        with _scanner_off():
+            want = _outcome(read, text, line, col_offset)
+        assert _outcome(read, text, line, col_offset) == want, repr(text[:60])

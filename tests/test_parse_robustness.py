@@ -143,12 +143,21 @@ def test_sum_of_16000_terms_parses_in_linear_time():
 
 
 @pytest.mark.parametrize("text", ("(x+1)^511*(x+2)^511*(x+3)^511",
-                                  "1/(x+1)^511/(x+2)^511/(x+3)^511"))
+                                  "1/(x+1)^511/(x+2)^511/(x+3)^511",
+                                  "1/(x+1)^511 + 1/(x+2)^511 + 1/(x+3)^511"))
 def test_products_past_the_largest_one_a_power_admits_are_refused(text):
     value = parse_laurent("(x+1)^511*(x+2)^511")  # 512 by 512 terms, the largest admitted
     assert len(value.terms) == 1023 and value.coeff(1022) == 1
     with pytest.raises(WorkBudgetExceeded, match="product of 1023 by 512 terms"):
         parse_ratfunc(text)
+
+
+def test_rational_function_sum_within_the_budget_is_admitted():
+    # a/b + c/d multiplies b by d: 201 by 201 terms here, 1023 by 512 for
+    # the third term of the refused sum above
+    value = parse_ratfunc("1/(x+1)^200 + 1/(x+2)^200")
+    assert value == parse_ratfunc("((x+2)^200 + (x+1)^200)/((x+1)^200*(x+2)^200)")
+    assert (len(value.num.terms), len(value.den.terms)) == (201, 401)
 
 
 # Matrices whose value holds an integer past the 4,300-digit limit of str():
